@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -40,7 +41,7 @@ from .markov import (
     make_code,
     markov_length,
 )
-from .sampler import SampleBatch, sample_batch
+from .sampler import SampleBatch, chunk_bounds, sample_batch
 from .spacetime import (
     DetectorModel,
     NoiseModel,
@@ -193,49 +194,19 @@ def _write_cmi_csv(path: str, cfg: ExperimentConfig, rows: List[Tuple]) -> None:
             writer.writerow(row)
 
 
+def _cell_task(cfg: ExperimentConfig, L: int, T: int, p: float) -> Tuple:
+    """Arguments of ``markov._sweep_cell`` for one (L, T, p) cell of a config."""
+    return (cfg.code, L, T, p, cfg.p_z, cfg.q, tuple(range(1, cfg.wB_max + 1)),
+            cfg.samples, cfg.seed, cfg.wA, cfg.wC, cfg.mode, 24, cfg.method, None,
+            cfg.estimator == "miller_madow")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     code = make_code(cfg.code, cfg.L)
     q = cfg.p if cfg.q is None else cfg.q
-    cell = _sweep_cell(
-        (
-            cfg.code,
-            cfg.L,
-            cfg.rounds,
-            cfg.p,
-            cfg.p_z,
-            "p" if cfg.q is None else "fixed",
-            tuple(range(1, cfg.wB_max + 1)),
-            cfg.samples,
-            cfg.seed,
-            cfg.wA,
-            cfg.wC,
-            cfg.mode,
-            24,
-            cfg.method,
-            None,
-            cfg.estimator == "miller_madow",
-        )
-        if cfg.q is None or cfg.q == cfg.p
-        else None
-    )
-    if cell is None:
-        # Arbitrary q: build directly.
-        model = build_detector_model(code, cfg.rounds, cfg.noise())
-        points = []
-        for wB in range(1, cfg.wB_max + 1):
-            tri = build_tripartition(model, wA=cfg.wA, wB=wB, wC=cfg.wC, mode=cfg.mode)
-            points.append(
-                cmi(model, tri, method=cfg.method, n=cfg.samples, seed=cfg.seed,
-                    stream=f"cmi/wB{wB}", correction=cfg.estimator == "miller_madow")
-            )
-        fit, err = None, None
-        try:
-            fit = markov_length(points)
-        except FitError as exc:
-            err = str(exc)
-    else:
-        points, fit, err = cell.points, cell.fit, cell.fit_error
+    cell = _sweep_cell(_cell_task(cfg, cfg.L, cfg.rounds, cfg.p))
+    points, fit, err = cell.points, cell.fit, cell.fit_error
     payload = {
         "version": __version__,
         "config": cfg.as_dict(),
@@ -267,7 +238,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for p in p_grid:
         if not (0.0 <= p <= 0.5):
             raise ConfigError(f"p={p}: probability out of [0, 0.5]")
-    ladder = tuple(range(1, cfg.wB_max + 1))
     out = cfg.out or "sweep.json"
     progress_path = out + ".cells.jsonl"
     done: Dict[Tuple[int, float], Dict] = {}
@@ -279,22 +249,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     grid = [(L, T, p) for (L, T) in sizes for p in p_grid]
     pending = [
-        (cfg.code, L, T, p, cfg.p_z, "p", ladder, cfg.samples, cfg.seed,
-         cfg.wA, cfg.wC, cfg.mode, 24, cfg.method, None,
-         cfg.estimator == "miller_madow")
+        _cell_task(cfg, L, T, p)
         for (L, T, p) in grid
         if (L, p) not in done and p != 0.0
     ]
-    if cfg.jobs > 1 and pending:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            computed = list(pool.map(_sweep_cell, pending))
-    else:
-        computed = [_sweep_cell(t) for t in pending]
-    fresh = {(c.L, c.p): c for c in computed}
     cells = []
-    with open(progress_path, "a" if args.resume else "w") as progress:
+    # Each cell is appended to the progress file as soon as it is computed,
+    # so an interrupted sweep can be picked up with --resume.
+    with contextlib.ExitStack() as stack:
+        if cfg.jobs > 1 and pending:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
+            computed = pool.map(_sweep_cell, pending)
+        else:
+            computed = map(_sweep_cell, pending)
+        progress = stack.enter_context(open(progress_path, "a" if args.resume else "w"))
         for (L, T, p) in grid:
             key = (L, p)
             if key in done:
@@ -304,7 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 rec = {"L": L, "T": T, "p": p, "points": [],
                        "fit": {"error": "all CMI at zero"}}
             else:
-                cell = fresh[key]
+                cell = next(computed)
                 rec = {
                     "L": L,
                     "T": T,
@@ -356,13 +326,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for (L, T) in sizes:
             pts = []
             for p in p_grid:
+                q = p if cfg.q is None else cfg.q
                 model = build_detector_model(
-                    make_code(cfg.code, L), T, NoiseModel(p_x=p, p_z=cfg.p_z, q=p)
+                    make_code(cfg.code, L), T, NoiseModel(p_x=p, p_z=cfg.p_z, q=q)
                 )
                 rp = logical_error_rate(model, args.decoder_shots, cfg.seed)
                 pts.append((p, rp.rate))
                 decoder_rows.append(
-                    (L, T, p, p, rp.shots, rp.logical_errors,
+                    (L, T, p, q, rp.shots, rp.logical_errors,
                      repr(rp.rate), repr(rp.ci_low), repr(rp.ci_high))
                 )
             curves[L] = pts
@@ -386,7 +357,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for c in cells:
             for pt in c["points"]:
                 rows.append(
-                    (cfg.code, c["L"], c["T"], c["p"], c["p"], cfg.wA,
+                    (cfg.code, c["L"], c["T"], c["p"], c["p"] if cfg.q is None else cfg.q, cfg.wA,
                      pt["wB"], pt["dist"], repr(pt["cmi_bits"]), repr(pt["cmi_stderr"]))
                 )
         _write_cmi_csv(cfg.csv, cfg, rows)
@@ -628,16 +599,11 @@ def read_interchange(path: str) -> Tuple[Dict, SampleBatch]:
             for j in range(width):
                 if (value >> j) & 1:
                     rows[j, i // 8] |= 1 << (i % 8)
-    n_chunks = min(32, n)
-    bounds = [0]
-    for k in range(1, n_chunks):
-        bounds.append(min(max(8 * round(k * n / (8 * n_chunks)), bounds[-1]), n))
-    bounds.append(n)
     batch = SampleBatch(
         region=tuple(range(width)),
         n_samples=n,
         rows=rows,
-        chunk_bounds=tuple(bounds),
+        chunk_bounds=chunk_bounds(n),
         seed=header.get("seed", 0),
         stream=header.get("stream", "ingest"),
         model_hash=header.get("model_hash", ""),

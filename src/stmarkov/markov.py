@@ -215,35 +215,95 @@ def _entropy_counts(counts: np.ndarray, n: int, width: int, correction: bool) ->
     return min(max(h, 0.0), float(width))
 
 
-def _sampled_entropies(batch, subsets, correction: bool):
-    """Full-sample and leave-one-chunk-out entropies plus supports per subset."""
-    n = batch.n_samples
-    n_chunks = batch.n_chunks
-    chunk_ids = np.empty(n, dtype=np.int64)
-    for i in range(n_chunks):
-        chunk_ids[batch.chunk_slice(i)] = i
-    chunk_sizes = np.array(
-        [batch.chunk_bounds[i + 1] - batch.chunk_bounds[i] for i in range(n_chunks)]
+def _cmi_identity(tri: Tripartition, h):
+    """I(A:C|B) = H(AB) + H(BC) - H(B) - H(ABC).
+
+    ``h`` gives the entropy of a sorted detector subset, as a float or as an
+    array of estimates; an empty B (adjacent A and C) has entropy 0.
+    """
+    h_b = h(sorted(tri.b)) if tri.b else 0.0
+    return (
+        h(sorted(set(tri.a) | set(tri.b)))
+        + h(sorted(set(tri.b) | set(tri.c)))
+        - h_b
+        - h(list(tri.all_detectors))
     )
-    full = []
-    loo = []
-    supports = []
-    for sub in subsets:
-        sp = subset_patterns(batch, sub)
-        _, inverse = np.unique(sp, return_inverse=True)
-        k = int(inverse.max()) + 1 if inverse.size else 0
-        cc = np.zeros((k, n_chunks), dtype=np.int64)
-        np.add.at(cc, (inverse, chunk_ids), 1)
+
+
+def _jackknife_std(loo: np.ndarray) -> float:
+    """Delete-one-chunk jackknife standard error from leave-one-out values."""
+    n_chunks = loo.size
+    mean = loo.mean()
+    var = (n_chunks - 1) / n_chunks * ((loo - mean) ** 2).sum()
+    return math.sqrt(max(var, 0.0))
+
+
+def _marginal_table(
+    table: np.ndarray, values: Optional[np.ndarray], width: int, keep: List[int]
+) -> np.ndarray:
+    """(pattern x chunk) counts over the ascending bits ``keep`` of a table.
+
+    ``values`` is None for a dense table (row index = ``width``-bit pattern);
+    otherwise it lists the ascending pattern of each row. Rows of the result
+    come in ascending order of the packed ``keep`` bits, bit j = ``keep[j]``.
+    """
+    n_chunks = table.shape[1]
+    if values is None:
+        # Axis i of the bit-cube holds pattern bit width - 1 - i, so the axes
+        # left after summing out the other bits flatten in packed order.
+        cube = table.reshape((2,) * width + (n_chunks,))
+        drop = tuple(width - 1 - i for i in range(width) if i not in keep)
+        return cube.sum(axis=drop).reshape(-1, n_chunks)
+    sub = np.zeros(values.size, dtype=np.uint64)
+    for j, i in enumerate(keep):
+        sub |= ((values >> np.uint64(i)) & np.uint64(1)) << np.uint64(j)
+    uniq, inverse = np.unique(sub, return_inverse=True)
+    out = np.zeros((uniq.size, n_chunks), dtype=np.int64)
+    np.add.at(out, inverse, table)
+    return out
+
+
+def _tripartition_cmi(batch, tri: Tripartition, correction: bool):
+    """CMI, its leave-one-chunk-out values and the ABC support of one tripartition.
+
+    The ABC patterns are histogrammed once into a (pattern x chunk) count
+    table; the AB, BC and B tables are its marginals, and every entropy (full
+    sample and each chunk left out) is read from these tables.
+    """
+    region = list(tri.all_detectors)
+    width = len(region)
+    n = batch.n_samples
+    bounds = batch.chunk_bounds
+    n_chunks = len(bounds) - 1
+    sizes = np.diff(bounds)
+    chunk_id = np.repeat(np.arange(n_chunks, dtype=np.int64), sizes)
+    sp = subset_patterns(batch, region)
+    if (1 << width) * n_chunks <= n:
+        values, row, n_rows = None, sp.astype(np.int64), 1 << width
+    else:
+        # A dense table would outgrow the samples: index the observed patterns.
+        values, row = np.unique(sp, return_inverse=True)
+        n_rows = values.size
+    table = np.bincount(row * n_chunks + chunk_id, minlength=n_rows * n_chunks)
+    table = table.reshape(n_rows, n_chunks)
+    bit = {d: i for i, d in enumerate(region)}
+
+    def entropies(sub):
+        """Full-sample entropy, then the entropy with each chunk left out."""
+        keep = [bit[d] for d in sub]
+        cc = table if len(sub) == width else _marginal_table(table, values, width, keep)
         totals = cc.sum(axis=1)
-        full.append(_entropy_counts(totals, n, len(sub), correction))
-        supports.append(k)
-        h_loo = np.empty(n_chunks)
-        for i in range(n_chunks):
-            h_loo[i] = _entropy_counts(
-                totals - cc[:, i], n - int(chunk_sizes[i]), len(sub), correction
-            )
-        loo.append(h_loo)
-    return full, loo, supports
+        return np.array(
+            [_entropy_counts(totals, n, len(sub), correction)]
+            + [
+                _entropy_counts(totals - cc[:, i], n - int(sizes[i]), len(sub), correction)
+                for i in range(n_chunks)
+            ]
+        )
+
+    stat = _cmi_identity(tri, entropies)
+    support = int(np.count_nonzero(table.sum(axis=1)))
+    return float(stat[0]), stat[1:], support
 
 
 def cmi(
@@ -264,19 +324,12 @@ def cmi(
     are reported as-is. ``exact`` enumerates region-incident mechanisms.
     """
     region = list(tri.all_detectors)
-    ab = sorted(set(tri.a) | set(tri.b))
-    bc = sorted(set(tri.b) | set(tri.c))
-    b = sorted(tri.b)
     if method == "exact":
         values, probs = exact_region_dist(model, region, cap=exact_cap)
         pos = {d: j for j, d in enumerate(region)}
-
-        def h(sub):
-            if not sub:
-                return 0.0
-            return marginal_entropy(values, probs, [pos[d] for d in sub])
-
-        value = h(ab) + h(bc) - h(b) - h(region)
+        value = _cmi_identity(
+            tri, lambda sub: marginal_entropy(values, probs, [pos[d] for d in sub])
+        )
         return CmiPoint(tri.dist_ac, value, 0.0, "exact", 0, dict(tri.descriptor))
     if method != "sampled":
         raise ValueError(f"unknown method {method!r}")
@@ -290,37 +343,29 @@ def cmi(
 SUPPORT_FACTOR = 100
 
 
-def cmi_from_batch(batch, tri: Tripartition, correction: bool = True) -> CmiPoint:
-    """CMI estimate of a tripartition from an existing sample batch."""
-    region = list(tri.all_detectors)
-    ab = sorted(set(tri.a) | set(tri.b))
-    bc = sorted(set(tri.b) | set(tri.c))
-    b = sorted(tri.b)
-    subsets = [ab, bc, b, region] if b else [ab, bc, region]
-    full, loo, supports = _sampled_entropies(batch, subsets, correction)
-    if b:
-        value = full[0] + full[1] - full[2] - full[3]
-        cmi_loo = loo[0] + loo[1] - loo[2] - loo[3]
-        support_abc = supports[3]
-    else:
-        value = full[0] + full[1] - full[2]
-        cmi_loo = loo[0] + loo[1] - loo[2]
-        support_abc = supports[2]
+def _sampled_point(batch, tris: Sequence[Tripartition], correction: bool, method: str) -> CmiPoint:
+    """Translate-averaged CMI of ``tris`` on one batch, jackknifed on the average."""
+    stats = [_tripartition_cmi(batch, tri, correction) for tri in tris]
+    value = float(np.mean([s[0] for s in stats]))
+    std = _jackknife_std(np.mean([s[1] for s in stats], axis=0))
+    support_abc = max(s[2] for s in stats)
     n = batch.n_samples
-    n_chunks = batch.n_chunks
-    mean = cmi_loo.mean()
-    var = (n_chunks - 1) / n_chunks * ((cmi_loo - mean) ** 2).sum()
-    std = math.sqrt(max(var, 0.0))
     return CmiPoint(
-        tri.dist_ac,
+        tris[0].dist_ac,
         value,
         std,
-        f"sampled(n={n},seed={batch.seed})",
+        method,
         n,
-        dict(tri.descriptor),
+        dict(tris[0].descriptor),
         support_abc=support_abc,
         reliable=support_abc * SUPPORT_FACTOR <= n,
     )
+
+
+def cmi_from_batch(batch, tri: Tripartition, correction: bool = True) -> CmiPoint:
+    """CMI estimate of a tripartition from an existing sample batch."""
+    method = f"sampled(n={batch.n_samples},seed={batch.seed})"
+    return _sampled_point(batch, [tri], correction, method)
 
 
 def averaged_cmi_ladder(
@@ -339,9 +384,11 @@ def averaged_cmi_ladder(
 ) -> List[CmiPoint]:
     """One CmiPoint per ladder rung, averaged over spatial anchor translates.
 
-    A single batch covering the ladder's time band is drawn; every rung and
-    every translate is evaluated on the same shots, and the jackknife runs on
-    the translate-averaged statistic (which handles the overlap correlations).
+    A single batch is drawn; every rung and every translate is evaluated on
+    the same shots, and the jackknife runs on the translate-averaged
+    statistic (which handles the overlap correlations). The batch holds only
+    the detectors the tripartitions read, on the random stream of a batch
+    over the ladder's whole time band, so its rows equal that batch's rows.
     Rungs whose joint histograms crowd the sample count are flagged
     unreliable.
     """
@@ -361,72 +408,28 @@ def averaged_cmi_ladder(
         for coords, idx in lattice.items()
         if t0 <= coords[-1] <= t0 + extent - 1
     )
-    batch = sample_batch(model, band, n, seed, stream=stream)
-    points: List[CmiPoint] = []
-    for wB in wB_list:
-        tris = []
-        for x in anchors:
-            anchor = (x,) + tuple((space[d] - wA) // 2 for d in range(1, len(space))) + (t0,)
-            tris.append(
-                build_tripartition(
-                    model, wA=wA, wB=wB, wC=wC, anchor=anchor, mode=mode,
-                    sector=sector, cap=cap,
-                )
+    rest = tuple((space[d] - wA) // 2 for d in range(1, len(space))) + (t0,)
+    rungs = [
+        [
+            build_tripartition(
+                model, wA=wA, wB=wB, wC=wC, anchor=(x,) + rest, mode=mode,
+                sector=sector, cap=cap,
             )
-        values = []
-        loos = []
-        supports = []
-        for tri in tris:
-            pt_region = list(tri.all_detectors)
-            ab = sorted(set(tri.a) | set(tri.b))
-            bc = sorted(set(tri.b) | set(tri.c))
-            bb = sorted(tri.b)
-            subsets = [ab, bc, bb, pt_region] if bb else [ab, bc, pt_region]
-            full, loo, sup = _sampled_entropies(batch, subsets, correction)
-            if bb:
-                values.append(full[0] + full[1] - full[2] - full[3])
-                loos.append(loo[0] + loo[1] - loo[2] - loo[3])
-                supports.append(sup[3])
-            else:
-                values.append(full[0] + full[1] - full[2])
-                loos.append(loo[0] + loo[1] - loo[2])
-                supports.append(sup[2])
-        value = float(np.mean(values))
-        loo_mean = np.mean(loos, axis=0)
-        n_chunks = batch.n_chunks
-        mean = loo_mean.mean()
-        var = (n_chunks - 1) / n_chunks * ((loo_mean - mean) ** 2).sum()
-        support_abc = max(supports)
-        points.append(
-            CmiPoint(
-                tris[0].dist_ac,
-                value,
-                math.sqrt(max(var, 0.0)),
-                f"sampled(n={n},seed={seed},anchors={len(anchors)})",
-                n,
-                dict(tris[0].descriptor),
-                support_abc=support_abc,
-                reliable=support_abc * SUPPORT_FACTOR <= n,
-            )
-        )
-    return points
+            for x in anchors
+        ]
+        for wB in wB_list
+    ]
+    used = sorted({d for tris in rungs for tri in tris for d in tri.all_detectors})
+    batch = sample_batch(model, used, n, seed, stream=stream, draw_region=band)
+    method = f"sampled(n={n},seed={seed},anchors={len(anchors)})"
+    return [_sampled_point(batch, tris, correction, method) for tris in rungs]
 
 
 def cmi_rank_half(model: DetectorModel, tri: Tripartition) -> float:
     """Rank-formula CMI valid when every mechanism has p = 1/2."""
     from .entropy import rank_entropy_half
 
-    ab = sorted(set(tri.a) | set(tri.b))
-    bc = sorted(set(tri.b) | set(tri.c))
-    b = sorted(tri.b)
-    region = list(tri.all_detectors)
-    h_b = rank_entropy_half(model, b) if b else 0.0
-    return (
-        rank_entropy_half(model, ab)
-        + rank_entropy_half(model, bc)
-        - h_b
-        - rank_entropy_half(model, region)
-    )
+    return _cmi_identity(tri, lambda sub: rank_entropy_half(model, sub))
 
 
 def markov_length(
@@ -553,11 +556,10 @@ def make_code(family: str, L: int):
 
 
 def _sweep_cell(args) -> SweepCell:
-    (family, L, T, p, p_z, q_mode, ladder, n, seed, wA, wC, mode, cap, method,
+    (family, L, T, p, p_z, q, ladder, n, seed, wA, wC, mode, cap, method,
      anchor_stride, correction) = args
     code = make_code(family, L)
-    q = p if q_mode == "p" else 0.0
-    noise = NoiseModel(p_x=p, p_z=p_z, q=q)
+    noise = NoiseModel(p_x=p, p_z=p_z, q=p if q is None else q)
     model = build_detector_model(code, T, noise)
     if p == 0 or model.n_mechanisms == 0:
         return SweepCell(L=L, T=T, p=p, points=[], fit=None, fit_error="all CMI at zero")
@@ -597,7 +599,7 @@ def sweep(
     wC: int = 2,
     mode: str = "strip",
     p_z: float = 0.0,
-    q_mode: str = "p",
+    q: Optional[float] = None,
     cap: int = 24,
     jobs: int = 1,
     method: str = "sampled",
@@ -608,11 +610,12 @@ def sweep(
 
     Each grid cell fits xi from a w_B ladder of tripartitions (sampled cells
     average over spatial anchor translates); fit failures are recorded as
-    gaps. Per-cell RNG streams are derived from the cell coordinates, so
+    gaps. The readout error rate is ``q``, or p in each cell when ``q`` is
+    None. Per-cell RNG streams are derived from the cell coordinates, so
     results are independent of execution order.
     """
     tasks = [
-        (family, L, T, p, p_z, q_mode, tuple(ladder), n, seed, wA, wC, mode, cap,
+        (family, L, T, p, p_z, q, tuple(ladder), n, seed, wA, wC, mode, cap,
          method, anchor_stride, correction)
         for (L, T) in sizes
         for p in p_grid

@@ -4,9 +4,15 @@ Samples are stored column-major and bit-packed: one packed row of n sample
 bits per detector, built by XOR-accumulating the incidence columns of the
 drawn mechanism bits. Sampling is chunked with counter-based Philox streams
 (one high-counter block per chunk), so batches are bit-reproducible for a
-given (model, region, n, seed, stream) regardless of scheduling. Only
-mechanisms incident to the requested region are drawn; the restriction
-leaves the marginal unchanged.
+given (model, draw region, n, seed, stream) regardless of scheduling.
+
+The random stream is laid out by the draw region (by default the requested
+region): every mechanism incident to it takes its n draws, in mechanism
+order. Mechanisms that touch no detector of the requested region have their
+draws skipped, not made, so the rows of a narrow region are bit-identical to
+the same rows of a batch over its whole draw region. Mechanisms incident to
+no detector of the draw region are left out; that leaves the marginal
+unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,6 +120,34 @@ class SampleBatch:
         )
 
 
+def chunk_bounds(n: int, n_chunks: int = 32) -> Tuple[int, ...]:
+    """Boundaries of at most ``n_chunks`` chunks of n samples.
+
+    Interior boundaries are byte-aligned (or n), so the packed rows of
+    consecutive chunks concatenate; chunks may be empty when n is small.
+    """
+    n_chunks = min(n_chunks, n)
+    bounds = [0]
+    for i in range(1, n_chunks):
+        b = 8 * round(i * n / (8 * n_chunks))
+        bounds.append(min(max(b, bounds[-1]), n))
+    bounds.append(n)
+    return tuple(bounds)
+
+
+def _skip_draws(gen: np.random.Generator, m: int, count: int) -> None:
+    """Move the stream past ``count`` mechanisms' draws of m values each."""
+    # Generator.random takes one uint64 per double, and Philox4x64 makes
+    # four uint64 per counter step. Every mechanism of a chunk draws the same
+    # m, so when 4 | m the output buffer is empty here and advancing the
+    # counter is exact.
+    if m % 4 == 0:
+        gen.bit_generator.advance(count * m // 4)
+    else:
+        for _ in range(count):
+            gen.bit_generator.random_raw(m)
+
+
 def sample_batch(
     model: DetectorModel,
     region: Sequence[int],
@@ -121,57 +155,61 @@ def sample_batch(
     seed: int,
     stream: str = "sampling",
     n_chunks: int = 32,
+    draw_region: Optional[Sequence[int]] = None,
 ) -> SampleBatch:
     """Draw n detector-outcome samples restricted to ``region``.
 
     Each sample draws independent mechanism bits e_k ~ Bernoulli(p_k) for the
-    region-incident mechanisms and emits (M.e mod 2) restricted to the region.
+    mechanisms incident to ``draw_region`` (default: ``region``) and emits
+    (M.e mod 2) restricted to ``region``, which must lie inside
+    ``draw_region``. Only mechanisms that touch ``region`` are drawn; the
+    stream positions of the others are skipped.
     """
     region = tuple(region)
     if not region:
         raise ValueError("region must be nonempty")
     if n < 1:
         raise ValueError("need at least one sample")
-    n_chunks = min(n_chunks, n)
+    draw_region = region if draw_region is None else tuple(draw_region)
+    if not set(region) <= set(draw_region):
+        raise ValueError("region must lie inside the draw region")
     pos = {d: j for j, d in enumerate(region)}
-    mech_rows: List[Tuple[float, List[int]]] = []
-    for k in model.region_mechanisms(region):
+    # (p, rows, skipped): the region rows a drawn mechanism flips, and how
+    # many mechanisms of the draw region that touch no row precede it. Those
+    # after the last drawn mechanism need no skip.
+    draws: List[Tuple[float, List[int], int]] = []
+    skipped = 0
+    for k in model.region_mechanisms(draw_region):
         mech = model.mechanisms[k]
         rows = [pos[d] for d in mech.detectors if d in pos]
-        mech_rows.append((mech.p, rows))
+        if rows:
+            draws.append((mech.p, rows, skipped))
+            skipped = 0
+        else:
+            skipped += 1
     key = stream_key(seed, stream)
-    # Interior chunk boundaries are byte-aligned so packed rows concatenate.
-    bounds = [0]
-    for i in range(1, n_chunks):
-        b = 8 * round(i * n / (8 * n_chunks))
-        bounds.append(min(max(b, bounds[-1]), n))
-    bounds.append(n)
+    bounds = chunk_bounds(n, n_chunks)
     packed = np.zeros((len(region), (n + 7) // 8), dtype=np.uint8)
-    for c in range(n_chunks):
+    for c in range(len(bounds) - 1):
         lo, hi = bounds[c], bounds[c + 1]
         if hi == lo:
             continue
         gen = _chunk_generator(key, c)
         m = hi - lo
         acc = np.zeros((len(region), m), dtype=np.uint8)
-        for p, rows in mech_rows:
+        for p, rows, skipped in draws:
+            if skipped:
+                _skip_draws(gen, m, skipped)
             bits = (gen.random(m) < p).astype(np.uint8)
             for j in rows:
                 acc[j] ^= bits
-        # Chunk boundaries are byte-aligned except possibly the last chunk.
-        if lo % 8 == 0:
-            span = slice(lo // 8, lo // 8 + (m + 7) // 8)
-            packed[:, span] = np.packbits(acc, axis=1, bitorder="little")
-        else:  # pragma: no cover - bounds are byte-aligned by construction
-            for j in range(len(region)):
-                for i, b in enumerate(acc[j]):
-                    if b:
-                        packed[j, (lo + i) // 8] ^= 1 << ((lo + i) % 8)
+        span = slice(lo // 8, lo // 8 + (m + 7) // 8)
+        packed[:, span] = np.packbits(acc, axis=1, bitorder="little")
     return SampleBatch(
         region=region,
         n_samples=n,
         rows=packed,
-        chunk_bounds=tuple(bounds),
+        chunk_bounds=bounds,
         seed=seed,
         stream=stream,
         model_hash=model.model_hash(),

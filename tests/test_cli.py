@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from stmarkov.cli import export_interchange, main, read_interchange
 from stmarkov.markov import build_tripartition, cmi_from_batch
@@ -215,3 +216,78 @@ def test_sweep_jobs_numerically_deterministic(tmp_path):
     pa = json.loads(open(a).read())
     pb = json.loads(open(b).read())
     assert pa["cells"] == pb["cells"]
+
+
+RUN_ARGS = ["run", "--code", "repetition", "--L", "8", "--rounds", "8", "--p", "0.09",
+            "--wB-max", "2", "--samples", "20000", "--seed", "42"]
+
+
+def _run_outputs(tmp_path, name, extra):
+    out = str(tmp_path / f"{name}.json")
+    csv_path = str(tmp_path / f"{name}.csv")
+    assert run_cli(RUN_ARGS + extra + ["--out", out, "--csv", csv_path]) == 0
+    return json.loads(open(out).read()), open(csv_path, "rb").read()
+
+
+def test_run_q_flag(tmp_path):
+    default, default_csv = _run_outputs(tmp_path, "default", [])
+    same, same_csv = _run_outputs(tmp_path, "same", ["--q", "0.09"])
+    # The config echoes the flag as given; every result byte is the same.
+    assert same_csv == default_csv
+    for key in ("fit", "points", "code_hash"):
+        assert same[key] == default[key]
+    quiet, quiet_csv = _run_outputs(tmp_path, "quiet", ["--q", "0.0"])
+    assert quiet["points"] != default["points"]
+    assert quiet_csv.splitlines()[1].split(b",")[4] == b"0.0"
+
+
+SWEEP_ARGS = ["sweep", "--code", "repetition", "--sizes", "8x8", "--p-grid", "0.07,0.11",
+              "--wB-max", "1", "--samples", "20000", "--seed", "3"]
+
+
+def test_sweep_q_flag(tmp_path):
+    payloads = {}
+    for name, extra in (("default", []), ("quiet", ["--q", "0.0"])):
+        out = str(tmp_path / f"{name}.json")
+        csv_path = str(tmp_path / f"{name}.csv")
+        assert run_cli(SWEEP_ARGS + extra + ["--out", out, "--csv", csv_path,
+                                             "--decoder-shots", "50"]) == 0
+        payloads[name] = json.loads(open(out).read())
+        expected_q = {"0.07", "0.11"} if name == "default" else {"0.0"}
+        rows = open(out + ".decoder.csv").read().splitlines()[1:]
+        assert {row.split(",")[3] for row in rows} == expected_q
+        rows = open(csv_path).read().splitlines()[1:]
+        assert {row.split(",")[4] for row in rows} == expected_q
+    assert payloads["quiet"]["cells"] != payloads["default"]["cells"]
+
+
+def test_interrupted_sweep_resumes_byte_identical(tmp_path, monkeypatch):
+    import stmarkov.cli as cli
+
+    out = str(tmp_path / "sweep.json")
+    csv_path = str(tmp_path / "sweep.csv")
+    args = ["sweep", "--code", "repetition", "--sizes", "8x8,12x12", "--p-grid",
+            "0.07,0.11", "--wB-max", "1", "--samples", "10000", "--seed", "3",
+            "--out", out, "--csv", csv_path]
+    assert run_cli(args) == 0
+    expected = {path: open(path, "rb").read() for path in (out, csv_path)}
+    for path in expected:
+        os.remove(path)
+
+    real_cell = cli._sweep_cell
+    calls = []
+
+    def failing_cell(task):
+        calls.append(task)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real_cell(task)
+
+    monkeypatch.setattr(cli, "_sweep_cell", failing_cell)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(args)
+    assert len(open(out + ".cells.jsonl").read().splitlines()) == 2
+    monkeypatch.setattr(cli, "_sweep_cell", real_cell)
+    assert run_cli(args + ["--resume"]) == 0
+    for path, content in expected.items():
+        assert open(path, "rb").read() == content

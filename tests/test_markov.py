@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from stmarkov.codes import repetition_code
+from oracles import four_histogram_cmi
+
+from stmarkov.codes import repetition_code, toric_code
 from stmarkov.markov import (
     CmiPoint,
     FitError,
+    _tripartition_cmi,
+    averaged_cmi_ladder,
     build_tripartition,
     cmi,
     cmi_rank_half,
@@ -15,7 +19,7 @@ from stmarkov.markov import (
     sweep,
     validate_tripartition,
 )
-from stmarkov.sampler import PatternWidthExceeded
+from stmarkov.sampler import PatternWidthExceeded, sample_batch
 from stmarkov.spacetime import NoiseModel, Tripartition, build_detector_model
 
 
@@ -248,3 +252,59 @@ def test_sweep_p_zero_row_is_gap():
     by_p = {c.p: c for c in result.cells}
     assert by_p[0.0].fit is None
     assert by_p[0.0].fit_error == "all CMI at zero"
+
+
+@pytest.mark.parametrize("n", [20_000, 2_000], ids=["dense", "compacted"])
+@pytest.mark.parametrize("wB", [0, 1, 2])
+def test_histogram_kernel_matches_four_histograms(n, wB):
+    model = model_for(8, 8, 0.1)
+    tri = build_tripartition(model, wA=2, wB=wB, wC=1, mode="strip")
+    # 2^width * 32 chunks against n decides which table the kernel builds.
+    dense = (1 << len(tri.all_detectors)) * 32 <= n
+    assert dense == (n == 20_000 and wB < 2)
+    batch = sample_batch(model, list(range(model.n_detectors)), n, seed=3)
+    for correction in (True, False):
+        value, loo, support = _tripartition_cmi(batch, tri, correction)
+        ref_value, ref_loo, ref_support = four_histogram_cmi(batch, tri, correction)
+        assert value == ref_value
+        assert np.array_equal(loo, ref_loo)
+        assert support == ref_support
+
+
+# Recorded before the ladder sampled only the tripartitions' detectors: the
+# ladder's output must not depend on which rows the batch holds.
+PINNED_LADDERS = {
+    "repetition": [
+        "CmiPoint(dist=2, cmi=0.004897804688679619, std_error=0.0012035844710851888, "
+        "method='sampled(n=10001,seed=5,anchors=4)', n_samples=10001, descriptor={'mode': "
+        "'strip', 'wA': 2, 'wB': 1, 'wC': 1, 'sector': 'z', 'anchor': (0, 1)}, "
+        "support_abc=256, reliable=False)",
+        "CmiPoint(dist=3, cmi=0.011016315957640188, std_error=0.00210286221920215, "
+        "method='sampled(n=10001,seed=5,anchors=4)', n_samples=10001, descriptor={'mode': "
+        "'strip', 'wA': 2, 'wB': 2, 'wC': 1, 'sector': 'z', 'anchor': (0, 1)}, "
+        "support_abc=922, reliable=False)",
+        "CmiPoint(dist=4, cmi=0.10936956763994754, std_error=0.003186108105128716, "
+        "method='sampled(n=10001,seed=5,anchors=4)', n_samples=10001, descriptor={'mode': "
+        "'strip', 'wA': 2, 'wB': 3, 'wC': 1, 'sector': 'z', 'anchor': (0, 1)}, "
+        "support_abc=2377, reliable=False)",
+    ],
+    "toric": [
+        "CmiPoint(dist=2, cmi=0.0010979156862761148, std_error=0.0005892760335410401, "
+        "method='sampled(n=4001,seed=5,anchors=3)', n_samples=4001, descriptor={'mode': "
+        "'strip', 'wA': 1, 'wB': 1, 'wC': 1, 'sector': 'z', 'anchor': (0, 2, 1)}, "
+        "support_abc=8, reliable=True)",
+        "CmiPoint(dist=3, cmi=-0.0003178081049040789, std_error=0.00034539386223753895, "
+        "method='sampled(n=4001,seed=5,anchors=3)', n_samples=4001, descriptor={'mode': "
+        "'strip', 'wA': 1, 'wB': 2, 'wC': 1, 'sector': 'z', 'anchor': (0, 2, 1)}, "
+        "support_abc=16, reliable=True)",
+    ],
+}
+
+
+def test_ladder_output_pinned():
+    rep = build_detector_model(repetition_code(8), 8, NoiseModel.phenomenological(0.1))
+    points = averaged_cmi_ladder(rep, (1, 2, 3), 10_001, 5, wA=2, wC=1, stream="pin/rep")
+    assert [repr(pt) for pt in points] == PINNED_LADDERS["repetition"]
+    tor = build_detector_model(toric_code(6), 6, NoiseModel.phenomenological(0.03))
+    points = averaged_cmi_ladder(tor, (1, 2), 4_001, 5, wA=1, wC=1, stream="pin/toric")
+    assert [repr(pt) for pt in points] == PINNED_LADDERS["toric"]

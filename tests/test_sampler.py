@@ -3,7 +3,7 @@ import pytest
 
 from oracles import enumerate_region_distribution
 
-from stmarkov.codes import repetition_code
+from stmarkov.codes import repetition_code, toric_code
 from stmarkov.sampler import (
     PatternWidthExceeded,
     SampleBatch,
@@ -182,3 +182,20 @@ def test_wide_region_sampling():
         a = freq_wide.get(pattern, 0) / n
         b = freq_narrow.get(pattern, 0) / n
         assert abs(a - b) < 4 * np.sqrt(max(a, b, 0.01) / n) + 0.02
+
+
+@pytest.mark.parametrize("code", [repetition_code(8), toric_code(4)], ids=["repetition", "toric"])
+def test_draw_region_rows_match_whole_band(code):
+    """A narrow region drawn on a band's stream gives the band batch's rows."""
+    model = build_detector_model(code, 6, NoiseModel.phenomenological(0.1))
+    band = [i for i, d in enumerate(model.detectors) if 2 <= d.t <= 4]
+    sub = band[1::3]
+    n = 10_001  # the last chunk is short and not a multiple of 4
+    whole = sample_batch(model, band, n, seed=21, stream="band")
+    assert (whole.chunk_bounds[-1] - whole.chunk_bounds[-2]) % 4 != 0
+    part = sample_batch(model, sub, n, seed=21, stream="band", draw_region=band)
+    pos = {d: j for j, d in enumerate(band)}
+    assert np.array_equal(part.rows, whole.rows[[pos[d] for d in sub]])
+    assert part.chunk_bounds == whole.chunk_bounds
+    with pytest.raises(ValueError):
+        sample_batch(model, sub + [band[0] - 1], 10, seed=21, draw_region=band)
