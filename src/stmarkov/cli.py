@@ -38,6 +38,8 @@ from .markov import (
     cmi_from_batch,
     cmi_rank_half,
     interpolate_peak,
+    ladder_t0,
+    lattice_tripartition,
     make_code,
     markov_length,
 )
@@ -45,7 +47,6 @@ from .sampler import SampleBatch, chunk_bounds, sample_batch
 from .spacetime import (
     DetectorModel,
     NoiseModel,
-    Tripartition,
     build_detector_model,
     detectors_from_errors,
 )
@@ -167,7 +168,7 @@ def _fit_record(fit: Optional[MarkovFit], error: Optional[str]) -> Dict:
     }
 
 
-def _point_records(cfg: ExperimentConfig, points) -> List[Dict]:
+def _point_records(points) -> List[Dict]:
     out = []
     for pt in points:
         out.append(
@@ -184,7 +185,7 @@ def _point_records(cfg: ExperimentConfig, points) -> List[Dict]:
     return out
 
 
-def _write_cmi_csv(path: str, cfg: ExperimentConfig, rows: List[Tuple]) -> None:
+def _write_cmi_csv(path: str, rows: List[Tuple]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
@@ -214,7 +215,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "code_hash": hashlib.sha256(code.to_json().encode()).hexdigest()[:16],
         "seed": cfg.seed,
         "fit": _fit_record(fit, err),
-        "points": _point_records(cfg, points),
+        "points": _point_records(points),
     }
     _emit_json(cfg.out, payload)
     if cfg.csv:
@@ -223,7 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
              pt.descriptor.get("wB"), pt.dist, repr(pt.cmi), repr(pt.std_error))
             for pt in points
         ]
-        _write_cmi_csv(cfg.csv, cfg, rows)
+        _write_cmi_csv(cfg.csv, rows)
     return 0
 
 
@@ -251,7 +252,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pending = [
         _cell_task(cfg, L, T, p)
         for (L, T, p) in grid
-        if (L, p) not in done and p != 0.0
+        if (L, p) not in done
     ]
     cells = []
     # Each cell is appended to the progress file as soon as it is computed,
@@ -270,18 +271,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if key in done:
                 cells.append(done[key])
                 continue
-            if p == 0.0:
-                rec = {"L": L, "T": T, "p": p, "points": [],
-                       "fit": {"error": "all CMI at zero"}}
-            else:
-                cell = next(computed)
-                rec = {
-                    "L": L,
-                    "T": T,
-                    "p": p,
-                    "points": _point_records(cfg, cell.points),
-                    "fit": _fit_record(cell.fit, cell.fit_error),
-                }
+            cell = next(computed)
+            rec = {
+                "L": L,
+                "T": T,
+                "p": p,
+                "points": _point_records(cell.points),
+                "fit": _fit_record(cell.fit, cell.fit_error),
+            }
             progress.write(json.dumps(rec, sort_keys=True) + "\n")
             progress.flush()
             cells.append(rec)
@@ -360,7 +357,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     (cfg.code, c["L"], c["T"], c["p"], c["p"] if cfg.q is None else cfg.q, cfg.wA,
                      pt["wB"], pt["dist"], repr(pt["cmi_bits"]), repr(pt["cmi_stderr"]))
                 )
-        _write_cmi_csv(cfg.csv, cfg, rows)
+        _write_cmi_csv(cfg.csv, rows)
     return 0
 
 
@@ -508,13 +505,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- ingest -------------------------------------------------------------------
 
 
-def export_interchange(batch: SampleBatch, model: DetectorModel, path: str) -> None:
-    """Write a batch in the detector-sample interchange format.
+# Nibble value of each ASCII code; 16 marks a character that is not a hex digit.
+_HEX_VALUE = np.full(256, 16, dtype=np.uint8)
+_HEX_VALUE[list(b"0123456789abcdefABCDEF")] = [*range(16), *range(10, 16)]
+# Interchange rows are converted in blocks of this many samples (a multiple
+# of 8, so the packed sample bytes of consecutive blocks concatenate).
+_ROW_BLOCK = 1 << 14
 
-    One JSON header line, then one hex row per sample (little-endian bit
-    order over the header's detector list).
-    """
-    header = {
+
+def _interchange_header(batch: SampleBatch, model: DetectorModel) -> Dict:
+    return {
         "version": INTERCHANGE_VERSION,
         "detectors": [
             {
@@ -532,54 +532,29 @@ def export_interchange(batch: SampleBatch, model: DetectorModel, path: str) -> N
         "stream": batch.stream,
         "model_hash": batch.model_hash,
     }
+
+
+def export_interchange(batch: SampleBatch, model: DetectorModel, path: str) -> None:
+    """Write a batch in the detector-sample interchange format.
+
+    One JSON header line, then one hex row per sample (little-endian bit
+    order over the header's detector list).
+    """
     width = batch.region_width
     digits = (width + 3) // 4
-    bit_matrix = np.stack([batch.row_bits(j) for j in range(width)])  # width x n
+    n = batch.n_samples
     with open(path, "w") as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for i in range(batch.n_samples):
-            value = 0
-            for j in range(width):
-                if bit_matrix[j, i]:
-                    value |= 1 << j
-            f.write(format(value, f"0{digits}x") + "\n")
-
-
-class IngestedRecords:
-    """Detector layout + samples reconstructed from an interchange file.
-
-    Quacks like enough of a DetectorModel for tripartition geometry; no
-    mechanism information is available, so incidence-based checks are
-    skipped.
-    """
-
-    def __init__(self, header: Dict, rows: np.ndarray):
-        from .spacetime import Detector
-
-        schemes = {"sector", "check", "round", "coords"}
-        self.detectors = []
-        for rec in header["detectors"]:
-            if not schemes.issubset(rec):
-                raise ConfigError(
-                    f"unknown coordinate scheme {sorted(rec)}; expected fields {sorted(schemes)}"
-                )
-            self.detectors.append(
-                Detector(rec["sector"], rec["check"], rec["round"], tuple(rec["coords"]))
-            )
-        self.space_shape = tuple(header["space_shape"])
-        self.rounds = header["rounds"]
-        self.mechanisms: List = []
-        code = repetition_code(max(3, self.space_shape[0]))
-        self.code = dataclasses.replace(code, space_shape=self.space_shape)
-        self.rows = rows
-
-    def detector_distance(self, i: int, j: int) -> int:
-        a, b = self.detectors[i], self.detectors[j]
-        best = abs(a.coords[-1] - b.coords[-1])
-        for dim, size in enumerate(self.space_shape):
-            d = abs(a.coords[dim] - b.coords[dim])
-            best = max(best, min(d, size - d))
-        return best
+        f.write(json.dumps(_interchange_header(batch, model), sort_keys=True) + "\n")
+        for lo in range(0, n, _ROW_BLOCK):
+            m = min(_ROW_BLOCK, n - lo)
+            packed = batch.rows[:, lo // 8 : lo // 8 + (m + 7) // 8]
+            bits = np.unpackbits(packed, axis=1, bitorder="little", count=m).T
+            # Each sample's bytes, most significant first, in hex; keep the low digits.
+            row_bytes = np.packbits(bits, axis=1, bitorder="little")[:, ::-1]
+            hex_rows = np.frombuffer(row_bytes.tobytes().hex().encode(), dtype=np.uint8)
+            text = np.full((m, digits + 1), ord("\n"), dtype=np.uint8)
+            text[:, :digits] = hex_rows.reshape(m, -1)[:, -digits:]
+            f.write(text.tobytes().decode("ascii"))
 
 
 def read_interchange(path: str) -> Tuple[Dict, SampleBatch]:
@@ -591,14 +566,29 @@ def read_interchange(path: str) -> Tuple[Dict, SampleBatch]:
         n = header["n_rows"]
         digits = (width + 3) // 4
         rows = np.zeros((width, (n + 7) // 8), dtype=np.uint8)
-        for i in range(n):
-            line = f.readline().strip()
-            if len(line) != digits:
-                raise ConfigError(f"row {i + 1}: expected {digits} hex digits, got {line!r}")
-            value = int(line, 16)
-            for j in range(width):
-                if (value >> j) & 1:
-                    rows[j, i // 8] |= 1 << (i % 8)
+        for lo in range(0, n, _ROW_BLOCK):
+            m = min(_ROW_BLOCK, n - lo)
+            lines = [f.readline().strip() for _ in range(m)]
+            lengths = np.fromiter(map(len, lines), dtype=np.int64, count=m)
+            bad = np.flatnonzero(lengths != digits)
+            if bad.size:
+                i = int(bad[0])
+                raise ConfigError(
+                    f"row {lo + i + 1}: expected {digits} hex digits, got {lines[i]!r}"
+                )
+            chars = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
+            nibbles = _HEX_VALUE[chars].reshape(m, digits)
+            bad = np.flatnonzero((nibbles > 15).any(axis=1))
+            if bad.size:
+                i = int(bad[0])
+                raise ConfigError(f"row {lo + i + 1}: not a hex number: {lines[i]!r}")
+            # Least significant nibble first, then its bits: bit j of the row.
+            bits = np.unpackbits(
+                nibbles[:, ::-1, None], axis=2, count=4, bitorder="little"
+            ).reshape(m, 4 * digits)
+            rows[:, lo // 8 : lo // 8 + (m + 7) // 8] = np.packbits(
+                bits[:, :width].T, axis=1, bitorder="little"
+            )
     batch = SampleBatch(
         region=tuple(range(width)),
         n_samples=n,
@@ -623,31 +613,31 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 f"batch was sampled from model {batch.model_hash}, config gives "
                 f"{model.model_hash()}"
             )
-        header = {
-            "version": INTERCHANGE_VERSION,
-            "detectors": [
-                {
-                    "sector": model.detectors[d].sector,
-                    "check": model.detectors[d].check,
-                    "round": model.detectors[d].t,
-                    "coords": list(model.detectors[d].coords),
-                }
-                for d in batch.region
-            ],
-            "n_rows": batch.n_samples,
-            "space_shape": list(model.code.space_shape),
-            "rounds": model.rounds,
-            "model_hash": batch.model_hash,
-        }
+        header = _interchange_header(batch, model)
         batch = dataclasses.replace(batch, region=tuple(range(batch.region_width)))
     else:
         header, batch = read_interchange(args.path)
-    records = IngestedRecords(header, batch.rows)
-    lattice = {d.coords: i for i, d in enumerate(records.detectors) if d.sector == "z"}
+    scheme = {"sector", "check", "round", "coords"}
+    lattice = {}
+    for i, rec in enumerate(header["detectors"]):
+        if not scheme.issubset(rec):
+            raise ConfigError(
+                f"unknown coordinate scheme {sorted(rec)}; expected fields {sorted(scheme)}"
+            )
+        if rec["sector"] == "z":
+            lattice[tuple(rec["coords"])] = i
+    space = tuple(header["space_shape"])
+    rounds = header["rounds"]
+    # Every rung shares the anchor of the deepest one, as in averaged_cmi_ladder.
+    t0 = ladder_t0(rounds, cfg.wA + cfg.wB_max + cfg.wC)
+    anchor = tuple((size - cfg.wA) // 2 for size in space) + (t0,)
     points = []
     for wB in range(1, cfg.wB_max + 1):
         try:
-            tri = _ingest_tripartition(records, lattice, cfg, wB)
+            tri = lattice_tripartition(
+                lattice, space, rounds, wA=cfg.wA, wB=wB, wC=cfg.wC, anchor=anchor,
+                mode="strip", cap=64, bulk_margin=0,
+            )
         except ValueError as exc:
             print(f"skipping wB={wB}: {exc}", file=sys.stderr)
             continue
@@ -668,36 +658,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         },
         "seed": cfg.seed,
         "fit": _fit_record(fit, err),
-        "points": _point_records(cfg, points),
+        "points": _point_records(points),
     }
     _emit_json(cfg.out, payload)
     return 0
-
-
-def _ingest_tripartition(records, lattice, cfg: ExperimentConfig, wB: int) -> Tripartition:
-    """Strip tripartition over ingested detector coordinates."""
-    space = records.space_shape
-    T = records.rounds
-    extent = cfg.wA + wB + cfg.wC
-    t0 = max(1, (T + 1 - (cfg.wA + cfg.wB_max + cfg.wC)) // 2)
-    a_sp = tuple((space[d] - cfg.wA) // 2 for d in range(len(space)))
-
-    def block(t_start, t_width):
-        cells = []
-        for offs in np.ndindex(*([cfg.wA] * len(space))):
-            for dt in range(t_width):
-                coord = tuple((a_sp[d] + offs[d]) % space[d] for d in range(len(space)))
-                coord = coord + (t_start + dt,)
-                if coord not in lattice:
-                    raise ValueError(f"cell {coord} missing from ingested detectors")
-                cells.append(lattice[coord])
-        return tuple(sorted(cells))
-
-    a = block(t0, cfg.wA)
-    b = block(t0 + cfg.wA, wB) if wB else ()
-    c = block(t0 + cfg.wA + wB, cfg.wC)
-    dist = min(records.detector_distance(i, j) for i in a for j in c)
-    return Tripartition(a, b, c, dist, {"mode": "strip", "wA": cfg.wA, "wB": wB, "wC": cfg.wC})
 
 
 def build_parser() -> argparse.ArgumentParser:

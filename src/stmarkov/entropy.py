@@ -5,6 +5,10 @@ corrected) estimates from sampled histograms, an exact brute-force oracle
 that enumerates region-incident mechanisms, and a GF(2)-rank oracle valid at
 p = 1/2 where the detector distribution is uniform over the image of the
 incidence matrix.
+
+``_entropy_counts`` is the one plug-in entropy of a count array and
+``_jackknife_std`` the one delete-one-chunk standard error; ``plugin_entropy``
+and the sampled CMI of ``markov`` both read their estimates from them.
 """
 
 from __future__ import annotations
@@ -44,16 +48,33 @@ def _entropy_bits(probs: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _plugin_value(counts: np.ndarray, n: int, correction: str) -> Tuple[float, int]:
-    counts = counts[counts > 0]
-    p = counts / n
+def _entropy_counts(counts: np.ndarray, n: int, width: float, correction: bool) -> float:
+    """Plug-in entropy in bits of a count array over n samples, clamped to [0, width].
+
+    ``correction`` adds the Miller-Madow term (support - 1) / (2 n ln 2).
+    """
+    c = counts[counts > 0].astype(np.float64)
+    p = c / n
     h = float(-(p * np.log2(p)).sum())
-    support = int(counts.size)
-    if correction == "miller_madow":
-        h += (support - 1) / (2.0 * n * LN2)
-    elif correction != "none":
-        raise ValueError(f"unknown correction {correction!r}")
-    return h, support
+    if correction:
+        h += (c.size - 1) / (2.0 * n * LN2)
+    return min(max(h, 0.0), float(width))
+
+
+def _jackknife_std(loo: np.ndarray) -> float:
+    """Delete-one-chunk jackknife standard error from leave-one-out values."""
+    n_chunks = loo.size
+    mean = loo.mean()
+    var = (n_chunks - 1) / n_chunks * ((loo - mean) ** 2).sum()
+    return math.sqrt(max(var, 0.0))
+
+
+def repack_bits(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Each pattern of ``values`` repacked onto the bits ``positions``, bit j = positions[j]."""
+    sub = np.zeros(values.size, dtype=np.uint64)
+    for j, p in enumerate(positions):
+        sub |= ((values >> np.uint64(p)) & np.uint64(1)) << np.uint64(j)
+    return sub
 
 
 def plugin_entropy(
@@ -68,7 +89,8 @@ def plugin_entropy(
     ``counts`` is a {pattern: count} dict or an array of counts summing to n.
     With ``chunk_counts`` the standard error comes from a delete-one-chunk
     jackknife; otherwise from the delta-method variance of the plug-in.
-    The value is clamped to [0, width] when a region width is given.
+    The value, and each leave-one-chunk-out value, is clamped to [0, width]
+    when a region width is given.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -78,33 +100,32 @@ def plugin_entropy(
         arr = np.asarray(counts, dtype=np.float64)
     if arr.sum() != n:
         raise ValueError("counts do not sum to n")
-    h, support = _plugin_value(arr, n, correction)
+    if correction not in ("miller_madow", "none"):
+        raise ValueError(f"unknown correction {correction!r}")
+    miller_madow = correction == "miller_madow"
+    hi = math.inf if width is None else width
+    h = _entropy_counts(arr, n, hi, miller_madow)
     if chunk_counts is not None and len(chunk_counts) > 1:
-        keys = sorted(counts.keys()) if isinstance(counts, dict) else range(len(arr))
-        key_pos = {k: i for i, k in enumerate(keys)}
-        full = np.zeros(len(keys))
-        for k, i in key_pos.items():
-            full[i] = counts[k] if isinstance(counts, dict) else arr[k]
-        loo = []
-        for ch in chunk_counts:
-            rest = full.copy()
-            m = 0
-            for k, c in ch.items():
-                rest[key_pos[k]] -= c
-                m += c
-            loo.append(_plugin_value(rest, n - m, correction)[0])
-        loo = np.array(loo)
-        m_ch = len(loo)
-        std = math.sqrt(max(0.0, (m_ch - 1) / m_ch * ((loo - loo.mean()) ** 2).sum()))
+        # One (pattern x chunk) count table, patterns in sorted order.
+        keys = sorted(counts) if isinstance(counts, dict) else range(arr.size)
+        full = np.array([counts[k] for k in keys], dtype=np.float64)
+        row = {k: i for i, k in enumerate(keys)}
+        table = np.zeros((len(keys), len(chunk_counts)), dtype=np.int64)
+        for j, chunk in enumerate(chunk_counts):
+            for k, c in chunk.items():
+                table[row[k], j] = c
+        loo = np.array([
+            _entropy_counts(full - table[:, j], n - int(table[:, j].sum()), hi, miller_madow)
+            for j in range(table.shape[1])
+        ])
+        std = _jackknife_std(loo)
         kind = f"plugin+{correction}+jackknife"
     else:
         p = arr[arr > 0] / n
         var = float((p * np.log2(p) ** 2).sum() - (-(p * np.log2(p)).sum()) ** 2) / n
         std = math.sqrt(max(var, 0.0))
         kind = f"plugin+{correction}"
-    lo, hi = 0.0, float(width) if width is not None else math.inf
-    h = min(max(h, lo), hi)
-    return EntropyEstimate(h, std, kind, n, support)
+    return EntropyEstimate(h, std, kind, n, int(np.count_nonzero(arr)))
 
 
 def _xor_dp_table(masks: Sequence[int], probs: Sequence[float], width: int) -> np.ndarray:
@@ -172,10 +193,7 @@ def exact_region_dist(
 
 def marginal_entropy(values: np.ndarray, probs: np.ndarray, positions: Sequence[int]) -> float:
     """Entropy of a bit-subset marginal of an exact pattern distribution."""
-    sub = np.zeros(values.size, dtype=np.uint64)
-    for j, p in enumerate(positions):
-        sub |= ((values >> np.uint64(p)) & np.uint64(1)) << np.uint64(j)
-    agg_vals, inverse = np.unique(sub, return_inverse=True)
+    agg_vals, inverse = np.unique(repack_bits(values, positions), return_inverse=True)
     agg = np.zeros(agg_vals.size, dtype=np.float64)
     np.add.at(agg, inverse, probs)
     return _entropy_bits(agg)

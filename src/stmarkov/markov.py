@@ -1,7 +1,10 @@
 """Tripartition geometry, CMI estimation, and Markov-length extraction.
 
-Two tripartition layouts on a sector's detector lattice (space wraps, time is
-open):
+Tripartitions are built by ``lattice_tripartition`` over a coordinate
+lattice {(*space, t): detector index} (space wraps, time is open).
+``build_tripartition`` passes it one sector of a detector model and then
+checks that no mechanism touches both A and C; ``stmarkov ingest`` passes it
+the detectors of an interchange header. Two layouts:
 
 * ``ring``: A is a (w_A)^D block, B the full Chebyshev annulus of width w_B
   around it, C a (w_C)^D probe block at distance w_B + 1 along the first
@@ -10,8 +13,10 @@ open):
   with B the w_B-deep buffer between A and C. The stack runs along the open
   time axis so no wraparound path connects A and C from behind, and widths
   stay small enough for sampled histograms at every rung of the w_B ladder.
-  The measured decay length tracks the critical response of the noise model
-  with a finite-width downward displacement of its peak location.
+  At these histogram-feasible widths the fitted decay length is microscopic:
+  on the repetition code it reads about 0.54 at every p and every L, and it
+  cannot grow with L, because the marginal of a fixed bulk region does not
+  depend on the lattice size.
 
 CMI is reported in bits; the decay convention is I ~ exp(-dist/xi), so the
 fitted xi is an e-folding length in lattice units.
@@ -28,9 +33,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .codes import repetition_code, toric_code
-from .entropy import LN2, exact_region_dist, marginal_entropy
+from .entropy import (
+    LN2,
+    _entropy_counts,
+    _jackknife_std,
+    exact_region_dist,
+    marginal_entropy,
+    repack_bits,
+)
 from .sampler import PatternWidthExceeded, sample_batch, subset_patterns
-from .spacetime import DetectorModel, NoiseModel, Tripartition, build_detector_model
+from .spacetime import (
+    DetectorModel,
+    NoiseModel,
+    Tripartition,
+    build_detector_model,
+    chebyshev_distance,
+)
 
 FLOOR_SIGMA = 3.0
 
@@ -77,8 +95,15 @@ def _wrap_block(start: int, width: int, size: int, periodic: bool) -> List[int]:
     return list(range(start, start + width))
 
 
-def build_tripartition(
-    model: DetectorModel,
+def ladder_t0(rounds: int, extent: int, t_lo: int = 1) -> int:
+    """First time row of an ``extent``-deep stack centred in the run, at least t_lo."""
+    return max(t_lo, (rounds + 1 - extent) // 2)
+
+
+def lattice_tripartition(
+    lattice: Dict[Tuple[int, ...], int],
+    space: Sequence[int],
+    rounds: int,
     wA: int = 2,
     wB: int = 1,
     wC: int = 2,
@@ -88,23 +113,20 @@ def build_tripartition(
     cap: int = 24,
     bulk_margin: int = 1,
 ) -> Tripartition:
-    """Build an (A, B, C) detector tripartition with dist(A, C) = w_B + 1.
+    """Build an (A, B, C) tripartition over a coordinate lattice {(*space, t): index}.
 
-    Regions stay ``bulk_margin`` detectors away from the temporal boundaries
-    (0 admits the boundary rows themselves, for oracle-scale checks). Refuses
-    layouts whose total width exceeds the histogram cap (shrink w_C, or w_B
-    for ring mode).
+    Space (of shape ``space``) wraps and time runs over 0..rounds, open;
+    dist(A, C) must come out as w_B + 1. Regions stay ``bulk_margin`` rows
+    away from the temporal boundaries (0 admits the boundary rows themselves,
+    for oracle-scale checks). Refuses layouts whose total width exceeds the
+    histogram cap (shrink w_C, or w_B for ring mode).
     """
     if mode not in ("ring", "strip"):
         raise ValueError(f"unknown tripartition mode {mode!r}")
     if min(wA, wC) < 1 or wB < 0:
         raise ValueError("widths must satisfy wA, wC >= 1 and wB >= 0")
-    lattice = _sector_lattice(model, sector)
-    if not lattice:
-        raise ValueError(f"model has no detectors in sector {sector!r}")
-    space = model.code.space_shape
     D = len(space)
-    T = model.rounds
+    T = rounds
     t_lo, t_hi = bulk_margin, T - bulk_margin  # inclusive bulk band
     if t_hi < t_lo:
         raise ValueError("model too short in time for a bulk tripartition")
@@ -124,40 +146,23 @@ def build_tripartition(
             raise ValueError("region wraps onto itself; reduce widths")
         return out
 
+    if anchor is None:
+        a_sp = tuple((space[d] - wA) // 2 for d in range(D))
+        t0 = ladder_t0(T, wA + wB + wC if mode == "strip" else wA, t_lo)
+    else:
+        a_sp, t0 = tuple(anchor[:-1]), anchor[-1]
+    a = cells(a_sp, [wA] * D, t0, wA)
     if mode == "strip":
-        total_t = wA + wB + wC
-        if anchor is None:
-            a_sp = tuple((space[d] - wA) // 2 for d in range(D))
-            t0 = max(t_lo, (T + 1 - total_t) // 2)
-        else:
-            a_sp, t0 = tuple(anchor[:-1]), anchor[-1]
-        a = cells(a_sp, [wA] * D, t0, wA)
         b = cells(a_sp, [wA] * D, t0 + wA, wB) if wB else []
         c = cells(a_sp, [wA] * D, t0 + wA + wB, wC)
     else:
-        if anchor is None:
-            a_sp = tuple((space[d] - wA) // 2 for d in range(D))
-            t0 = max(t_lo, (T + 1 - wA) // 2)
-        else:
-            a_sp, t0 = tuple(anchor[:-1]), anchor[-1]
-        a = cells(a_sp, [wA] * D, t0, wA)
-        a_set = set(a)
-
-        def chebyshev_to_a(coord) -> int:
-            best = None
-            for cell in a_set:
-                dist = abs(coord[-1] - cell[-1])
-                for d in range(D):
-                    delta = abs(coord[d] - cell[d])
-                    dist = max(dist, min(delta, space[d] - delta))
-                best = dist if best is None else min(best, dist)
-            return best
-
         b = []
         if wB:
             for coord in lattice:
-                if t_lo <= coord[-1] <= t_hi and 1 <= chebyshev_to_a(coord) <= wB:
-                    b.append(coord)
+                if t_lo <= coord[-1] <= t_hi:
+                    to_a = min(chebyshev_distance(coord, cell, space) for cell in a)
+                    if 1 <= to_a <= wB:
+                        b.append(coord)
         c_sp = ((a_sp[0] + wA + wB) % space[0],) + a_sp[1:]
         c = cells(c_sp, [wC] + [min(wC, wA)] * (D - 1), t0, min(wC, wA))
 
@@ -167,11 +172,12 @@ def build_tripartition(
             raise ValueError(f"region cells outside the detector lattice: {missing[:3]}")
         return tuple(sorted(lattice[xy] for xy in coords))
 
+    dist = min(chebyshev_distance(x, y, space) for x in a for y in c)
     tri = Tripartition(
         a=to_idx(a),
         b=to_idx(b),
         c=to_idx(c),
-        dist_ac=0,
+        dist_ac=dist,
         descriptor={
             "mode": mode,
             "wA": wA,
@@ -181,17 +187,39 @@ def build_tripartition(
             "anchor": tuple(a_sp) + (t0,),
         },
     )
-    dist = min(
-        model.detector_distance(i, j) for i in tri.a for j in tri.c
-    )
     if dist != wB + 1:
         raise ValueError(
             f"A-C separation {dist} != wB+1 = {wB + 1}; lattice too small for this ladder"
         )
-    tri = Tripartition(tri.a, tri.b, tri.c, dist, tri.descriptor)
     width = len(tri.all_detectors)
     if width > cap:
         raise PatternWidthExceeded(width, cap)
+    return tri
+
+
+def build_tripartition(
+    model: DetectorModel,
+    wA: int = 2,
+    wB: int = 1,
+    wC: int = 2,
+    anchor: Optional[Tuple[int, ...]] = None,
+    mode: str = "ring",
+    sector: str = "z",
+    cap: int = 24,
+    bulk_margin: int = 1,
+) -> Tripartition:
+    """``lattice_tripartition`` over a sector of the model's detectors, validated.
+
+    The tripartition is also checked for separation: no mechanism of the
+    model may touch both A and C.
+    """
+    lattice = _sector_lattice(model, sector)
+    if not lattice:
+        raise ValueError(f"model has no detectors in sector {sector!r}")
+    tri = lattice_tripartition(
+        lattice, model.code.space_shape, model.rounds, wA=wA, wB=wB, wC=wC,
+        anchor=anchor, mode=mode, sector=sector, cap=cap, bulk_margin=bulk_margin,
+    )
     validate_tripartition(model, tri)
     return tri
 
@@ -204,15 +232,6 @@ def validate_tripartition(model: DetectorModel, tri: Tripartition) -> None:
             dets = set(mech.detectors)
             if dets & a_set and dets & c_set:
                 raise ValueError(f"mechanism {mech} spans A and C")
-
-
-def _entropy_counts(counts: np.ndarray, n: int, width: int, correction: bool) -> float:
-    c = counts[counts > 0].astype(np.float64)
-    p = c / n
-    h = float(-(p * np.log2(p)).sum())
-    if correction:
-        h += (c.size - 1) / (2.0 * n * LN2)
-    return min(max(h, 0.0), float(width))
 
 
 def _cmi_identity(tri: Tripartition, h):
@@ -228,14 +247,6 @@ def _cmi_identity(tri: Tripartition, h):
         - h_b
         - h(list(tri.all_detectors))
     )
-
-
-def _jackknife_std(loo: np.ndarray) -> float:
-    """Delete-one-chunk jackknife standard error from leave-one-out values."""
-    n_chunks = loo.size
-    mean = loo.mean()
-    var = (n_chunks - 1) / n_chunks * ((loo - mean) ** 2).sum()
-    return math.sqrt(max(var, 0.0))
 
 
 def _marginal_table(
@@ -254,10 +265,7 @@ def _marginal_table(
         cube = table.reshape((2,) * width + (n_chunks,))
         drop = tuple(width - 1 - i for i in range(width) if i not in keep)
         return cube.sum(axis=drop).reshape(-1, n_chunks)
-    sub = np.zeros(values.size, dtype=np.uint64)
-    for j, i in enumerate(keep):
-        sub |= ((values >> np.uint64(i)) & np.uint64(1)) << np.uint64(j)
-    uniq, inverse = np.unique(sub, return_inverse=True)
+    uniq, inverse = np.unique(repack_bits(values, keep), return_inverse=True)
     out = np.zeros((uniq.size, n_chunks), dtype=np.int64)
     np.add.at(out, inverse, table)
     return out
@@ -396,7 +404,7 @@ def averaged_cmi_ladder(
     T = model.rounds
     wB_max = max(wB_list)
     extent = wA + wB_max + wC
-    t0 = max(1, (T + 1 - extent) // 2)
+    t0 = ladder_t0(T, extent)
     if t0 + extent - 1 > T - 1:
         raise ValueError(f"ladder extent {extent} does not fit the time bulk")
     if anchor_stride is None:
@@ -561,7 +569,7 @@ def _sweep_cell(args) -> SweepCell:
     code = make_code(family, L)
     noise = NoiseModel(p_x=p, p_z=p_z, q=p if q is None else q)
     model = build_detector_model(code, T, noise)
-    if p == 0 or model.n_mechanisms == 0:
+    if model.n_mechanisms == 0:
         return SweepCell(L=L, T=T, p=p, points=[], fit=None, fit_error="all CMI at zero")
     if method == "exact":
         points = []

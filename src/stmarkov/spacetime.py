@@ -70,6 +70,17 @@ class Mechanism:
     logical_flips: Tuple[int, ...]  # protected logical bits this flips
 
 
+def chebyshev_distance(
+    coords_a: Sequence[int], coords_b: Sequence[int], space_shape: Sequence[int]
+) -> int:
+    """Chebyshev distance between (*space, t) coordinates: space wraps, time is open."""
+    best = abs(coords_a[-1] - coords_b[-1])
+    for dim, size in enumerate(space_shape):
+        d = abs(coords_a[dim] - coords_b[dim])
+        best = max(best, min(d, size - d))
+    return best
+
+
 class DetectorModel:
     """Error mechanisms, their probabilities, and detector incidence."""
 
@@ -141,12 +152,9 @@ class DetectorModel:
 
     def detector_distance(self, i: int, j: int) -> int:
         """Chebyshev distance between detectors: space wraps, time is open."""
-        a, b = self.detectors[i], self.detectors[j]
-        best = abs(a.coords[-1] - b.coords[-1])
-        for dim, size in enumerate(self.code.space_shape):
-            d = abs(a.coords[dim] - b.coords[dim])
-            best = max(best, min(d, size - d))
-        return best
+        return chebyshev_distance(
+            self.detectors[i].coords, self.detectors[j].coords, self.code.space_shape
+        )
 
     def to_text(self) -> str:
         lines = []

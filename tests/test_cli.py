@@ -1,14 +1,15 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from stmarkov.cli import export_interchange, main, read_interchange
+from stmarkov.cli import ConfigError, export_interchange, main, read_interchange
 from stmarkov.markov import build_tripartition, cmi_from_batch
 from stmarkov.sampler import sample_batch
 from stmarkov.spacetime import NoiseModel, build_detector_model
-from stmarkov.codes import repetition_code
+from stmarkov.codes import repetition_code, toric_code
 
 
 def run_cli(args):
@@ -95,10 +96,17 @@ def test_verify_passes_and_fault_hook_fails():
     assert run_cli(["verify", "--inject-fault"]) == 1
 
 
-def make_band_batch(tmp_path, n=20000):
-    model = build_detector_model(repetition_code(8), 8, NoiseModel.phenomenological(0.1))
-    extent = 2 + 1 + 2  # wA + wB_max + wC with wB_max = 1
-    t0 = max(1, (model.rounds + 1 - extent) // 2)
+def ladder_anchor_t0(rounds, wB_max):
+    return max(1, (rounds + 1 - (2 + wB_max + 2)) // 2)  # extent wA + wB_max + wC
+
+
+def make_band_batch(tmp_path, n=20000, family="repetition", wB_max=1):
+    if family == "toric":
+        model = build_detector_model(toric_code(6), 10, NoiseModel.phenomenological(0.03))
+    else:
+        model = build_detector_model(repetition_code(8), 8, NoiseModel.phenomenological(0.1))
+    extent = 2 + wB_max + 2
+    t0 = ladder_anchor_t0(model.rounds, wB_max)
     band = sorted(
         i for i, d in enumerate(model.detectors) if t0 <= d.t <= t0 + extent - 1
     )
@@ -108,17 +116,22 @@ def make_band_batch(tmp_path, n=20000):
     return model, batch, band, path
 
 
-def test_ingest_roundtrip_matches_in_process(tmp_path):
-    model, batch, band, path = make_band_batch(tmp_path)
+@pytest.mark.parametrize("wB_max", [1, 3])
+@pytest.mark.parametrize("family", ["repetition", "toric"])
+def test_ingest_roundtrip_matches_in_process(tmp_path, family, wB_max):
+    model, batch, band, path = make_band_batch(tmp_path, family=family, wB_max=wB_max)
     out = str(tmp_path / "ingest.json")
-    assert run_cli(["ingest", path, "--wB-max", "1", "--samples", "20000",
-                    "--L", "8", "--rounds", "8", "--out", out]) == 0
+    assert run_cli(["ingest", path, "--wB-max", str(wB_max), "--out", out]) == 0
     payload = json.loads(open(out).read())
-    # In-process analysis over the same batch and geometry.
-    pos = {d: j for j, d in enumerate(band)}
+    assert [rec["wB"] for rec in payload["points"]] == list(range(1, wB_max + 1))
+    # In-process analysis over the same batch and geometry: every rung sits
+    # at the anchor of the deepest one.
+    space = model.code.space_shape
+    anchor = tuple((size - 2) // 2 for size in space) + (ladder_anchor_t0(model.rounds, wB_max),)
     for rec in payload["points"]:
         tri = build_tripartition(
-            model, wA=2, wB=rec["wB"], wC=2, mode="strip",
+            model, wA=2, wB=rec["wB"], wC=2, anchor=anchor, mode="strip", cap=64,
+            bulk_margin=0,
         )
         point = cmi_from_batch(batch, tri)
         assert rec["cmi_bits"] == point.cmi
@@ -153,6 +166,41 @@ def test_interchange_read_back(tmp_path):
     assert header["n_rows"] == 300
     for j in range(len(band)):
         assert np.array_equal(again.row_bits(j), batch.row_bits(j))
+
+
+def test_interchange_export_pinned(tmp_path):
+    # 10 detectors (three hex digits, the top one partly used) and 17,001 rows
+    # (more than one conversion block, not a whole number of packed bytes);
+    # the digest was recorded with a bit-by-bit writer.
+    model = build_detector_model(repetition_code(7), 4, NoiseModel.phenomenological(0.2))
+    batch = sample_batch(model, list(range(10)), 17_001, seed=9)
+    path = str(tmp_path / "odd.txt")
+    export_interchange(batch, model, path)
+    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    assert digest == "5985e57a0957ec04a6b0dc8452c04e050c260bdf0093154b0729ebe2c449ec47"
+    _, again = read_interchange(path)
+    assert np.array_equal(again.rows, batch.rows)
+
+
+@pytest.mark.parametrize(
+    "row, edit, message",
+    [
+        (3, lambda s: s[:-1], "expected 10 hex digits"),
+        (7, lambda s: s + "0", "expected 10 hex digits"),
+        (12, lambda s: "g" + s[1:], "not a hex number"),
+        (50, lambda s: "0x" + s[2:], "not a hex number"),
+    ],
+    ids=["short", "long", "non-hex", "prefixed"],
+)
+def test_read_interchange_names_bad_row(tmp_path, row, edit, message):
+    _, _, _, path = make_band_batch(tmp_path, n=50)
+    lines = open(path).read().splitlines()
+    lines[row] = edit(lines[row])  # line 0 is the header, line k is row k
+    bad = str(tmp_path / "bad.txt")
+    open(bad, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"^row {row}: {message}"):
+        read_interchange(bad)
+    assert run_cli(["ingest", bad, "--L", "8", "--rounds", "8"]) == 2
 
 
 def test_sweep_decoder_csv_and_peak_flag(tmp_path):
@@ -291,3 +339,18 @@ def test_interrupted_sweep_resumes_byte_identical(tmp_path, monkeypatch):
     assert run_cli(args + ["--resume"]) == 0
     for path, content in expected.items():
         assert open(path, "rb").read() == content
+
+
+def test_p_zero_with_readout_noise_is_computed(tmp_path):
+    # Readout flips alone correlate detectors along time; the exact CMI of
+    # the wB = 1 strip is nonzero.
+    out = str(tmp_path / "run.json")
+    args = ["--L", "8", "--rounds", "8", "--p", "0", "--q", "0.1", "--wB-max", "2",
+            "--method", "exact"]
+    assert run_cli(["run"] + args + ["--out", out]) == 0
+    points = json.loads(open(out).read())["points"]
+    assert [pt["wB"] for pt in points] == [1, 2]
+    assert points[0]["cmi_bits"] == 0.2532422086215318
+    assert run_cli(["sweep"] + args + ["--sizes", "8x8", "--p-grid", "0.0", "--out", out]) == 0
+    cell, = json.loads(open(out).read())["cells"]
+    assert cell["points"] == points

@@ -90,6 +90,70 @@ def test_plugin_jackknife_error_reasonable():
     assert 0 < est.std_error < 0.02
 
 
+# Recorded with a plug-in estimator that clamped only the full-sample value:
+# every case reads the same now except "clamped_loo", whose leave-one-chunk-out
+# values above the width are now clamped too (std_error 0.10011668176047228
+# when they were not).
+PINNED_PLUGIN = {
+    "batch/rep3": ("2.602053636095712", "0.013717087192239774"),
+    "batch/rep3/none": ("2.6010443551356657", "0.01371861379307242"),
+    "batch/rep6": ("5.186530980175006", "0.022004922982724818"),
+    "batch/rep6/none": ("5.17744745153459", "0.022002318180251713"),
+    "batch/rep10": ("7.823742977365002", "0.03140555433886145"),
+    "batch/rep10/none": ("7.733484422938009", "0.031045775323292436"),
+    "batch/toric12": ("7.150891623598599", "0.1001068602204035"),
+    "dict/width": ("2.9418659920862136", "0.03234186156256991"),
+    "dict/width/none": ("2.936141011765226", "0.03279079807682679"),
+    "dict/width/delta": ("2.9418659920862136", "0.014028444115592897"),
+    "array": ("2.9418659920862136", "0.03234186156257013"),
+    "array/delta": ("2.9418659920862136", "0.014028444115592897"),
+    "clamped_loo": ("1.0", "0.005589996953164533"),
+}
+
+
+def test_plugin_entropy_pinned():
+    from stmarkov.codes import toric_code
+
+    got = {}
+
+    def record(name, est):
+        got[name] = (repr(est.value), repr(est.std_error))
+
+    rep = build_detector_model(repetition_code(6), 5, NoiseModel.phenomenological(0.1))
+    batch = sample_batch(rep, list(range(rep.n_detectors)), 5_003, seed=11)
+    for name, region in (("rep3", [7, 8, 13]), ("rep6", [1, 2, 3, 8, 9, 10]),
+                         ("rep10", list(range(12, 22)))):
+        record(f"batch/{name}", entropy_from_batch(batch, region))
+        record(f"batch/{name}/none", entropy_from_batch(batch, region, correction="none"))
+    tor = build_detector_model(toric_code(3), 3, NoiseModel.phenomenological(0.05))
+    batch = sample_batch(tor, list(range(20)), 997, seed=4, n_chunks=7)
+    record("batch/toric12", entropy_from_batch(batch, list(range(3, 15))))
+
+    # A dict whose keys are not in sorted order, and the same counts as an array.
+    rng = np.random.default_rng(5)
+    keys = [9, 3, 14, 0, 7, 5, 12, 1]
+    chunks = [{k: int(rng.integers(0, 40)) for k in keys} for _ in range(6)]
+    total = {k: sum(ch[k] for ch in chunks) for k in keys}
+    n = sum(total.values())
+    for width in (None, 4, 3):
+        # The value (2.94 bits) stays below every width, so all three agree.
+        record("dict/width", plugin_entropy(total, n, width=width, chunk_counts=chunks))
+        record("dict/width/none", plugin_entropy(
+            total, n, correction="none", width=width, chunk_counts=chunks
+        ))
+        record("dict/width/delta", plugin_entropy(total, n, width=width))
+        for name in ("dict/width", "dict/width/none", "dict/width/delta"):
+            assert got[name] == PINNED_PLUGIN[name]
+    arr = np.array([total[k] for k in keys])
+    arr_chunks = [{i: ch[k] for i, k in enumerate(keys)} for ch in chunks]
+    record("array", plugin_entropy(arr, n, chunk_counts=arr_chunks))
+    record("array/delta", plugin_entropy(arr, n))
+    # Two of the three leave-one-chunk-out values exceed the 1-bit width.
+    chunks = [{0: 2, 1: 0}, {0: 1, 1: 2}, {0: 0, 1: 1}]
+    record("clamped_loo", plugin_entropy({0: 3, 1: 3}, 6, width=1, chunk_counts=chunks))
+    assert got == PINNED_PLUGIN
+
+
 # -- exact oracle -----------------------------------------------------------
 
 

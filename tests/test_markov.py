@@ -308,3 +308,30 @@ def test_ladder_output_pinned():
     tor = build_detector_model(toric_code(6), 6, NoiseModel.phenomenological(0.03))
     points = averaged_cmi_ladder(tor, (1, 2), 4_001, 5, wA=1, wC=1, stream="pin/toric")
     assert [repr(pt) for pt in points] == PINNED_LADDERS["toric"]
+
+
+def test_cross_module_calls_go_through_module_globals(monkeypatch):
+    """markovbench's traced runs time these calls by rebinding the module names;
+    a ladder or a decoder curve that stopped reaching them would go untimed."""
+    from stmarkov import decoder, markov
+
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((markov, "build_tripartition"), (markov, "subset_patterns"),
+                         (markov, "sample_batch"), (decoder, "decode")):
+        count(module, name)
+    model = model_for(6, 6, 0.1)
+    markov.averaged_cmi_ladder(model, (1, 2), 2_000, 1, wA=2, wC=1)
+    decoder.logical_error_rate(model, 20, 1)
+    n_tris = 2 * 3  # two rungs, anchors x = 0, 2, 4
+    assert calls.pop("decode") >= 1
+    assert calls == {"build_tripartition": n_tris, "subset_patterns": n_tris, "sample_batch": 1}
