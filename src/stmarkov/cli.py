@@ -560,8 +560,13 @@ def export_interchange(batch: SampleBatch, model: DetectorModel, path: str) -> N
 def read_interchange(path: str) -> Tuple[Dict, SampleBatch]:
     with open(path) as f:
         header = json.loads(f.readline())
+        if not isinstance(header, dict):
+            raise ConfigError("interchange header is not a JSON object")
         if header.get("version") != INTERCHANGE_VERSION:
             raise ConfigError(f"unsupported interchange version {header.get('version')}")
+        for key in ("detectors", "n_rows", "space_shape", "rounds"):
+            if key not in header:
+                raise ConfigError(f"interchange header has no {key!r} key")
         width = len(header["detectors"])
         n = header["n_rows"]
         digits = (width + 3) // 4
@@ -586,6 +591,13 @@ def read_interchange(path: str) -> Tuple[Dict, SampleBatch]:
             bits = np.unpackbits(
                 nibbles[:, ::-1, None], axis=2, count=4, bitorder="little"
             ).reshape(m, 4 * digits)
+            bad = np.flatnonzero(bits[:, width:].any(axis=1))
+            if bad.size:
+                i = int(bad[0])
+                raise ConfigError(
+                    f"row {lo + i + 1}: bits set above the header's {width} detectors: "
+                    f"{lines[i]!r}"
+                )
             rows[:, lo // 8 : lo // 8 + (m + 7) // 8] = np.packbits(
                 bits[:, :width].T, axis=1, bitorder="little"
             )

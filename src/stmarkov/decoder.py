@@ -1,26 +1,43 @@
-"""Union-find matching decoder on the detector graph.
+"""Union-find matching decoder on the detector graph, run on a slice of shots at once.
 
-Mechanisms touching one or two detectors are the graph edges (one-detector
-mechanisms connect to a virtual boundary node). Clusters grow from fired
-detectors in half-edge steps, merge through a union-find structure until
-every cluster has even parity (boundary-attached clusters are always valid),
-then a spanning forest of each cluster is peeled to produce a correction
-whose detector image reproduces the observed pattern exactly. Ties are
-broken by lowest detector index throughout, so decoding is deterministic.
+Mechanisms that flip two detectors are the edges of the decoding graph, and
+mechanisms that flip none are left out; a mechanism that flips any other
+number of detectors is rejected when the graph is built. Decoding is the
+union-find decoder of Delfosse and Nickerson (arXiv:1709.06218), applied to
+every shot of a slice together with numpy arrays:
+
+* Clusters are the connected components of fired detectors joined by fully
+  grown edges. In each round every node of a cluster holding an odd number
+  of fired detectors grows each of its edges by half an edge, so an edge
+  grows by the number of its ends that lie in odd clusters (at most to
+  full). Rounds repeat until no cluster is odd; an odd cluster that cannot
+  grow means the pattern is outside the image of the incidence matrix.
+* Each cluster's breadth-first spanning tree over the full edges is grown
+  from its lowest detector. A node's parent is the first node in queue
+  order with a full edge to it, through that parent's lowest-index such
+  edge. A tree edge belongs to the correction when the subtree below it
+  holds an odd number of fired detectors.
+
+The correction's detector image is the observed pattern. Ties are broken by
+index throughout, so decoding is deterministic and a shot's correction does
+not depend on the other shots of its slice.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
 from .sampler import stream_key, _chunk_generator
 from .spacetime import DetectorModel
 
-BOUNDARY = -1
+# Shots decoded together by one kernel call; logical_error_rate draws and
+# forms syndromes in slices of the same size.
+SLICE = 64
 
 
 class InfeasibleSyndrome(ValueError):
@@ -31,32 +48,68 @@ class InfeasibleSyndrome(ValueError):
 class DecodeResult:
     correction: List[int]  # mechanism indices
     logical_flips: np.ndarray  # predicted flip per protected logical bit
-    success: Optional[bool] = None  # set when ground truth is known
+
+
+def _padded(group: np.ndarray, value: np.ndarray, n_groups: int, pad: int) -> np.ndarray:
+    """Table whose row g lists, in order, the values of the pairs in group g.
+
+    Rows are right-padded with ``pad`` to the longest one.
+    """
+    order = np.argsort(group, kind="stable")
+    group, value = group[order], value[order]
+    count = np.bincount(group, minlength=n_groups)
+    table = np.full((n_groups, count.max(initial=0)), pad, dtype=np.intp)
+    table[group, np.arange(group.size) - np.repeat(np.cumsum(count) - count, count)] = value
+    return table
 
 
 class _Graph:
-    """Edge list of the decoding graph for one detector model."""
+    """Edge arrays of the decoding graph and the XOR tables of one detector model."""
 
     def __init__(self, model: DetectorModel):
-        self.model = model
-        self.edges: List[Tuple[int, int, int]] = []  # (u, v, mechanism)
-        self.adj: List[List[int]] = [[] for _ in range(model.n_detectors + 1)]
-        for k, mech in enumerate(model.mechanisms):
-            dets = list(mech.detectors)
-            if not dets:
-                continue
-            if len(dets) == 1:
-                u, v = dets[0], BOUNDARY
-            else:
-                u, v = dets
-            e = len(self.edges)
-            self.edges.append((u, v, k))
-            self.adj[u].append(e)
-            self.adj[v if v != BOUNDARY else model.n_detectors].append(e)
+        dets = [mech.detectors for mech in model.mechanisms]
+        sizes = np.fromiter(map(len, dets), dtype=np.intp, count=len(dets))
+        bad = np.flatnonzero((sizes != 0) & (sizes != 2))
+        if bad.size:
+            k = int(bad[0])
+            mech = model.mechanisms[k]
+            raise ValueError(
+                f"mechanism {k} ({mech.kind}, index {mech.index}, time {mech.time}) "
+                f"flips {sizes[k]} detectors; the decoding graph takes only "
+                "mechanisms that flip 0 or 2"
+            )
+        self.mech = np.flatnonzero(sizes == 2)  # edge -> mechanism
+        n_edges = self.mech.size
+        ends = np.fromiter(itertools.chain.from_iterable(dets), dtype=np.int32, count=2 * n_edges)
+        self.u, self.v = ends[0::2].copy(), ends[1::2].copy()
+        # Each node's edges in index order, padded with the index n_edges, and
+        # the node at the other end of each (the node itself for a pad).
+        n = model.n_detectors
+        self.node_edges = _padded(ends, np.arange(2 * n_edges) // 2, n, n_edges)
+        ends_sum = np.append(self.u + self.v, 0)
+        nodes = np.arange(n)[:, None]
+        self.node_other = np.where(
+            self.node_edges < n_edges, ends_sum[self.node_edges] - nodes, nodes
+        )
+        pairs = [(l, k) for k, mech in enumerate(model.mechanisms) for l in mech.logical_flips]
+        logical, flipper = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        act = np.zeros((model.n_mechanisms, len(model.logicals)), dtype=np.int64)
+        act[flipper, logical] = 1
+        self.edge_action = act[self.mech]
+        # Rows of mechanism indices whose XOR is a detector bit or a logical
+        # bit; the pad indexes an error column that is always clear.
+        self.node_mechs = np.append(self.mech, model.n_mechanisms)[self.node_edges]
+        self.logical_mechs = _padded(logical, flipper, len(model.logicals), model.n_mechanisms)
 
-    def other(self, e: int, node: int) -> int:
-        u, v, _ = self.edges[e]
-        return v if node == u else u
+    def syndromes(self, errors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Detector bits and true logical flips of (shots, mechanisms + 1) draws.
+
+        The last column of ``errors`` is the clear pad column.
+        """
+        return (
+            np.logical_xor.reduce(errors[:, self.node_mechs], axis=2),
+            np.logical_xor.reduce(errors[:, self.logical_mechs], axis=2),
+        )
 
 
 def _graph_for(model: DetectorModel) -> _Graph:
@@ -67,171 +120,145 @@ def _graph_for(model: DetectorModel) -> _Graph:
     return graph
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _union(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the components of node pairs (a, b) in ``label``, in place.
 
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
+    ``label`` maps every node to the lowest node of its component and stays
+    that way. The roots of the pairs are joined on their own: the higher root
+    of each pair is hooked onto the lower one, and pointers are followed up
+    to the roots, until every pair shares a root. Then every node's label
+    moves to its new root.
+    """
+    ra, rb = label[a], label[b]
+    up = np.arange(label.size, dtype=label.dtype)
+    hooked = np.zeros(label.size, dtype=bool)
+    while True:
+        apart = ra != rb
+        if not apart.any():
+            break
+        ra, rb = ra[apart], rb[apart]
+        high = np.maximum(ra, rb)
+        np.minimum.at(up, high, np.minimum(ra, rb))
+        hooked[high] = True
+        jump = np.flatnonzero(hooked)
+        while jump.size:
+            top = up[up[jump]]
+            moved = top != up[jump]
+            up[jump] = top
+            jump = jump[moved]
+        ra, rb = up[ra], up[rb]
+    label[:] = up[label]
 
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if rb < ra:  # lowest-index root wins: deterministic tie-breaking
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra
+
+def _grow(graph: _Graph, fired: np.ndarray, first_row: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Grow the clusters of (shots, nodes) patterns until none is odd.
+
+    Returns the full-edge mask (shots, edges) and the component label of
+    each flattened (shot, node) index: the lowest flattened node of its
+    component. Each round works on the shots that still hold an odd cluster.
+    """
+    shots, n = fired.shape
+    fired_at = np.flatnonzero(fired)
+    label = np.arange(shots * n, dtype=np.int32)
+    growth = np.zeros((shots, graph.u.size), dtype=np.int8)
+    while True:
+        odd_root = (np.bincount(label[fired_at], minlength=shots * n) & 1).astype(np.int8)
+        odd = odd_root[label].reshape(shots, n)
+        rows = np.flatnonzero(odd.any(axis=1))
+        if not rows.size:
+            return growth == 2, label
+        odd, before = odd[rows], growth[rows]
+        after = np.minimum(before + odd[:, graph.u] + odd[:, graph.v], 2)
+        stuck = ~(after != before).any(axis=1)
+        if stuck.any():
+            raise InfeasibleSyndrome(
+                "odd cluster cannot grow; pattern outside image "
+                f"(row {first_row + int(rows[stuck][0])})"
+            )
+        r, e = np.nonzero((after == 2) & (before != 2))
+        growth[rows] = after
+        base = rows[r].astype(np.int32) * n
+        _union(label, base + graph.u[e], base + graph.v[e])
 
 
-def decode(model: DetectorModel, detector_bits: np.ndarray) -> DecodeResult:
-    """Union-find decode of one detector pattern.
+def _peel(graph: _Graph, fired: np.ndarray, full: np.ndarray, label: np.ndarray):
+    """Correction edges of every shot: (shot, edge) pairs of the peeled forests.
 
-    Returns a correction whose detector image equals the input pattern and
-    its predicted logical action.
+    The breadth-first search is level-synchronous over all shots. Each
+    level's nodes are kept in queue order and each node's edges are tried in
+    index order, so the arcs out of a level come in the order a first-in,
+    first-out queue would try them, and each new node takes the first arc
+    that reaches it.
+    """
+    shots, n = fired.shape
+    size = shots * n
+    full = np.concatenate([full, np.zeros((shots, 1), dtype=bool)], axis=1)  # pad edge
+    node = np.arange(size)
+    level = np.flatnonzero((label == node) & (np.bincount(label, minlength=size) > 1))
+    visited = np.zeros(size, dtype=bool)
+    visited[level] = True
+    unclaimed = np.iinfo(np.int64).max
+    first = np.full(size, unclaimed)
+    levels = []
+    while level.size:
+        shot, at = np.divmod(level, n)
+        edges = graph.node_edges[at]
+        nodes = shot[:, None] * n + graph.node_other[at]
+        i, j = np.nonzero(full[shot[:, None], edges] & ~visited[nodes])
+        parents, nodes, edges = level[i], nodes[i, j], edges[i, j]
+        tried = np.arange(nodes.size)
+        np.minimum.at(first, nodes, tried)
+        won = first[nodes] == tried
+        first[nodes] = unclaimed
+        level = nodes[won]
+        visited[level] = True
+        levels.append((level, parents[won], edges[won]))
+    parity = fired.ravel().astype(np.uint8)
+    shot, edge = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for nodes, parents, edges in reversed(levels):
+        odd = parity[nodes] == 1
+        shot.append(nodes[odd] // n)
+        edge.append(edges[odd])
+        np.bitwise_xor.at(parity, parents[odd], 1)
+    return np.concatenate(shot), np.concatenate(edge)
+
+
+def _decode_rows(graph: _Graph, fired: np.ndarray, first_row: int) -> List[DecodeResult]:
+    full, label = _grow(graph, fired, first_row)
+    shot, edge = _peel(graph, fired, full, label)
+    mech = graph.mech[edge]
+    order = np.lexsort((mech, shot))
+    counts = np.bincount(shot, minlength=fired.shape[0])
+    corrections = np.split(mech[order], np.cumsum(counts)[:-1])
+    flips = np.zeros((fired.shape[0], graph.edge_action.shape[1]), dtype=np.int64)
+    np.add.at(flips, shot, graph.edge_action[edge])
+    flips = (flips & 1).astype(np.uint8)
+    return [DecodeResult(c.tolist(), f) for c, f in zip(corrections, flips)]
+
+
+def decode(
+    model: DetectorModel, detector_bits: np.ndarray
+) -> Union[DecodeResult, List[DecodeResult]]:
+    """Union-find decode of detector patterns.
+
+    A 1-D pattern gives one ``DecodeResult``; a 2-D (shots x detectors) array
+    gives one per row. Each correction's detector image equals its pattern;
+    the result also holds the correction's predicted logical action.
     """
     bits = np.asarray(detector_bits, dtype=np.uint8)
-    if bits.shape != (model.n_detectors,):
+    if bits.ndim not in (1, 2) or bits.shape[-1] != model.n_detectors:
         raise ValueError("detector pattern length mismatch")
     graph = _graph_for(model)
-    fired = [int(i) for i in np.flatnonzero(bits)]
-    if not fired:
-        return DecodeResult([], np.zeros(len(model.logicals), dtype=np.uint8))
-
-    n = model.n_detectors
-    bnode = n  # index used for the virtual boundary in adjacency
-    uf = _UnionFind(n + 1)
-    parity = bits.astype(np.int8).tolist() + [0]
-    has_boundary = [False] * (n + 1)
-    has_boundary[bnode] = True
-    growth = [0] * len(graph.edges)
-    grown: List[int] = []
-    # Clusters start as the fired detectors; grow half-edges around odd,
-    # non-boundary clusters, merging through the union-find until none remain.
-    in_cluster = [False] * (n + 1)
-    fringe: Dict[int, List[int]] = {}
-    for v in fired:
-        in_cluster[v] = True
-        fringe[v] = list(graph.adj[v])
-
-    def absorb(root: int, node: int) -> None:
-        if not in_cluster[node]:
-            in_cluster[node] = True
-            uf.parent[uf.find(node)] = uf.find(root)
-            fringe[uf.find(root)].extend(
-                e for e in graph.adj[node] if growth[e] < 2
-            )
-
-    for _ in range(4 * (len(graph.edges) + 1)):
-        odd = sorted(r for r in fringe if parity[r] % 2 == 1 and not has_boundary[r])
-        if not odd:
-            break
-        newly_full: List[int] = []
-        progressed = False
-        for r in odd:
-            keep: List[int] = []
-            for e in fringe[r]:
-                if growth[e] >= 2:
-                    continue
-                growth[e] += 1
-                progressed = True
-                if growth[e] == 2:
-                    newly_full.append(e)
-                else:
-                    keep.append(e)
-            fringe[r] = keep
-        if not progressed:
-            raise InfeasibleSyndrome("odd cluster cannot grow; pattern outside image")
-        for e in sorted(newly_full):
-            u, v, _ = graph.edges[e]
-            vu = v if v != BOUNDARY else bnode
-            grown.append(e)
-            ru = uf.find(u)
-            if not in_cluster[u]:
-                # u outside any cluster: attach it to vu's cluster.
-                absorb(uf.find(vu), u)
-                continue
-            if not in_cluster[vu] and vu != bnode:
-                absorb(ru, vu)
-                continue
-            rv = uf.find(vu)
-            if vu == bnode:
-                has_boundary[ru] = True
-                continue
-            if ru == rv:
-                continue
-            merged = uf.union(ru, rv)
-            other = rv if merged == ru else ru
-            parity[merged] += parity[other]
-            has_boundary[merged] = has_boundary[merged] or has_boundary[other]
-            merged_fringe = fringe.pop(merged, [])
-            merged_fringe.extend(fringe.pop(other, []))
-            fringe[merged] = merged_fringe
+    fired = bits.reshape(-1, model.n_detectors) != 0
+    if not fired.any():  # nothing to decode
+        results = [
+            DecodeResult([], np.zeros(len(model.logicals), dtype=np.uint8)) for _ in fired
+        ]
     else:
-        raise InfeasibleSyndrome("cluster growth did not converge")
-
-    # Peel a spanning forest of the grown edges.
-    correction: List[int] = []
-    residual = bits.copy()
-    adj_grown: Dict[int, List[int]] = {}
-    for e in grown:
-        u, v, _ = graph.edges[e]
-        vu = v if v != BOUNDARY else bnode
-        adj_grown.setdefault(u, []).append(e)
-        adj_grown.setdefault(vu, []).append(e)
-    visited = [False] * (n + 1)
-    for root in sorted(adj_grown):
-        if visited[root]:
-            continue
-        # BFS spanning tree, then peel leaves upward.
-        order = [root]
-        visited[root] = True
-        tree_edge: Dict[int, int] = {}
-        parent: Dict[int, int] = {root: root}
-        head = 0
-        while head < len(order):
-            node = order[head]
-            head += 1
-            for e in sorted(adj_grown.get(node, [])):
-                u, v, _ = graph.edges[e]
-                vu = v if v != BOUNDARY else bnode
-                nxt = vu if node == u else u
-                if not visited[nxt]:
-                    visited[nxt] = True
-                    parent[nxt] = node
-                    tree_edge[nxt] = e
-                    order.append(nxt)
-        flip = residual.copy()
-        for node in reversed(order):
-            if node == root:
-                continue
-            lit = node != bnode and flip[node] == 1
-            if lit:
-                e = tree_edge[node]
-                correction.append(graph.edges[e][2])
-                flip[node] ^= 1
-                par = parent[node]
-                if par != bnode:
-                    flip[par] ^= 1
-        if root != bnode and flip[root] == 1:
-            raise InfeasibleSyndrome("residual parity at cluster root")
-        for node in order:
-            if node != bnode:
-                residual[node] = flip[node]
-
-    if np.any(residual):
-        raise InfeasibleSyndrome("correction does not reproduce the pattern")
-
-    flips = np.zeros(len(model.logicals), dtype=np.uint8)
-    for k in correction:
-        for l in model.mechanisms[k].logical_flips:
-            flips[l] ^= 1
-    return DecodeResult(sorted(correction), flips)
+        results = []
+        for lo in range(0, fired.shape[0], SLICE):
+            results += _decode_rows(graph, fired[lo : lo + SLICE], lo)
+    return results[0] if bits.ndim == 1 else results
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> Tuple[float, float]:
@@ -270,25 +297,23 @@ def logical_error_rate(
     if shots < 1:
         raise ValueError("need at least one shot")
     probs = model.mechanism_probs()
-    act = model.logical_action()
-    inc = model.incidence()
+    graph = _graph_for(model)
     key = stream_key(seed, stream)
+    # One column past the mechanisms stays clear: the XOR tables' pad.
+    errors = np.zeros((SLICE, probs.size + 1), dtype=bool)
     failures = 0
     chunk = 4096
-    done = 0
-    c = 0
-    while done < shots:
-        m = min(chunk, shots - done)
+    for c, start in enumerate(range(0, shots, chunk)):
+        m = min(chunk, shots - start)
         gen = _chunk_generator(key, c)
-        errors = (gen.random((m, probs.size)) < probs[None, :]).astype(np.uint8)
-        dets = errors @ inc.T % 2
-        truth = errors @ act.T % 2
-        for i in range(m):
-            result = decode(model, dets[i])
-            if np.any(result.logical_flips != truth[i]):
-                failures += 1
-        done += m
-        c += 1
+        # Consecutive row blocks of one generator continue its stream, so the
+        # draws equal those of one (m, mechanisms) block.
+        for k in range(0, m, SLICE):
+            rows = errors[: min(SLICE, m - k)]
+            np.less(gen.random((rows.shape[0], probs.size)), probs, out=rows[:, :-1])
+            dets, truth = graph.syndromes(rows)
+            flips = np.array([r.logical_flips for r in decode(model, dets)])
+            failures += int(np.count_nonzero((flips != truth).any(axis=1)))
     rate = failures / shots
     lo, hi = wilson_interval(failures, shots)
     code = model.code

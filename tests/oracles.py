@@ -8,11 +8,12 @@ detector model can be checked against a second, unrelated construction.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from stmarkov.codes import CssCode
+from stmarkov.decoder import DecodeResult, InfeasibleSyndrome
 from stmarkov.spacetime import DetectorModel
 
 
@@ -179,3 +180,212 @@ def four_histogram_cmi(batch, tri, correction: bool = True):
         support = values.size
     value = full[0] + full[1] - full[2] - full[3]
     return value, loo[0] + loo[1] - loo[2] - loo[3], support
+
+
+# -- reference union-find decoder ----------------------------------------------
+#
+# The per-shot union-find decoder that ``stmarkov.decoder.decode`` replaced,
+# kept as written (its graph is cached under its own attribute name). The
+# batched kernel must give the same correction on every feasible pattern.
+
+BOUNDARY = -1
+
+
+class _Graph:
+    """Edge list of the decoding graph for one detector model."""
+
+    def __init__(self, model: DetectorModel):
+        self.model = model
+        self.edges: List[Tuple[int, int, int]] = []  # (u, v, mechanism)
+        self.adj: List[List[int]] = [[] for _ in range(model.n_detectors + 1)]
+        for k, mech in enumerate(model.mechanisms):
+            dets = list(mech.detectors)
+            if not dets:
+                continue
+            if len(dets) == 1:
+                u, v = dets[0], BOUNDARY
+            else:
+                u, v = dets
+            e = len(self.edges)
+            self.edges.append((u, v, k))
+            self.adj[u].append(e)
+            self.adj[v if v != BOUNDARY else model.n_detectors].append(e)
+
+    def other(self, e: int, node: int) -> int:
+        u, v, _ = self.edges[e]
+        return v if node == u else u
+
+
+def _graph_for(model: DetectorModel) -> _Graph:
+    graph = getattr(model, "_reference_graph", None)
+    if graph is None:
+        graph = _Graph(model)
+        model._reference_graph = graph
+    return graph
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        if rb < ra:  # lowest-index root wins: deterministic tie-breaking
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return ra
+
+
+def reference_decode(model: DetectorModel, detector_bits: np.ndarray) -> DecodeResult:
+    """Union-find decode of one detector pattern.
+
+    Returns a correction whose detector image equals the input pattern and
+    its predicted logical action.
+    """
+    bits = np.asarray(detector_bits, dtype=np.uint8)
+    if bits.shape != (model.n_detectors,):
+        raise ValueError("detector pattern length mismatch")
+    graph = _graph_for(model)
+    fired = [int(i) for i in np.flatnonzero(bits)]
+    if not fired:
+        return DecodeResult([], np.zeros(len(model.logicals), dtype=np.uint8))
+
+    n = model.n_detectors
+    bnode = n  # index used for the virtual boundary in adjacency
+    uf = _UnionFind(n + 1)
+    parity = bits.astype(np.int8).tolist() + [0]
+    has_boundary = [False] * (n + 1)
+    has_boundary[bnode] = True
+    growth = [0] * len(graph.edges)
+    grown: List[int] = []
+    # Clusters start as the fired detectors; grow half-edges around odd,
+    # non-boundary clusters, merging through the union-find until none remain.
+    in_cluster = [False] * (n + 1)
+    fringe: Dict[int, List[int]] = {}
+    for v in fired:
+        in_cluster[v] = True
+        fringe[v] = list(graph.adj[v])
+
+    def absorb(root: int, node: int) -> None:
+        if not in_cluster[node]:
+            in_cluster[node] = True
+            uf.parent[uf.find(node)] = uf.find(root)
+            fringe[uf.find(root)].extend(
+                e for e in graph.adj[node] if growth[e] < 2
+            )
+
+    for _ in range(4 * (len(graph.edges) + 1)):
+        odd = sorted(r for r in fringe if parity[r] % 2 == 1 and not has_boundary[r])
+        if not odd:
+            break
+        newly_full: List[int] = []
+        progressed = False
+        for r in odd:
+            keep: List[int] = []
+            for e in fringe[r]:
+                if growth[e] >= 2:
+                    continue
+                growth[e] += 1
+                progressed = True
+                if growth[e] == 2:
+                    newly_full.append(e)
+                else:
+                    keep.append(e)
+            fringe[r] = keep
+        if not progressed:
+            raise InfeasibleSyndrome("odd cluster cannot grow; pattern outside image")
+        for e in sorted(newly_full):
+            u, v, _ = graph.edges[e]
+            vu = v if v != BOUNDARY else bnode
+            grown.append(e)
+            ru = uf.find(u)
+            if not in_cluster[u]:
+                # u outside any cluster: attach it to vu's cluster.
+                absorb(uf.find(vu), u)
+                continue
+            if not in_cluster[vu] and vu != bnode:
+                absorb(ru, vu)
+                continue
+            rv = uf.find(vu)
+            if vu == bnode:
+                has_boundary[ru] = True
+                continue
+            if ru == rv:
+                continue
+            merged = uf.union(ru, rv)
+            other = rv if merged == ru else ru
+            parity[merged] += parity[other]
+            has_boundary[merged] = has_boundary[merged] or has_boundary[other]
+            merged_fringe = fringe.pop(merged, [])
+            merged_fringe.extend(fringe.pop(other, []))
+            fringe[merged] = merged_fringe
+    else:
+        raise InfeasibleSyndrome("cluster growth did not converge")
+
+    # Peel a spanning forest of the grown edges.
+    correction: List[int] = []
+    residual = bits.copy()
+    adj_grown: Dict[int, List[int]] = {}
+    for e in grown:
+        u, v, _ = graph.edges[e]
+        vu = v if v != BOUNDARY else bnode
+        adj_grown.setdefault(u, []).append(e)
+        adj_grown.setdefault(vu, []).append(e)
+    visited = [False] * (n + 1)
+    for root in sorted(adj_grown):
+        if visited[root]:
+            continue
+        # BFS spanning tree, then peel leaves upward.
+        order = [root]
+        visited[root] = True
+        tree_edge: Dict[int, int] = {}
+        parent: Dict[int, int] = {root: root}
+        head = 0
+        while head < len(order):
+            node = order[head]
+            head += 1
+            for e in sorted(adj_grown.get(node, [])):
+                u, v, _ = graph.edges[e]
+                vu = v if v != BOUNDARY else bnode
+                nxt = vu if node == u else u
+                if not visited[nxt]:
+                    visited[nxt] = True
+                    parent[nxt] = node
+                    tree_edge[nxt] = e
+                    order.append(nxt)
+        flip = residual.copy()
+        for node in reversed(order):
+            if node == root:
+                continue
+            lit = node != bnode and flip[node] == 1
+            if lit:
+                e = tree_edge[node]
+                correction.append(graph.edges[e][2])
+                flip[node] ^= 1
+                par = parent[node]
+                if par != bnode:
+                    flip[par] ^= 1
+        if root != bnode and flip[root] == 1:
+            raise InfeasibleSyndrome("residual parity at cluster root")
+        for node in order:
+            if node != bnode:
+                residual[node] = flip[node]
+
+    if np.any(residual):
+        raise InfeasibleSyndrome("correction does not reproduce the pattern")
+
+    flips = np.zeros(len(model.logicals), dtype=np.uint8)
+    for k in correction:
+        for l in model.mechanisms[k].logical_flips:
+            flips[l] ^= 1
+    return DecodeResult(sorted(correction), flips)

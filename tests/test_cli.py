@@ -354,3 +354,41 @@ def test_p_zero_with_readout_noise_is_computed(tmp_path):
     assert run_cli(["sweep"] + args + ["--sizes", "8x8", "--p-grid", "0.0", "--out", out]) == 0
     cell, = json.loads(open(out).read())["cells"]
     assert cell["points"] == points
+
+
+@pytest.mark.parametrize("key", ["rounds", "space_shape", "n_rows", "detectors", None])
+def test_ingest_names_missing_header_key(tmp_path, key):
+    _, _, _, path = make_band_batch(tmp_path, n=20)
+    lines = open(path).read().splitlines()
+    header = json.loads(lines[0])
+    if key is None:
+        header = [header]
+    else:
+        del header[key]
+    lines[0] = json.dumps(header)
+    bad = str(tmp_path / "bad.txt")
+    open(bad, "w").write("\n".join(lines) + "\n")
+    message = "not a JSON object" if key is None else f"no '{key}' key"
+    with pytest.raises(ConfigError, match=message):
+        read_interchange(bad)
+    assert run_cli(["ingest", bad, "--L", "8", "--rounds", "8"]) == 2
+
+
+def test_read_interchange_rejects_bits_above_width(tmp_path):
+    # 13 detectors take four hex digits; bits 13-15 of the top digit are unused.
+    model = build_detector_model(repetition_code(7), 4, NoiseModel.phenomenological(0.2))
+    batch = sample_batch(model, list(range(13)), 40, seed=3)
+    path = str(tmp_path / "wide.txt")
+    export_interchange(batch, model, path)
+    lines = open(path).read().splitlines()
+    lines[5] = "1" + lines[5][1:]  # bit 12 is detector 12: still a valid row
+    ok = str(tmp_path / "ok.txt")
+    open(ok, "w").write("\n".join(lines) + "\n")
+    _, again = read_interchange(ok)
+    assert again.row_bits(12)[4] == 1
+    lines[9] = "f" + lines[9][1:]
+    bad = str(tmp_path / "bad.txt")
+    open(bad, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="^row 9: bits set above the header's 13 detectors"):
+        read_interchange(bad)
+    assert run_cli(["ingest", bad, "--L", "7", "--rounds", "4"]) == 2

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stmarkov.codes import repetition_code, toric_code
+from stmarkov.codes import CssCode, repetition_code, toric_code
 from stmarkov.decoder import (
     InfeasibleSyndrome,
     NoCrossingError,
+    _graph_for,
     decode,
     logical_error_rate,
     threshold_estimate,
     wilson_interval,
 )
 from stmarkov.spacetime import NoiseModel, build_detector_model, detectors_from_errors
+
+from oracles import reference_decode
 
 
 def model_for(L, T, p, q=None):
@@ -157,3 +161,211 @@ def test_threshold_requires_bracketing():
     }
     with pytest.raises(NoCrossingError):
         threshold_estimate(curves)
+
+
+def _noise(family, p, T):
+    if family == "repetition":
+        return NoiseModel.phenomenological(p)
+    return NoiseModel(p, p / 2, p) if T > 1 else NoiseModel.perfect_measurement(p)
+
+
+def _draws(model, n, rng):
+    probs = model.mechanism_probs()
+    return (rng.random((n, probs.size)) < probs).astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "family, L, T", [("repetition", 5, 5), ("repetition", 12, 9), ("toric", 4, 1), ("toric", 4, 3)]
+)
+def test_corrections_match_reference(family, L, T):
+    """Every correction and logical prediction equals the per-shot reference
+    decoder's, whether the pattern is decoded in a batch or on its own."""
+    code = repetition_code(L) if family == "repetition" else toric_code(L)
+    for p in (0.02, 0.1, 0.2, 0.3):
+        model = build_detector_model(code, T, _noise(family, p, T))
+        rng = np.random.default_rng([L, T, int(100 * p)])
+        dets = (_draws(model, 150, rng) @ model.incidence().T) % 2
+        batch = decode(model, dets)
+        assert len(batch) == len(dets)
+        for i, (pattern, got) in enumerate(zip(dets, batch)):
+            want = reference_decode(model, pattern)
+            assert got.correction == want.correction, (p, i)
+            assert np.array_equal(got.logical_flips, want.logical_flips), (p, i)
+            if i < 10:
+                alone = decode(model, pattern)
+                assert alone.correction == want.correction
+                assert np.array_equal(alone.logical_flips, want.logical_flips)
+
+
+# Recorded with the per-shot decoder and the dense syndrome product.
+PINNED_RATE_POINTS = [
+    "RatePoint(L=8, T=8, p=0.05, q=0.05, shots=500, logical_errors=0, rate=0.0, ci_low=0.0, ci_high=0.007624618530903363)",
+    "RatePoint(L=8, T=8, p=0.05, q=0.05, shots=4500, logical_errors=45, rate=0.01, ci_low=0.007482138428615334, ci_high=0.013353763082663395)",
+    "RatePoint(L=8, T=8, p=0.11, q=0.11, shots=500, logical_errors=99, rate=0.198, ci_low=0.16543056787682525, ci_high=0.23517470171584037)",
+    "RatePoint(L=8, T=8, p=0.11, q=0.11, shots=4500, logical_errors=796, rate=0.1768888888888889, ci_low=0.16601700758423707, ci_high=0.188311972369232)",
+    "RatePoint(L=16, T=16, p=0.05, q=0.05, shots=500, logical_errors=0, rate=0.0, ci_low=0.0, ci_high=0.007624618530903363)",
+    "RatePoint(L=16, T=16, p=0.05, q=0.05, shots=4500, logical_errors=2, rate=0.00044444444444444447, ci_low=0.00012188860827071636, ci_high=0.0016192028191009747)",
+    "RatePoint(L=16, T=16, p=0.11, q=0.11, shots=500, logical_errors=91, rate=0.182, ci_low=0.15064591449727432, ci_high=0.21820334288838023)",
+    "RatePoint(L=16, T=16, p=0.11, q=0.11, shots=4500, logical_errors=946, rate=0.21022222222222223, ci_low=0.1985665692677964, ci_high=0.22237221330395304)",
+]
+PINNED_SMALL_RATE_POINTS = [
+    "RatePoint(L=5, T=1, p=0.1, q=0.1, shots=4200, logical_errors=48, rate=0.011428571428571429, ci_low=0.008631008503816576, ci_high=0.015119077607896105)",
+    "RatePoint(L=5, T=2, p=0.5, q=0.5, shots=4200, logical_errors=2055, rate=0.48928571428571427, ci_low=0.47418415542896086, ci_high=0.5044068552313837)",
+    "RatePoint(L=4, T=3, p=0.06, q=0.05, shots=4200, logical_errors=2256, rate=0.5371428571428571, ci_low=0.5220358215244068, ci_high=0.5521820081863986)",
+    "RatePoint(L=4, T=1, p=0.08, q=0.0, shots=4200, logical_errors=839, rate=0.19976190476190475, ci_low=0.18794670547819298, ci_high=0.21212583769279614)",
+]
+
+
+def test_rate_points_pinned():
+    got = []
+    for L in (8, 16):
+        for p in (0.05, 0.11):
+            model = model_for(L, L, p)
+            got += [repr(logical_error_rate(model, shots, seed=11)) for shots in (500, 4500)]
+    assert got == PINNED_RATE_POINTS
+    small = [
+        build_detector_model(repetition_code(5), 1, NoiseModel.phenomenological(0.1)),
+        build_detector_model(repetition_code(5), 2, NoiseModel(0.5, 0.0, 0.5)),
+        build_detector_model(toric_code(4), 3, NoiseModel(0.06, 0.04, 0.05)),
+        build_detector_model(toric_code(4), 1, NoiseModel.perfect_measurement(0.08)),
+    ]
+    got = [repr(logical_error_rate(model, 4200, seed=3)) for model in small]
+    assert got == PINNED_SMALL_RATE_POINTS
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        build_detector_model(repetition_code(6), 1, NoiseModel.phenomenological(0.2)),
+        build_detector_model(repetition_code(5), 3, NoiseModel(0.5, 0.0, 0.5)),
+        build_detector_model(toric_code(3), 2, NoiseModel(0.2, 0.3, 0.1)),
+    ],
+    ids=["repetition-T1", "repetition-half", "toric"],
+)
+def test_xor_syndromes_equal_dense_product(model):
+    graph = _graph_for(model)
+    errors = np.zeros((300, model.n_mechanisms + 1), dtype=bool)
+    errors[:, :-1] = _draws(model, 300, np.random.default_rng(4))
+    dets, truth = graph.syndromes(errors)
+    drawn = errors[:, :-1].astype(np.uint8)
+    assert np.array_equal(dets, (drawn @ model.incidence().T) % 2)
+    assert np.array_equal(truth, (drawn @ model.logical_action().T) % 2)
+
+
+def open_chain(L):
+    """Repetition code on an open chain: the end qubits sit in one check each."""
+    z = np.zeros((L - 1, L), dtype=np.uint8)
+    for i in range(L - 1):
+        z[i, i] = z[i, i + 1] = 1
+    z_log = np.zeros((1, L), dtype=np.uint8)
+    z_log[0, 0] = 1
+    return CssCode(
+        name=f"open_chain_{L}", n_qubits=L, z_checks=z,
+        x_checks=np.zeros((0, L), dtype=np.uint8), z_logicals=z_log,
+        x_logicals=np.ones((1, L), dtype=np.uint8), qubit_coords=[(i,) for i in range(L)],
+        z_check_coords=[(i,) for i in range(L - 1)], x_check_coords=[], space_shape=(L,),
+    )
+
+
+@pytest.mark.parametrize("L", [5, 9])
+def test_graph_rejects_mechanism_flipping_one_detector(L):
+    """A mechanism flipping a single detector has no edge in the decoding
+    graph; the graph build names it instead of mis-decoding its images."""
+    model = build_detector_model(open_chain(L), L, NoiseModel.phenomenological(0.05))
+    message = r"^mechanism 0 \(data_x, index 0, time 0\) flips 1 detectors"
+    with pytest.raises(ValueError, match=message) as info:
+        decode(model, np.zeros(model.n_detectors, dtype=np.uint8))
+    assert not isinstance(info.value, InfeasibleSyndrome)
+    with pytest.raises(ValueError, match=message):
+        logical_error_rate(model, 10, seed=1)
+
+
+def test_batch_shapes_and_infeasible_row():
+    model = model_for(6, 6, 0.1)
+    n = model.n_detectors
+    results = decode(model, np.zeros((3, n), dtype=np.uint8))
+    assert [r.correction for r in results] == [[], [], []]
+    assert decode(model, np.zeros((0, n), dtype=np.uint8)) == []
+    for shape in ((n + 1,), (2, 2, n)):
+        with pytest.raises(ValueError, match="length mismatch"):
+            decode(model, np.zeros(shape, dtype=np.uint8))
+    dets = (_draws(model, 100, np.random.default_rng(8)) @ model.incidence().T) % 2
+    dets[70, 0] ^= 1
+    with pytest.raises(InfeasibleSyndrome, match=r"\(row 70\)"):
+        decode(model, dets)
+
+
+@st.composite
+def small_models(draw):
+    family = draw(st.sampled_from(["repetition", "toric"]))
+    T = draw(st.integers(1, 5))
+    p = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    if family == "repetition":
+        code = repetition_code(draw(st.integers(3, 9)))
+        noise = NoiseModel(p, 0.0, draw(st.sampled_from([0.0, 0.1, 0.5])))
+    else:
+        code = toric_code(draw(st.integers(2, 4)))
+        noise = NoiseModel(p, draw(st.sampled_from([0.0, 0.3])), draw(st.sampled_from([0.0, 0.1])))
+    return build_detector_model(code, T, noise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=small_models(), seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 70))
+def test_decode_reproduces_every_image(model, seed, rows):
+    rng = np.random.default_rng(seed)
+    density = rng.random()
+    errors = (rng.random((rows, model.n_mechanisms)) < density).astype(np.uint8)
+    inc = model.incidence()
+    dets = (errors @ inc.T) % 2
+    for pattern, result in zip(dets, decode(model, dets)):
+        corr = np.zeros(model.n_mechanisms, dtype=np.uint8)
+        corr[result.correction] = 1
+        assert np.array_equal((inc @ corr) % 2, pattern)
+        assert np.array_equal(result.logical_flips, (model.logical_action() @ corr) % 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=small_models(), data=st.data())
+def test_odd_weight_pattern_is_infeasible(model, data):
+    """Every mechanism flips an even number of detectors, so no error set
+    has an odd-weight image."""
+    n = model.n_detectors
+    bits = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=np.uint8)
+    if bits.sum() % 2 == 0:
+        bits[data.draw(st.integers(0, n - 1))] ^= 1
+    with pytest.raises(InfeasibleSyndrome):
+        decode(model, bits)
+
+
+def _component_parities_even(model, bits):
+    """Whether every connected component of the detector graph holds an even
+    number of fired detectors: the condition for a pattern to be an image."""
+    parent = list(range(model.n_detectors))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for mech in model.mechanisms:
+        if len(mech.detectors) == 2:
+            ra, rb = (find(d) for d in mech.detectors)
+            parent[ra] = rb
+    roots = [find(int(d)) for d in np.flatnonzero(bits)]
+    return all(roots.count(r) % 2 == 0 for r in set(roots))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=small_models(), data=st.data())
+def test_decode_accepts_exactly_the_images(model, data):
+    """A pattern decodes, reproducing itself, when every component of the
+    graph holds an even number of fired detectors, and is infeasible otherwise."""
+    n = model.n_detectors
+    bits = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=np.uint8)
+    if not _component_parities_even(model, bits):
+        with pytest.raises(InfeasibleSyndrome):
+            decode(model, bits)
+        return
+    corr = np.zeros(model.n_mechanisms, dtype=np.uint8)
+    corr[decode(model, bits).correction] = 1
+    assert np.array_equal((model.incidence() @ corr) % 2, bits)
