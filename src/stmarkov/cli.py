@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -19,7 +18,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,8 +32,9 @@ from .foliation import detector_cells, foliate, lbl_stabilizers
 from .markov import (
     FitError,
     MarkovFit,
-    _sweep_cell,
+    SweepCell,
     build_tripartition,
+    cell_noise,
     cmi,
     cmi_from_batch,
     cmi_rank_half,
@@ -42,6 +43,7 @@ from .markov import (
     lattice_tripartition,
     make_code,
     markov_length,
+    sweep_cells,
 )
 from .sampler import SampleBatch, chunk_bounds, sample_batch
 from .spacetime import (
@@ -80,6 +82,14 @@ class ExperimentConfig:
     csv: Optional[str] = None
 
     def validate(self) -> None:
+        hints = typing.get_type_hints(ExperimentConfig)
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            if float in kinds:
+                kinds += (int,)
+            if isinstance(v, bool) or not isinstance(v, kinds):
+                raise ConfigError(f"config key {f.name!r}: {v!r} is not of type {f.type}")
         for name in ("p", "p_z"):
             v = getattr(self, name)
             if not (0.0 <= v <= 0.5):
@@ -101,9 +111,9 @@ class ExperimentConfig:
         if self.estimator not in ("miller_madow", "none"):
             raise ConfigError(f"estimator={self.estimator!r} not in miller_madow|none")
 
-    def noise(self) -> NoiseModel:
-        q = self.p if self.q is None else self.q
-        return NoiseModel(p_x=self.p, p_z=self.p_z, q=q)
+    def noise(self, p: float) -> NoiseModel:
+        """Noise of the config's cell at error rate p."""
+        return cell_noise(p, self.p_z, self.q)
 
     def as_dict(self) -> Dict:
         return dataclasses.asdict(self)
@@ -120,6 +130,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             text = f.read()
         try:
             base = json.loads(text)
+            if not isinstance(base, dict):
+                raise ConfigError("JSON config file is not an object of key: value pairs")
         except json.JSONDecodeError:
             # key=value lines
             base = {}
@@ -154,6 +166,21 @@ def _emit_json(path: Optional[str], payload: Dict) -> None:
         print(text)
 
 
+def _payload(cfg: ExperimentConfig, **results) -> Dict:
+    """An output document: the provenance header, then the command's results."""
+    return {
+        "version": __version__,
+        "config": cfg.as_dict(),
+        "config_hash": cfg.config_hash(),
+        "seed": cfg.seed,
+        **results,
+    }
+
+
+def _code_hash(cfg: ExperimentConfig, L: int) -> str:
+    return hashlib.sha256(make_code(cfg.code, L).to_json().encode()).hexdigest()[:16]
+
+
 def _fit_record(fit: Optional[MarkovFit], error: Optional[str]) -> Dict:
     if fit is None:
         return {"error": error or "fit failed"}
@@ -185,46 +212,50 @@ def _point_records(points) -> List[Dict]:
     return out
 
 
-def _write_cmi_csv(path: str, rows: List[Tuple]) -> None:
+def _cell_record(cell: SweepCell) -> Dict:
+    return {
+        "L": cell.L,
+        "T": cell.T,
+        "p": cell.p,
+        "points": _point_records(cell.points),
+        "fit": _fit_record(cell.fit, cell.fit_error),
+    }
+
+
+def _compute_cells(cfg: ExperimentConfig, grid: Sequence[Tuple[int, int, float]]):
+    """``markov.sweep_cells`` over the (L, T, p) cells of ``grid``, with the config's ladder."""
+    return sweep_cells(
+        cfg.code, grid, ladder=range(1, cfg.wB_max + 1), n=cfg.samples, seed=cfg.seed,
+        wA=cfg.wA, wC=cfg.wC, mode=cfg.mode, p_z=cfg.p_z, q=cfg.q, jobs=cfg.jobs,
+        method=cfg.method, correction=cfg.estimator == "miller_madow",
+    )
+
+
+def _write_cmi_csv(path: str, cfg: ExperimentConfig, cells: List[Dict]) -> None:
+    """One CSV row per CMI point of each cell record."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
             ["code", "L", "T", "p", "q", "wA", "wB", "dist", "cmi_bits", "cmi_stderr"]
         )
-        for row in rows:
-            writer.writerow(row)
-
-
-def _cell_task(cfg: ExperimentConfig, L: int, T: int, p: float) -> Tuple:
-    """Arguments of ``markov._sweep_cell`` for one (L, T, p) cell of a config."""
-    return (cfg.code, L, T, p, cfg.p_z, cfg.q, tuple(range(1, cfg.wB_max + 1)),
-            cfg.samples, cfg.seed, cfg.wA, cfg.wC, cfg.mode, 24, cfg.method, None,
-            cfg.estimator == "miller_madow")
+        for c in cells:
+            q = cfg.noise(c["p"]).q
+            for pt in c["points"]:
+                writer.writerow(
+                    (cfg.code, c["L"], c["T"], c["p"], q, cfg.wA, pt["wB"], pt["dist"],
+                     repr(pt["cmi_bits"]), repr(pt["cmi_stderr"]))
+                )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    code = make_code(cfg.code, cfg.L)
-    q = cfg.p if cfg.q is None else cfg.q
-    cell = _sweep_cell(_cell_task(cfg, cfg.L, cfg.rounds, cfg.p))
-    points, fit, err = cell.points, cell.fit, cell.fit_error
-    payload = {
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "config_hash": cfg.config_hash(),
-        "code_hash": hashlib.sha256(code.to_json().encode()).hexdigest()[:16],
-        "seed": cfg.seed,
-        "fit": _fit_record(fit, err),
-        "points": _point_records(points),
-    }
-    _emit_json(cfg.out, payload)
+    cell, = _compute_cells(cfg, [(cfg.L, cfg.rounds, cfg.p)])
+    rec = _cell_record(cell)
+    _emit_json(cfg.out, _payload(
+        cfg, code_hash=_code_hash(cfg, cfg.L), fit=rec["fit"], points=rec["points"]
+    ))
     if cfg.csv:
-        rows = [
-            (cfg.code, cfg.L, cfg.rounds, cfg.p, q, cfg.wA,
-             pt.descriptor.get("wB"), pt.dist, repr(pt.cmi), repr(pt.std_error))
-            for pt in points
-        ]
-        _write_cmi_csv(cfg.csv, rows)
+        _write_cmi_csv(cfg.csv, cfg, [rec])
     return 0
 
 
@@ -241,47 +272,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"p={p}: probability out of [0, 0.5]")
     out = cfg.out or "sweep.json"
     progress_path = out + ".cells.jsonl"
-    done: Dict[Tuple[int, float], Dict] = {}
+    done: Dict[Tuple[int, int, float], Dict] = {}
     if args.resume and os.path.exists(progress_path):
         with open(progress_path) as f:
             for line in f:
                 rec = json.loads(line)
-                done[(rec["L"], rec["p"])] = rec
+                done[(rec["L"], rec["T"], rec["p"])] = rec
 
     grid = [(L, T, p) for (L, T) in sizes for p in p_grid]
-    pending = [
-        _cell_task(cfg, L, T, p)
-        for (L, T, p) in grid
-        if (L, p) not in done
-    ]
-    cells = []
     # Each cell is appended to the progress file as soon as it is computed,
     # so an interrupted sweep can be picked up with --resume.
-    with contextlib.ExitStack() as stack:
-        if cfg.jobs > 1 and pending:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
-            computed = pool.map(_sweep_cell, pending)
-        else:
-            computed = map(_sweep_cell, pending)
-        progress = stack.enter_context(open(progress_path, "a" if args.resume else "w"))
-        for (L, T, p) in grid:
-            key = (L, p)
-            if key in done:
-                cells.append(done[key])
-                continue
-            cell = next(computed)
-            rec = {
-                "L": L,
-                "T": T,
-                "p": p,
-                "points": _point_records(cell.points),
-                "fit": _fit_record(cell.fit, cell.fit_error),
-            }
+    with open(progress_path, "a" if args.resume else "w") as progress:
+        for cell in _compute_cells(cfg, [key for key in grid if key not in done]):
+            rec = _cell_record(cell)
             progress.write(json.dumps(rec, sort_keys=True) + "\n")
             progress.flush()
-            cells.append(rec)
+            done[(cell.L, cell.T, cell.p)] = rec
+    cells = [done[key] for key in grid]
 
     peaks = {}
     for (L, _) in sizes:
@@ -303,34 +310,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             peaks[str(L)] = {"note": "no interior maximum", "fits": len(series)}
 
-    payload = {
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "config_hash": cfg.config_hash(),
-        "code_hashes": {
-            str(L): hashlib.sha256(make_code(cfg.code, L).to_json().encode()).hexdigest()[:16]
-            for (L, _) in sizes
-        },
-        "seed": cfg.seed,
-        "cells": cells,
-        "peaks": peaks,
-    }
+    payload = _payload(
+        cfg, code_hashes={str(L): _code_hash(cfg, L) for (L, _) in sizes}, cells=cells,
+        peaks=peaks,
+    )
 
-    decoder_csv = None
     if args.decoder_shots:
         curves: Dict[int, List[Tuple[float, float]]] = {}
         decoder_rows = []
         for (L, T) in sizes:
             pts = []
             for p in p_grid:
-                q = p if cfg.q is None else cfg.q
-                model = build_detector_model(
-                    make_code(cfg.code, L), T, NoiseModel(p_x=p, p_z=cfg.p_z, q=q)
-                )
+                noise = cfg.noise(p)
+                model = build_detector_model(make_code(cfg.code, L), T, noise)
                 rp = logical_error_rate(model, args.decoder_shots, cfg.seed)
                 pts.append((p, rp.rate))
                 decoder_rows.append(
-                    (L, T, p, q, rp.shots, rp.logical_errors,
+                    (L, T, p, noise.q, rp.shots, rp.logical_errors,
                      repr(rp.rate), repr(rp.ci_low), repr(rp.ci_high))
                 )
             curves[L] = pts
@@ -339,8 +335,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             payload["decoder_crossing"] = {"p_cross": est.p_cross, "spread": est.spread}
         except NoCrossingError as exc:
             payload["decoder_crossing"] = {"error": str(exc)}
-        decoder_csv = out + ".decoder.csv"
-        with open(decoder_csv, "w", newline="") as f:
+        with open(out + ".decoder.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(
                 ["L", "T", "p", "q", "shots", "logical_errors", "rate", "ci_low", "ci_high"]
@@ -350,14 +345,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     _emit_json(out, payload)
     if cfg.csv:
-        rows = []
-        for c in cells:
-            for pt in c["points"]:
-                rows.append(
-                    (cfg.code, c["L"], c["T"], c["p"], c["p"] if cfg.q is None else cfg.q, cfg.wA,
-                     pt["wB"], pt["dist"], repr(pt["cmi_bits"]), repr(pt["cmi_stderr"]))
-                )
-        _write_cmi_csv(cfg.csv, rows)
+        _write_cmi_csv(cfg.csv, cfg, cells)
     return 0
 
 
@@ -619,7 +607,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         # Sampler-native batch (flat binary + sidecar): rebuild the model
         # from the config and check it matches the batch's provenance.
         batch = SampleBatch.load(args.path)
-        model = build_detector_model(make_code(cfg.code, cfg.L), cfg.rounds, cfg.noise())
+        model = build_detector_model(make_code(cfg.code, cfg.L), cfg.rounds, cfg.noise(cfg.p))
         if batch.model_hash and batch.model_hash != model.model_hash():
             raise ConfigError(
                 f"batch was sampled from model {batch.model_hash}, config gives "
@@ -659,20 +647,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         fit = markov_length(points)
     except FitError as exc:
         err = str(exc)
-    payload = {
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "config_hash": cfg.config_hash(),
-        "source": {
-            "path": os.path.basename(args.path),
-            "model_hash": header.get("model_hash", ""),
-            "n_rows": header["n_rows"],
-        },
-        "seed": cfg.seed,
-        "fit": _fit_record(fit, err),
-        "points": _point_records(points),
+    source = {
+        "path": os.path.basename(args.path),
+        "model_hash": header.get("model_hash", ""),
+        "n_rows": header["n_rows"],
     }
-    _emit_json(cfg.out, payload)
+    _emit_json(cfg.out, _payload(
+        cfg, source=source, fit=_fit_record(fit, err), points=_point_records(points)
+    ))
     return 0
 
 

@@ -20,46 +20,41 @@ def pack_row(bits: Sequence[int] | np.ndarray) -> int:
     return value
 
 
-def unpack_row(value: int, n_cols: int) -> np.ndarray:
-    out = np.zeros(n_cols, dtype=np.uint8)
-    j = 0
-    while value:
-        if value & 1:
-            out[j] = 1
-        value >>= 1
-        j += 1
-    return out
+def _eliminate(rows: Iterable[int]) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Gaussian elimination of ``rows`` in order, tagging what each result is made of.
+
+    Returns (pivots, dependencies). A pivot is (reduced row, tag) and a
+    dependency is the tag of an input row that reduced to zero; bit i of a
+    tag marks rows[i], and the tagged rows XOR to the reduced row (to zero
+    for a dependency).
+    """
+    pivots: List[Tuple[int, int]] = []
+    dependencies: List[int] = []
+    for i, row in enumerate(rows):
+        row, tag = _reduce(row, 1 << i, pivots)
+        if row:
+            pivots.append((row, tag))
+        else:
+            dependencies.append(tag)
+    return pivots, dependencies
+
+
+def _reduce(row: int, tag: int, pivots: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """Reduce a tagged row by each pivot that lowers it, XORing the pivots' tags in."""
+    for prow, ptag in pivots:
+        nxt = row ^ prow
+        if nxt < row:
+            row, tag = nxt, tag ^ ptag
+    return row, tag
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) via elimination on int bitsets."""
-    pivots: List[int] = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-    return len(pivots)
-
-
-def gf2_row_reduce(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """Reduce rows, returning (pivot rows, indices of independent input rows)."""
-    pivots: List[int] = []
-    kept: List[int] = []
-    for idx, row in enumerate(rows):
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            kept.append(idx)
-    return pivots, kept
+    return len(_eliminate(rows)[0])
 
 
 def gf2_in_rowspan(vec: int, rows: Sequence[int]) -> bool:
-    pivots, _ = gf2_row_reduce(rows)
-    for p in pivots:
-        vec = min(vec, vec ^ p)
-    return vec == 0
+    return gf2_solve(rows, vec) is not None
 
 
 def gf2_solve(rows: Sequence[int], target: int) -> Optional[int]:
@@ -67,25 +62,8 @@ def gf2_solve(rows: Sequence[int], target: int) -> Optional[int]:
 
     Bit i of the returned mask selects rows[i].
     """
-    # Augment each row with a tag tracking which inputs were combined.
-    n = len(rows)
-    aug = [(rows[i], 1 << i) for i in range(n)]
-    pivots: List[Tuple[int, int]] = []
-    for row, tag in aug:
-        for prow, ptag in pivots:
-            nxt = row ^ prow
-            if nxt < row:
-                row, tag = nxt, tag ^ ptag
-        if row:
-            pivots.append((row, tag))
-    mask = 0
-    for prow, ptag in pivots:
-        nxt = target ^ prow
-        if nxt < target:
-            target, mask = nxt, mask ^ ptag
-    if target != 0:
-        return None
-    return mask
+    residual, mask = _reduce(target, 0, _eliminate(rows)[0])
+    return mask if residual == 0 else None
 
 
 def gf2_nullspace(rows: Sequence[int], n_cols: int) -> List[int]:
@@ -93,7 +71,8 @@ def gf2_nullspace(rows: Sequence[int], n_cols: int) -> List[int]:
 
     ``rows`` are the matrix rows; the nullspace lives in column space.
     """
-    # Transpose into column bitsets over len(rows) bits, then eliminate.
+    # Transpose into column bitsets over len(rows) bits: a combination of
+    # columns that eliminates to zero is a nullspace vector.
     cols = []
     for j in range(n_cols):
         col = 0
@@ -101,20 +80,7 @@ def gf2_nullspace(rows: Sequence[int], n_cols: int) -> List[int]:
             if (row >> j) & 1:
                 col |= 1 << i
         cols.append(col)
-    # Gaussian elimination tracking combinations of columns.
-    basis: List[int] = []
-    pivots: List[Tuple[int, int]] = []  # (reduced column, combo mask)
-    for j in range(n_cols):
-        col, tag = cols[j], 1 << j
-        for pcol, ptag in pivots:
-            nxt = col ^ pcol
-            if nxt < col:
-                col, tag = nxt, tag ^ ptag
-        if col:
-            pivots.append((col, tag))
-        else:
-            basis.append(tag)
-    return basis
+    return _eliminate(cols)[1]
 
 
 def matrix_to_rows(mat: np.ndarray) -> List[int]:

@@ -20,6 +20,10 @@ the detectors of an interchange header. Two layouts:
 
 CMI is reported in bits; the decay convention is I ~ exp(-dist/xi), so the
 fitted xi is an e-folding length in lattice units.
+
+Sweep cells are computed by one loop, ``sweep_cells``: it takes an ordered
+list of (L, T, p) cells, fits a w_B ladder per cell and yields the cells in
+order. ``sweep`` and the ``run`` and ``sweep`` commands of the CLI all call it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -530,12 +534,6 @@ class SweepCell:
 @dataclass
 class SweepResult:
     cells: List[SweepCell]
-    peaks: Dict[int, PeakEstimate]
-
-    def xi_table(self) -> Dict[Tuple[int, float], Optional[float]]:
-        return {
-            (c.L, c.p): (c.fit.xi if c.fit else None) for c in self.cells
-        }
 
 
 def interpolate_peak(ps: Sequence[float], xis: Sequence[float]) -> PeakEstimate:
@@ -563,12 +561,15 @@ def make_code(family: str, L: int):
     raise ValueError(f"unknown code family {family!r}")
 
 
+def cell_noise(p: float, p_z: float, q: Optional[float]) -> NoiseModel:
+    """Noise of a sweep cell at data error rate p; the readout rate is q, or p when q is None."""
+    return NoiseModel(p_x=p, p_z=p_z, q=p if q is None else q)
+
+
 def _sweep_cell(args) -> SweepCell:
     (family, L, T, p, p_z, q, ladder, n, seed, wA, wC, mode, cap, method,
      anchor_stride, correction) = args
-    code = make_code(family, L)
-    noise = NoiseModel(p_x=p, p_z=p_z, q=p if q is None else q)
-    model = build_detector_model(code, T, noise)
+    model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
     if model.n_mechanisms == 0:
         return SweepCell(L=L, T=T, p=p, points=[], fit=None, fit_error="all CMI at zero")
     if method == "exact":
@@ -596,6 +597,43 @@ def _sweep_cell(args) -> SweepCell:
     return SweepCell(L=L, T=T, p=p, points=points, fit=fit, fit_error=err)
 
 
+def sweep_cells(
+    family: str,
+    cells: Sequence[Tuple[int, int, float]],
+    ladder: Sequence[int] = (1, 2, 3),
+    n: int = 10**6,
+    seed: int = 0,
+    wA: int = 2,
+    wC: int = 2,
+    mode: str = "strip",
+    p_z: float = 0.0,
+    q: Optional[float] = None,
+    cap: int = 24,
+    jobs: int = 1,
+    method: str = "sampled",
+    anchor_stride: Optional[int] = None,
+    correction: bool = True,
+) -> Iterator[SweepCell]:
+    """Compute the (L, T, p) ``cells`` in order, yielding each as it finishes.
+
+    The one loop over sweep cells: ``sweep``, ``stmarkov run`` and
+    ``stmarkov sweep`` all compute through it. More than one job and more
+    than one cell runs the cells in a process pool; results come back in
+    the order of ``cells`` either way. Per-cell RNG streams are derived from
+    the cell coordinates, so results do not depend on ``jobs``.
+    """
+    tasks = [
+        (family, L, T, p, p_z, q, tuple(ladder), n, seed, wA, wC, mode, cap,
+         method, anchor_stride, correction)
+        for (L, T, p) in cells
+    ]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            yield from pool.map(_sweep_cell, tasks)
+    else:
+        yield from map(_sweep_cell, tasks)
+
+
 def sweep(
     family: str,
     sizes: Sequence[Tuple[int, int]],
@@ -614,29 +652,15 @@ def sweep(
     anchor_stride: Optional[int] = None,
     correction: bool = True,
 ) -> SweepResult:
-    """Markov-length sweep over sizes and error rates.
+    """Markov-length sweep over sizes and error rates, through ``sweep_cells``.
 
     Each grid cell fits xi from a w_B ladder of tripartitions (sampled cells
     average over spatial anchor translates); fit failures are recorded as
     gaps. The readout error rate is ``q``, or p in each cell when ``q`` is
-    None. Per-cell RNG streams are derived from the cell coordinates, so
-    results are independent of execution order.
+    None. Cells come size by size, each size in the order of ``p_grid``.
     """
-    tasks = [
-        (family, L, T, p, p_z, q, tuple(ladder), n, seed, wA, wC, mode, cap,
-         method, anchor_stride, correction)
-        for (L, T) in sizes
-        for p in p_grid
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_sweep_cell, tasks))
-    else:
-        cells = [_sweep_cell(t) for t in tasks]
-    peaks: Dict[int, PeakEstimate] = {}
-    for L, _ in sizes:
-        per_l = [(c.p, c.fit.xi) for c in cells if c.L == L and c.fit is not None]
-        if len(per_l) >= 1:
-            ps, xis = zip(*sorted(per_l))
-            peaks[L] = interpolate_peak(ps, xis)
-    return SweepResult(cells=cells, peaks=peaks)
+    grid = [(L, T, p) for (L, T) in sizes for p in p_grid]
+    return SweepResult(cells=list(sweep_cells(
+        family, grid, ladder, n, seed, wA, wC, mode, p_z, q, cap, jobs, method,
+        anchor_stride, correction,
+    )))

@@ -47,10 +47,6 @@ class Tableau:
         self.r ^= self.x[:, q] & self.z[:, q]
         self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
 
-    def s(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.z[:, q] ^= self.x[:, q]
-
     def cnot(self, a: int, b: int) -> None:
         self.r ^= self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a] ^ 1)
         self.x[:, b] ^= self.x[:, a]
@@ -67,10 +63,6 @@ class Tableau:
         """Z errors flip the sign of every generator with X support there."""
         for q in sites:
             self.r ^= self.x[:, q]
-
-    def apply_x(self, sites: Iterable[int]) -> None:
-        for q in sites:
-            self.r ^= self.z[:, q]
 
     # -- Generator products --------------------------------------------------
 

@@ -5,8 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from stmarkov.cli import ConfigError, export_interchange, main, read_interchange
-from stmarkov.markov import build_tripartition, cmi_from_batch
+from stmarkov.cli import (
+    ConfigError,
+    _cell_record,
+    export_interchange,
+    main,
+    read_interchange,
+)
+from stmarkov.markov import build_tripartition, cmi_from_batch, sweep
 from stmarkov.sampler import sample_batch
 from stmarkov.spacetime import NoiseModel, build_detector_model
 from stmarkov.codes import repetition_code, toric_code
@@ -70,6 +76,24 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run_cli(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({"L": "8"}, "config key 'L': '8' is not of type int"),
+        ({"p": "0.1"}, "config key 'p': '0.1' is not of type float"),
+        ({"samples": True}, "config key 'samples': True is not of type int"),
+        ({"q": [0.1]}, "config key 'q': [0.1] is not of type Optional[float]"),
+        ([{"L": 8}], "JSON config file is not an object"),
+    ],
+    ids=["str-for-int", "str-for-float", "bool-for-int", "list-for-optional", "list-file"],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_shape_and_resume(tmp_path):
     out = str(tmp_path / "sweep.json")
     args = [
@@ -89,6 +113,33 @@ def test_sweep_shape_and_resume(tmp_path):
     assert run_cli(args + ["--resume"]) == 0
     payload2 = json.loads(open(out).read())
     assert payload2["cells"] == payload["cells"]
+
+
+def test_sweep_resume_keys_cells_by_rounds(tmp_path):
+    # Two sizes with the same L and p differ only in T.
+    out = str(tmp_path / "sweep.json")
+    args = ["sweep", "--code", "repetition", "--sizes", "8x6,8x10", "--p-grid", "0.09",
+            "--wB-max", "1", "--samples", "5000", "--seed", "3", "--out", out]
+    assert run_cli(args) == 0
+    cells = json.loads(open(out).read())["cells"]
+    assert [c["T"] for c in cells] == [6, 10]
+    cells_file = out + ".cells.jsonl"
+    first = open(cells_file).readline()
+    open(cells_file, "w").write(first)
+    assert run_cli(args + ["--resume"]) == 0
+    assert json.loads(open(out).read())["cells"] == cells
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_cells_equal_markov_sweep(tmp_path, jobs):
+    out = str(tmp_path / "sweep.json")
+    assert run_cli(["sweep", "--code", "repetition", "--sizes", "8x8,12x12", "--p-grid",
+                    "0.07,0.11", "--wB-max", "2", "--samples", "10000", "--seed", "3",
+                    "--jobs", str(jobs), "--out", out]) == 0
+    result = sweep("repetition", sizes=[(8, 8), (12, 12)], p_grid=[0.07, 0.11],
+                   ladder=(1, 2), n=10000, seed=3)
+    expected = json.loads(json.dumps([_cell_record(c) for c in result.cells]))
+    assert json.loads(open(out).read())["cells"] == expected
 
 
 def test_verify_passes_and_fault_hook_fails():
@@ -310,7 +361,7 @@ def test_sweep_q_flag(tmp_path):
 
 
 def test_interrupted_sweep_resumes_byte_identical(tmp_path, monkeypatch):
-    import stmarkov.cli as cli
+    import stmarkov.markov as markov
 
     out = str(tmp_path / "sweep.json")
     csv_path = str(tmp_path / "sweep.csv")
@@ -322,7 +373,7 @@ def test_interrupted_sweep_resumes_byte_identical(tmp_path, monkeypatch):
     for path in expected:
         os.remove(path)
 
-    real_cell = cli._sweep_cell
+    real_cell = markov._sweep_cell
     calls = []
 
     def failing_cell(task):
@@ -331,11 +382,11 @@ def test_interrupted_sweep_resumes_byte_identical(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return real_cell(task)
 
-    monkeypatch.setattr(cli, "_sweep_cell", failing_cell)
+    monkeypatch.setattr(markov, "_sweep_cell", failing_cell)
     with pytest.raises(KeyboardInterrupt):
         run_cli(args)
     assert len(open(out + ".cells.jsonl").read().splitlines()) == 2
-    monkeypatch.setattr(cli, "_sweep_cell", real_cell)
+    monkeypatch.setattr(markov, "_sweep_cell", real_cell)
     assert run_cli(args + ["--resume"]) == 0
     for path, content in expected.items():
         assert open(path, "rb").read() == content
