@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .codes import repetition_code, toric_code
-from .decoder import logical_error_rate, threshold_estimate, NoCrossingError
+from .decoder import threshold_estimate, NoCrossingError
 from .entropy import entropy_decomposition_check, full_syndrome_region
 from .foliation import detector_cells, foliate, lbl_stabilizers
 from .markov import (
@@ -43,6 +43,7 @@ from .markov import (
     lattice_tripartition,
     make_code,
     markov_length,
+    rate_points,
     sweep_cells,
 )
 from .sampler import SampleBatch, chunk_bounds, sample_batch
@@ -177,6 +178,19 @@ def _payload(cfg: ExperimentConfig, **results) -> Dict:
     }
 
 
+def _progress_key(cfg: ExperimentConfig) -> str:
+    """Hash of the config fields that change a sweep cell's values.
+
+    ``L``, ``rounds`` and ``p`` reach a cell only as its (L, T, p) key, and
+    ``out``, ``csv`` and ``jobs`` change no value.
+    """
+    fields = {
+        k: v for k, v in cfg.as_dict().items()
+        if k not in ("out", "csv", "jobs", "L", "rounds", "p")
+    }
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def _code_hash(cfg: ExperimentConfig, L: int) -> str:
     return hashlib.sha256(make_code(cfg.code, L).to_json().encode()).hexdigest()[:16]
 
@@ -270,25 +284,42 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for p in p_grid:
         if not (0.0 <= p <= 0.5):
             raise ConfigError(f"p={p}: probability out of [0, 0.5]")
+    for (L, T) in sizes:
+        try:
+            make_code(cfg.code, L)
+        except ValueError as exc:
+            raise ConfigError(f"size {L}x{T}: {exc}") from None
+        if T < 1:
+            raise ConfigError(f"size {L}x{T}: rounds must be >= 1")
+    if len(set(sizes)) < len(sizes) or len(set(p_grid)) < len(p_grid):
+        raise ConfigError("--sizes and --p-grid must not repeat a value")
+    if args.decoder_shots < 0:
+        raise ConfigError("--decoder-shots must be >= 0")
     out = cfg.out or "sweep.json"
     progress_path = out + ".cells.jsonl"
+    key = _progress_key(cfg)
     done: Dict[Tuple[int, int, float], Dict] = {}
     if args.resume and os.path.exists(progress_path):
         with open(progress_path) as f:
-            for line in f:
+            for i, line in enumerate(f, 1):
                 rec = json.loads(line)
+                if rec.pop("key", None) != key:
+                    raise ConfigError(
+                        f"{progress_path} line {i}: cell written under another config "
+                        f"(seed, samples, ladder or noise differ); rerun without --resume"
+                    )
                 done[(rec["L"], rec["T"], rec["p"])] = rec
 
     grid = [(L, T, p) for (L, T) in sizes for p in p_grid]
     # Each cell is appended to the progress file as soon as it is computed,
     # so an interrupted sweep can be picked up with --resume.
     with open(progress_path, "a" if args.resume else "w") as progress:
-        for cell in _compute_cells(cfg, [key for key in grid if key not in done]):
+        for cell in _compute_cells(cfg, [cell for cell in grid if cell not in done]):
             rec = _cell_record(cell)
-            progress.write(json.dumps(rec, sort_keys=True) + "\n")
+            progress.write(json.dumps({**rec, "key": key}, sort_keys=True) + "\n")
             progress.flush()
             done[(cell.L, cell.T, cell.p)] = rec
-    cells = [done[key] for key in grid]
+    cells = [done[cell] for cell in grid]
 
     peaks = {}
     for (L, _) in sizes:
@@ -316,20 +347,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     if args.decoder_shots:
+        points = list(rate_points(
+            cfg.code, sizes, p_grid, args.decoder_shots, cfg.seed, p_z=cfg.p_z, q=cfg.q
+        ))
         curves: Dict[int, List[Tuple[float, float]]] = {}
-        decoder_rows = []
         for (L, T) in sizes:
-            pts = []
-            for p in p_grid:
-                noise = cfg.noise(p)
-                model = build_detector_model(make_code(cfg.code, L), T, noise)
-                rp = logical_error_rate(model, args.decoder_shots, cfg.seed)
-                pts.append((p, rp.rate))
-                decoder_rows.append(
-                    (L, T, p, noise.q, rp.shots, rp.logical_errors,
-                     repr(rp.rate), repr(rp.ci_low), repr(rp.ci_high))
-                )
-            curves[L] = pts
+            curves[L] = [(rp.p, rp.rate) for rp in points if (rp.L, rp.T) == (L, T)]
         try:
             est = threshold_estimate(curves)
             payload["decoder_crossing"] = {"p_cross": est.p_cross, "spread": est.spread}
@@ -340,8 +363,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             writer.writerow(
                 ["L", "T", "p", "q", "shots", "logical_errors", "rate", "ci_low", "ci_high"]
             )
-            for row in decoder_rows:
-                writer.writerow(row)
+            for rp in points:
+                writer.writerow(
+                    (rp.L, rp.T, rp.p, rp.q, rp.shots, rp.logical_errors,
+                     repr(rp.rate), repr(rp.ci_low), repr(rp.ci_high))
+                )
 
     _emit_json(out, payload)
     if cfg.csv:

@@ -6,9 +6,10 @@ that enumerates region-incident mechanisms, and a GF(2)-rank oracle valid at
 p = 1/2 where the detector distribution is uniform over the image of the
 incidence matrix.
 
-``_entropy_counts`` is the one plug-in entropy of a count array and
-``_jackknife_std`` the one delete-one-chunk standard error; ``plugin_entropy``
-and the sampled CMI of ``markov`` both read their estimates from them.
+``_chunk_table`` is the one (pattern x chunk) count table of sampled patterns,
+``_table_entropies`` its full-sample and leave-one-chunk-out plug-in entropies
+(``_entropy_counts``) and ``_jackknife_std`` the one delete-one-chunk error;
+``entropy_from_batch`` and the sampled CMI of ``markov`` both read them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .codes import CssCode
 from .gf2 import gf2_nullspace, gf2_rank, gf2_solve
-from .sampler import SampleBatch, marginalize
+from .sampler import PatternWidthExceeded, SampleBatch, subset_patterns
 from .spacetime import DetectorModel, NoiseModel, build_detector_model
 
 LN2 = math.log(2.0)
@@ -51,8 +52,11 @@ def _entropy_bits(probs: np.ndarray) -> float:
 def _entropy_counts(counts: np.ndarray, n: int, width: float, correction: bool) -> float:
     """Plug-in entropy in bits of a count array over n samples, clamped to [0, width].
 
-    ``correction`` adds the Miller-Madow term (support - 1) / (2 n ln 2).
+    ``correction`` adds the Miller-Madow term (support - 1) / (2 n ln 2). An
+    empty sample (n = 0: a chunk holding every sample left out) has entropy 0.
     """
+    if n == 0:
+        return 0.0
     c = counts[counts > 0].astype(np.float64)
     p = c / n
     h = float(-(p * np.log2(p)).sum())
@@ -77,20 +81,77 @@ def repack_bits(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     return sub
 
 
+def _chunk_table(
+    patterns: np.ndarray, bounds: Sequence[int], width: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """(pattern x chunk) counts of ``width``-bit sample patterns split at ``bounds``.
+
+    Returns (table, values). The table is dense (values None, row index =
+    pattern) when it holds no more cells than samples; otherwise its rows are
+    the observed patterns, listed in ascending order in ``values``.
+    """
+    sizes = np.diff(bounds)
+    n_chunks = sizes.size
+    chunk_id = np.repeat(np.arange(n_chunks, dtype=np.int64), sizes)
+    if (1 << width) * n_chunks <= patterns.size:
+        values, row, n_rows = None, patterns.astype(np.int64), 1 << width
+    else:
+        # A dense table would outgrow the samples: index the observed patterns.
+        values, row = np.unique(patterns, return_inverse=True)
+        n_rows = values.size
+    table = np.bincount(row * n_chunks + chunk_id, minlength=n_rows * n_chunks)
+    return table.reshape(n_rows, n_chunks), values
+
+
+def _marginal_table(
+    table: np.ndarray, values: Optional[np.ndarray], width: int, keep: List[int]
+) -> np.ndarray:
+    """(pattern x chunk) counts over the ascending bits ``keep`` of a table.
+
+    ``values`` is None for a dense table (row index = ``width``-bit pattern);
+    otherwise it lists the ascending pattern of each row. Rows of the result
+    come in ascending order of the packed ``keep`` bits, bit j = ``keep[j]``.
+    """
+    if keep == list(range(width)):
+        return table
+    n_chunks = table.shape[1]
+    if values is None:
+        # Axis i of the bit-cube holds pattern bit width - 1 - i, so the axes
+        # left after summing out the other bits flatten in packed order.
+        cube = table.reshape((2,) * width + (n_chunks,))
+        drop = tuple(width - 1 - i for i in range(width) if i not in keep)
+        return cube.sum(axis=drop).reshape(-1, n_chunks)
+    uniq, inverse = np.unique(repack_bits(values, keep), return_inverse=True)
+    out = np.zeros((uniq.size, n_chunks), dtype=np.int64)
+    np.add.at(out, inverse, table)
+    return out
+
+
+def _table_entropies(table: np.ndarray, width: int, correction: bool) -> np.ndarray:
+    """Entropy of a (pattern x chunk) table's full sample, then with each chunk left out."""
+    totals = table.sum(axis=1)
+    sizes = table.sum(axis=0)
+    n = int(sizes.sum())
+    return np.array(
+        [_entropy_counts(totals, n, width, correction)]
+        + [
+            _entropy_counts(totals - table[:, i], n - int(sizes[i]), width, correction)
+            for i in range(table.shape[1])
+        ]
+    )
+
+
 def plugin_entropy(
     counts,
     n: int,
     correction: str = "miller_madow",
     width: Optional[int] = None,
-    chunk_counts: Optional[Sequence[Dict[int, int]]] = None,
 ) -> EntropyEstimate:
     """Plug-in entropy of a counts table, in bits.
 
     ``counts`` is a {pattern: count} dict or an array of counts summing to n.
-    With ``chunk_counts`` the standard error comes from a delete-one-chunk
-    jackknife; otherwise from the delta-method variance of the plug-in.
-    The value, and each leave-one-chunk-out value, is clamped to [0, width]
-    when a region width is given.
+    The standard error is the delta-method one of the plug-in. The value is
+    clamped to [0, width] when a region width is given.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -102,30 +163,12 @@ def plugin_entropy(
         raise ValueError("counts do not sum to n")
     if correction not in ("miller_madow", "none"):
         raise ValueError(f"unknown correction {correction!r}")
-    miller_madow = correction == "miller_madow"
     hi = math.inf if width is None else width
-    h = _entropy_counts(arr, n, hi, miller_madow)
-    if chunk_counts is not None and len(chunk_counts) > 1:
-        # One (pattern x chunk) count table, patterns in sorted order.
-        keys = sorted(counts) if isinstance(counts, dict) else range(arr.size)
-        full = np.array([counts[k] for k in keys], dtype=np.float64)
-        row = {k: i for i, k in enumerate(keys)}
-        table = np.zeros((len(keys), len(chunk_counts)), dtype=np.int64)
-        for j, chunk in enumerate(chunk_counts):
-            for k, c in chunk.items():
-                table[row[k], j] = c
-        loo = np.array([
-            _entropy_counts(full - table[:, j], n - int(table[:, j].sum()), hi, miller_madow)
-            for j in range(table.shape[1])
-        ])
-        std = _jackknife_std(loo)
-        kind = f"plugin+{correction}+jackknife"
-    else:
-        p = arr[arr > 0] / n
-        var = float((p * np.log2(p) ** 2).sum() - (-(p * np.log2(p)).sum()) ** 2) / n
-        std = math.sqrt(max(var, 0.0))
-        kind = f"plugin+{correction}"
-    return EntropyEstimate(h, std, kind, n, int(np.count_nonzero(arr)))
+    h = _entropy_counts(arr, n, hi, correction == "miller_madow")
+    p = arr[arr > 0] / n
+    var = float((p * np.log2(p) ** 2).sum() - (-(p * np.log2(p)).sum()) ** 2) / n
+    std = math.sqrt(max(var, 0.0))
+    return EntropyEstimate(h, std, f"plugin+{correction}", n, int(np.count_nonzero(arr)))
 
 
 def _xor_dp_table(masks: Sequence[int], probs: Sequence[float], width: int) -> np.ndarray:
@@ -393,12 +436,19 @@ def entropy_from_batch(
     correction: str = "miller_madow",
     cap: int = 24,
 ) -> EntropyEstimate:
-    """Plug-in entropy of a sampled batch marginal with jackknife errors."""
-    total, chunked = marginalize(batch, sub_region, cap=cap, per_chunk=True)
-    return plugin_entropy(
-        total,
-        batch.n_samples,
-        correction=correction,
-        width=len(sub_region),
-        chunk_counts=chunked,
-    )
+    """Plug-in entropy of a sampled batch marginal with jackknife errors.
+
+    The sub-region's patterns are counted into one (pattern x chunk) table;
+    a batch of one chunk keeps the delta-method error of ``plugin_entropy``.
+    Patterns wider than ``cap`` bits are refused.
+    """
+    width = len(sub_region)
+    if width > cap:
+        raise PatternWidthExceeded(width, cap)
+    table, _ = _chunk_table(subset_patterns(batch, sub_region), batch.chunk_bounds, width)
+    est = plugin_entropy(table.sum(axis=1), batch.n_samples, correction, width)
+    if table.shape[1] > 1:
+        loo = _table_entropies(table, width, correction == "miller_madow")[1:]
+        est.std_error = _jackknife_std(loo)
+        est.estimator += "+jackknife"
+    return est

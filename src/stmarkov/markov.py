@@ -24,6 +24,8 @@ fitted xi is an e-folding length in lattice units.
 Sweep cells are computed by one loop, ``sweep_cells``: it takes an ordered
 list of (L, T, p) cells, fits a w_B ladder per cell and yields the cells in
 order. ``sweep`` and the ``run`` and ``sweep`` commands of the CLI all call it.
+Decoder curves over the same grid come from one loop too: ``rate_points``
+yields the logical error rate of each (L, T, p) point in grid order.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .codes import repetition_code, toric_code
+from .decoder import RatePoint, logical_error_rate
 from .entropy import (
     LN2,
-    _entropy_counts,
+    _chunk_table,
     _jackknife_std,
+    _marginal_table,
+    _table_entropies,
     exact_region_dist,
     marginal_entropy,
-    repack_bits,
 )
 from .sampler import PatternWidthExceeded, sample_batch, subset_patterns
 from .spacetime import (
@@ -253,28 +257,6 @@ def _cmi_identity(tri: Tripartition, h):
     )
 
 
-def _marginal_table(
-    table: np.ndarray, values: Optional[np.ndarray], width: int, keep: List[int]
-) -> np.ndarray:
-    """(pattern x chunk) counts over the ascending bits ``keep`` of a table.
-
-    ``values`` is None for a dense table (row index = ``width``-bit pattern);
-    otherwise it lists the ascending pattern of each row. Rows of the result
-    come in ascending order of the packed ``keep`` bits, bit j = ``keep[j]``.
-    """
-    n_chunks = table.shape[1]
-    if values is None:
-        # Axis i of the bit-cube holds pattern bit width - 1 - i, so the axes
-        # left after summing out the other bits flatten in packed order.
-        cube = table.reshape((2,) * width + (n_chunks,))
-        drop = tuple(width - 1 - i for i in range(width) if i not in keep)
-        return cube.sum(axis=drop).reshape(-1, n_chunks)
-    uniq, inverse = np.unique(repack_bits(values, keep), return_inverse=True)
-    out = np.zeros((uniq.size, n_chunks), dtype=np.int64)
-    np.add.at(out, inverse, table)
-    return out
-
-
 def _tripartition_cmi(batch, tri: Tripartition, correction: bool):
     """CMI, its leave-one-chunk-out values and the ABC support of one tripartition.
 
@@ -284,34 +266,12 @@ def _tripartition_cmi(batch, tri: Tripartition, correction: bool):
     """
     region = list(tri.all_detectors)
     width = len(region)
-    n = batch.n_samples
-    bounds = batch.chunk_bounds
-    n_chunks = len(bounds) - 1
-    sizes = np.diff(bounds)
-    chunk_id = np.repeat(np.arange(n_chunks, dtype=np.int64), sizes)
-    sp = subset_patterns(batch, region)
-    if (1 << width) * n_chunks <= n:
-        values, row, n_rows = None, sp.astype(np.int64), 1 << width
-    else:
-        # A dense table would outgrow the samples: index the observed patterns.
-        values, row = np.unique(sp, return_inverse=True)
-        n_rows = values.size
-    table = np.bincount(row * n_chunks + chunk_id, minlength=n_rows * n_chunks)
-    table = table.reshape(n_rows, n_chunks)
+    table, values = _chunk_table(subset_patterns(batch, region), batch.chunk_bounds, width)
     bit = {d: i for i, d in enumerate(region)}
 
     def entropies(sub):
-        """Full-sample entropy, then the entropy with each chunk left out."""
-        keep = [bit[d] for d in sub]
-        cc = table if len(sub) == width else _marginal_table(table, values, width, keep)
-        totals = cc.sum(axis=1)
-        return np.array(
-            [_entropy_counts(totals, n, len(sub), correction)]
-            + [
-                _entropy_counts(totals - cc[:, i], n - int(sizes[i]), len(sub), correction)
-                for i in range(n_chunks)
-            ]
-        )
+        cc = _marginal_table(table, values, width, [bit[d] for d in sub])
+        return _table_entropies(cc, len(sub), correction)
 
     stat = _cmi_identity(tri, entropies)
     support = int(np.count_nonzero(table.sum(axis=1)))
@@ -632,6 +592,25 @@ def sweep_cells(
             yield from pool.map(_sweep_cell, tasks)
     else:
         yield from map(_sweep_cell, tasks)
+
+
+def rate_points(
+    family: str,
+    sizes: Sequence[Tuple[int, int]],
+    p_grid: Sequence[float],
+    shots: int,
+    seed: int,
+    p_z: float = 0.0,
+    q: Optional[float] = None,
+) -> Iterator[RatePoint]:
+    """Decoder logical error rate at each (L, T, p), size by size in the order of ``p_grid``.
+
+    The one loop for decoder curves; each point's noise is ``cell_noise``.
+    """
+    for (L, T) in sizes:
+        for p in p_grid:
+            model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
+            yield logical_error_rate(model, shots, seed)
 
 
 def sweep(

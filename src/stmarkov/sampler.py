@@ -74,9 +74,6 @@ class SampleBatch:
     def n_chunks(self) -> int:
         return len(self.chunk_bounds) - 1
 
-    def chunk_slice(self, i: int) -> slice:
-        return slice(self.chunk_bounds[i], self.chunk_bounds[i + 1])
-
     def row_bits(self, j: int) -> np.ndarray:
         """Unpacked 0/1 bits of one detector row."""
         return np.unpackbits(self.rows[j], bitorder="little", count=self.n_samples)
@@ -230,28 +227,13 @@ def subset_patterns(batch: SampleBatch, sub_region: Sequence[int]) -> np.ndarray
     return out
 
 
-def marginalize(
-    batch: SampleBatch,
-    sub_region: Sequence[int],
-    cap: int = 24,
-    per_chunk: bool = False,
-):
-    """Exact histogram of sample patterns over a sub-region.
+def marginalize(batch: SampleBatch, sub_region: Sequence[int], cap: int = 24) -> Dict[int, int]:
+    """Exact histogram {pattern: count} of sample patterns over a sub-region.
 
-    Returns {pattern: count}; with ``per_chunk`` a list of per-chunk
-    histograms is returned alongside. Patterns wider than ``cap`` bits are
-    refused.
+    Patterns wider than ``cap`` bits are refused.
     """
     sub_region = list(sub_region)
     if len(sub_region) > cap:
         raise PatternWidthExceeded(len(sub_region), cap)
-    sp = subset_patterns(batch, sub_region)
-    values, counts = np.unique(sp, return_counts=True)
-    total = {int(v): int(c) for v, c in zip(values, counts)}
-    if not per_chunk:
-        return total
-    chunked: List[Dict[int, int]] = []
-    for i in range(batch.n_chunks):
-        v, c = np.unique(sp[batch.chunk_slice(i)], return_counts=True)
-        chunked.append({int(x): int(y) for x, y in zip(v, c)})
-    return total, chunked
+    values, counts = np.unique(subset_patterns(batch, sub_region), return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}

@@ -19,7 +19,7 @@ from oracles import oracle_detectors
 
 from stmarkov.cli import main as cli_main
 from stmarkov.codes import repetition_code, toric_code
-from stmarkov.decoder import logical_error_rate, threshold_estimate
+from stmarkov.decoder import threshold_estimate
 from stmarkov.entropy import (
     entropy_decomposition_check,
     exact_entropy,
@@ -33,6 +33,7 @@ from stmarkov.markov import (
     cmi_rank_half,
     interpolate_peak,
     markov_length,
+    rate_points,
     sweep,
 )
 from stmarkov.sampler import sample_batch
@@ -277,15 +278,8 @@ def threshold_data():
     )
     t_sweep = time.monotonic() - t0
     curves = {}
-    for (L, T) in SIZES:
-        pts = []
-        for p in P_GRID:
-            model = build_detector_model(
-                repetition_code(L), T, NoiseModel.phenomenological(p)
-            )
-            rp = logical_error_rate(model, DECODER_SHOTS, seed=SEED)
-            pts.append((p, rp.rate))
-        curves[L] = pts
+    for rp in rate_points("repetition", SIZES, P_GRID, DECODER_SHOTS, SEED):
+        curves.setdefault(rp.L, []).append((rp.p, rp.rate))
     t_all = time.monotonic() - t0
     print(f"\n[threshold fixture] sweep {t_sweep:.0f}s, total {t_all:.0f}s")
     return result, curves

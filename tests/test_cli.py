@@ -130,6 +130,57 @@ def test_sweep_resume_keys_cells_by_rounds(tmp_path):
     assert json.loads(open(out).read())["cells"] == cells
 
 
+def test_sweep_resume_refuses_cells_of_another_config(tmp_path, capsys):
+    out = str(tmp_path / "sweep.json")
+    args = ["sweep", "--code", "repetition", "--sizes", "8x8", "--p-grid", "0.09",
+            "--wB-max", "1", "--samples", "5000", "--out", out]
+    assert run_cli(args + ["--seed", "3"]) == 0
+    cells_file = out + ".cells.jsonl"
+    seed3 = open(cells_file).read()
+    capsys.readouterr()
+    assert run_cli(args + ["--seed", "4", "--resume"]) == 2
+    assert cells_file in capsys.readouterr().err
+    assert open(cells_file).read() == seed3
+    # A record without a key (or a changed one) is refused too.
+    rec = json.loads(seed3)
+    del rec["key"]
+    open(cells_file, "w").write(json.dumps(rec) + "\n")
+    assert run_cli(args + ["--seed", "3", "--resume"]) == 2
+    # Fields that change no value (jobs, csv) keep the key.
+    open(cells_file, "w").write(seed3)
+    csv_path = str(tmp_path / "sweep.csv")
+    assert run_cli(args + ["--seed", "3", "--jobs", "2", "--csv", csv_path, "--resume"]) == 0
+    assert open(cells_file).read() == seed3
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sizes", "8x8", "--p-grid", "0.1", "--decoder-shots", "-1"],
+        ["--sizes", "8x8,8x8", "--p-grid", "0.1"],
+        ["--sizes", "8x8", "--p-grid", "0.1,0.1"],
+        ["--sizes", "8x8,2x8", "--p-grid", "0.1"],
+        ["--sizes", "8x8,8x0", "--p-grid", "0.1"],
+    ],
+    ids=["negative-decoder-shots", "repeated-size", "repeated-p", "bad-L", "bad-T"],
+)
+def test_sweep_grid_checked_before_any_cell(tmp_path, flags):
+    out = str(tmp_path / "sweep.json")
+    args = ["sweep", "--code", "repetition", "--wB-max", "1", "--samples", "2000",
+            "--out", out] + flags
+    assert run_cli(args) == 2
+    assert not os.path.exists(out + ".cells.jsonl")
+    assert not os.path.exists(out)
+
+
+def test_run_with_fewer_samples_than_chunks(tmp_path):
+    # At n = 7 one chunk holds every sample, so leaving it out leaves none.
+    out = str(tmp_path / "run.json")
+    assert run_cli(["run", "--code", "repetition", "--L", "8", "--rounds", "8",
+                    "--wB-max", "2", "--samples", "7", "--out", out]) == 0
+    assert all(not pt["reliable"] for pt in json.loads(open(out).read())["points"])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_cells_equal_markov_sweep(tmp_path, jobs):
     out = str(tmp_path / "sweep.json")

@@ -2,8 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import enumerate_region_distribution, entropy_of_dist, history_from_errors
+from oracles import (
+    _plugin_entropy_bits,
+    enumerate_region_distribution,
+    entropy_of_dist,
+    history_from_errors,
+)
 
 from stmarkov.codes import repetition_code
 from stmarkov.entropy import (
@@ -18,7 +24,7 @@ from stmarkov.entropy import (
     rank_entropy_half,
 )
 from stmarkov.foliation import foliate
-from stmarkov.sampler import sample_batch
+from stmarkov.sampler import SampleBatch, sample_batch
 from stmarkov.spacetime import (
     Detector,
     DetectorModel,
@@ -45,6 +51,21 @@ def toy_model(mech_specs):
         for i, (p, dets) in enumerate(mech_specs)
     ]
     return DetectorModel(code, 1, NoiseModel(0.1, 0.0, 0.1), detectors, mechanisms, [])
+
+
+def batch_of(chunks, width):
+    """Hand-built batch over detectors 0..width-1 whose chunk i holds the patterns chunks[i]."""
+    patterns = np.concatenate([np.asarray(c, dtype=np.uint64) for c in chunks])
+    bits = (patterns[None, :] >> np.arange(width, dtype=np.uint64)[:, None]) & np.uint64(1)
+    return SampleBatch(
+        region=tuple(range(width)),
+        n_samples=patterns.size,
+        rows=np.packbits(bits.astype(np.uint8), axis=1, bitorder="little"),
+        chunk_bounds=tuple(np.cumsum([0] + [len(c) for c in chunks]).tolist()),
+        seed=0,
+        stream="hand",
+        model_hash="",
+    )
 
 
 # -- plug-in estimator ------------------------------------------------------
@@ -82,18 +103,69 @@ def test_plugin_rejects_bad_input():
 def test_plugin_jackknife_error_reasonable():
     rng = np.random.default_rng(0)
     bits = rng.random(40_000) < 0.3
-    chunks = np.array_split(bits, 20)
-    chunk_counts = [{0: int((~c).sum()), 1: int(c.sum())} for c in chunks]
-    total = {0: int((~bits).sum()), 1: int(bits.sum())}
-    est = plugin_entropy(total, bits.size, chunk_counts=chunk_counts)
+    est = entropy_from_batch(batch_of(np.array_split(bits, 20), 1), [0])
+    assert est.estimator == "plugin+miller_madow+jackknife"
     assert abs(est.value - binary_entropy(0.3)) < 4 * est.std_error
     assert 0 < est.std_error < 0.02
+
+
+def recount_entropy(chunks, width, correction):
+    """Value and standard error of entropy_from_batch, recounted chunk by chunk with np.unique."""
+    cols = [np.asarray(c, dtype=np.uint64) for c in chunks]
+    patterns = np.concatenate(cols)
+    n = patterns.size
+    values, totals = np.unique(patterns, return_counts=True)
+    value = _plugin_entropy_bits(totals, n, width, correction)
+    if len(cols) == 1:
+        p = totals / n
+        var = ((p * np.log2(p) ** 2).sum() - ((p * np.log2(p)).sum()) ** 2) / n
+        return value, np.sqrt(max(var, 0.0))
+    loo = []
+    for col in cols:
+        v, c = np.unique(col, return_counts=True)
+        rest = totals.copy()
+        rest[np.searchsorted(values, v)] -= c
+        # Leaving out a chunk that holds every sample leaves an empty sample: 0 bits.
+        loo.append(_plugin_entropy_bits(rest, n - col.size, width, correction) if n > col.size else 0.0)
+    loo = np.array(loo)
+    return value, np.sqrt((loo.size - 1) / loo.size * ((loo - loo.mean()) ** 2).sum())
+
+
+@st.composite
+def hand_batches(draw):
+    """(width, chunks): up to 6 chunks of up to 80 patterns drawn from a random support."""
+    width = draw(st.integers(1, 12))
+    support = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=24))
+    chunks = draw(st.lists(
+        st.lists(st.sampled_from(support), max_size=80), min_size=1, max_size=6
+    ).filter(lambda cs: sum(map(len, cs)) > 0))
+    return width, chunks
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_batches(), st.sampled_from(["miller_madow", "none"]))
+@example((1, [[0, 1, 1, 0, 1]]), "miller_madow")  # one chunk: delta-method error
+@example((2, [[0, 1, 2, 3] * 5, [3, 3, 0, 1] * 5]), "miller_madow")  # dense table
+@example((12, [[4095, 17, 17], [0, 2048], [4095]]), "none")  # compacted table
+@example((3, [[], [5, 1, 5, 2], []]), "miller_madow")  # one chunk holds every sample
+def test_entropy_from_batch_matches_recount(case, correction):
+    width, chunks = case
+    est = entropy_from_batch(batch_of(chunks, width), list(range(width)), correction=correction)
+    value, std = recount_entropy(chunks, width, correction == "miller_madow")
+    assert est.value == pytest.approx(value, rel=1e-12, abs=1e-15)
+    assert est.std_error == pytest.approx(std, rel=1e-12, abs=1e-15)
+    assert est.n_samples == sum(map(len, chunks))
+    assert est.support == len(set().union(*chunks))
+    kind = f"plugin+{correction}" + ("+jackknife" if len(chunks) > 1 else "")
+    assert est.estimator == kind
 
 
 # Recorded with a plug-in estimator that clamped only the full-sample value:
 # every case reads the same now except "clamped_loo", whose leave-one-chunk-out
 # values above the width are now clamped too (std_error 0.10011668176047228
-# when they were not).
+# when they were not). "dict/width", "dict/width/none" and "clamped_loo" were
+# recorded from per-chunk count dicts; they are read here from hand-built
+# batches with the same per-chunk counts.
 PINNED_PLUGIN = {
     "batch/rep3": ("2.602053636095712", "0.013717087192239774"),
     "batch/rep3/none": ("2.6010443551356657", "0.01371861379307242"),
@@ -105,7 +177,6 @@ PINNED_PLUGIN = {
     "dict/width": ("2.9418659920862136", "0.03234186156256991"),
     "dict/width/none": ("2.936141011765226", "0.03279079807682679"),
     "dict/width/delta": ("2.9418659920862136", "0.014028444115592897"),
-    "array": ("2.9418659920862136", "0.03234186156257013"),
     "array/delta": ("2.9418659920862136", "0.014028444115592897"),
     "clamped_loo": ("1.0", "0.005589996953164533"),
 }
@@ -137,20 +208,15 @@ def test_plugin_entropy_pinned():
     n = sum(total.values())
     for width in (None, 4, 3):
         # The value (2.94 bits) stays below every width, so all three agree.
-        record("dict/width", plugin_entropy(total, n, width=width, chunk_counts=chunks))
-        record("dict/width/none", plugin_entropy(
-            total, n, correction="none", width=width, chunk_counts=chunks
-        ))
         record("dict/width/delta", plugin_entropy(total, n, width=width))
-        for name in ("dict/width", "dict/width/none", "dict/width/delta"):
-            assert got[name] == PINNED_PLUGIN[name]
-    arr = np.array([total[k] for k in keys])
-    arr_chunks = [{i: ch[k] for i, k in enumerate(keys)} for ch in chunks]
-    record("array", plugin_entropy(arr, n, chunk_counts=arr_chunks))
-    record("array/delta", plugin_entropy(arr, n))
+        assert got["dict/width/delta"] == PINNED_PLUGIN["dict/width/delta"]
+    record("array/delta", plugin_entropy(np.array([total[k] for k in keys]), n))
+    # The same per-chunk counts, as six chunks of a 4-bit batch.
+    batch = batch_of([np.repeat(keys, [ch[k] for k in keys]) for ch in chunks], 4)
+    record("dict/width", entropy_from_batch(batch, list(range(4))))
+    record("dict/width/none", entropy_from_batch(batch, list(range(4)), correction="none"))
     # Two of the three leave-one-chunk-out values exceed the 1-bit width.
-    chunks = [{0: 2, 1: 0}, {0: 1, 1: 2}, {0: 0, 1: 1}]
-    record("clamped_loo", plugin_entropy({0: 3, 1: 3}, 6, width=1, chunk_counts=chunks))
+    record("clamped_loo", entropy_from_batch(batch_of([[0, 0], [0, 1, 1], [1]], 1), [0]))
     assert got == PINNED_PLUGIN
 
 
