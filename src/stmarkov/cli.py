@@ -39,6 +39,7 @@ from .markov import (
     cmi_from_batch,
     cmi_rank_half,
     interpolate_peak,
+    ladder_band_t0,
     ladder_t0,
     lattice_tripartition,
     make_code,
@@ -291,6 +292,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError(f"size {L}x{T}: {exc}") from None
         if T < 1:
             raise ConfigError(f"size {L}x{T}: rounds must be >= 1")
+        if cfg.method == "sampled" or cfg.mode == "strip":
+            # Such a ladder's rungs stack within one wA + wB_max + wC deep band.
+            try:
+                ladder_band_t0(T, cfg.wA + cfg.wB_max + cfg.wC)
+            except ValueError as exc:
+                raise ConfigError(f"size {L}x{T}: {exc}") from None
     if len(set(sizes)) < len(sizes) or len(set(p_grid)) < len(p_grid):
         raise ConfigError("--sizes and --p-grid must not repeat a value")
     if args.decoder_shots < 0:
@@ -350,9 +357,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         points = list(rate_points(
             cfg.code, sizes, p_grid, args.decoder_shots, cfg.seed, p_z=cfg.p_z, q=cfg.q
         ))
-        curves: Dict[int, List[Tuple[float, float]]] = {}
-        for (L, T) in sizes:
-            curves[L] = [(rp.p, rp.rate) for rp in points if (rp.L, rp.T) == (L, T)]
+        curves = {
+            size: [(rp.p, rp.rate) for rp in points if (rp.L, rp.T) == size] for size in sizes
+        }
         try:
             est = threshold_estimate(curves)
             payload["decoder_crossing"] = {"p_cross": est.p_cross, "spread": est.spread}

@@ -334,18 +334,22 @@ class NoCrossingError(ValueError):
     """Logical-error-rate curves do not bracket a crossing."""
 
 
+Size = Union[int, Tuple[int, int]]  # a curve's L, or its (L, T)
+
+
 @dataclass
 class ThresholdEstimate:
     p_cross: float
     spread: float
-    crossings: List[Tuple[int, int, float]]  # (L1, L2, crossing)
+    crossings: List[Tuple[Size, Size, float]]  # (size 1, size 2, crossing)
 
 
-def threshold_estimate(curves: Dict[int, List[Tuple[float, float]]]) -> ThresholdEstimate:
+def threshold_estimate(curves: Dict[Size, List[Tuple[float, float]]]) -> ThresholdEstimate:
     """Pairwise curve-crossing estimate from (p, rate) curves per size.
 
-    Uses local linear interpolation of rate differences between consecutive
-    grid points; reports the mean crossing and the spread across size pairs.
+    A size is L or an (L, T) pair. Uses local linear interpolation of rate
+    differences between consecutive grid points; reports the mean crossing
+    and the spread across size pairs.
     """
     sizes = sorted(curves)
     if len(sizes) < 2:
@@ -377,7 +381,16 @@ def threshold_estimate(curves: Dict[int, List[Tuple[float, float]]]) -> Threshol
             if best is not None:
                 crossings.append((l1, l2, best[1]))
     if not crossings:
-        lines = [f"L={l}: " + ",".join(f"{p:.3f}:{r:.4f}" for p, r in curves[l]) for l in sizes]
+        Ls = [s[0] if isinstance(s, tuple) else s for s in sizes]
+
+        def label(size: Size, L: int) -> str:
+            # Sizes that share an L are told apart by T.
+            return f"L={L}" if Ls.count(L) == 1 else f"L={L} T={size[1]}"
+
+        lines = [
+            f"{label(s, L)}: " + ",".join(f"{p:.3f}:{r:.4f}" for p, r in curves[s])
+            for s, L in zip(sizes, Ls)
+        ]
         raise NoCrossingError("no bracketed crossing between any size pair:\n" + "\n".join(lines))
     values = [c for (_, _, c) in crossings]
     mean = float(np.mean(values))

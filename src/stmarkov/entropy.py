@@ -90,17 +90,17 @@ def _chunk_table(
     pattern) when it holds no more cells than samples; otherwise its rows are
     the observed patterns, listed in ascending order in ``values``.
     """
-    sizes = np.diff(bounds)
-    n_chunks = sizes.size
-    chunk_id = np.repeat(np.arange(n_chunks, dtype=np.int64), sizes)
+    n_chunks = len(bounds) - 1
     if (1 << width) * n_chunks <= patterns.size:
         values, row, n_rows = None, patterns.astype(np.int64), 1 << width
     else:
         # A dense table would outgrow the samples: index the observed patterns.
         values, row = np.unique(patterns, return_inverse=True)
         n_rows = values.size
-    table = np.bincount(row * n_chunks + chunk_id, minlength=n_rows * n_chunks)
-    return table.reshape(n_rows, n_chunks), values
+    table = np.empty((n_rows, n_chunks), dtype=np.int64)
+    for i in range(n_chunks):
+        table[:, i] = np.bincount(row[bounds[i]:bounds[i + 1]], minlength=n_rows)
+    return table, values
 
 
 def _marginal_table(

@@ -108,6 +108,17 @@ def ladder_t0(rounds: int, extent: int, t_lo: int = 1) -> int:
     return max(t_lo, (rounds + 1 - extent) // 2)
 
 
+def ladder_band_t0(rounds: int, extent: int) -> int:
+    """First time row of a ladder's ``extent``-deep band in the time bulk 1..rounds-1.
+
+    Raises ValueError when the band does not fit the bulk.
+    """
+    t0 = ladder_t0(rounds, extent)
+    if t0 + extent - 1 > rounds - 1:
+        raise ValueError(f"ladder extent {extent} does not fit the time bulk")
+    return t0
+
+
 def lattice_tripartition(
     lattice: Dict[Tuple[int, ...], int],
     space: Sequence[int],
@@ -368,9 +379,7 @@ def averaged_cmi_ladder(
     T = model.rounds
     wB_max = max(wB_list)
     extent = wA + wB_max + wC
-    t0 = ladder_t0(T, extent)
-    if t0 + extent - 1 > T - 1:
-        raise ValueError(f"ladder extent {extent} does not fit the time bulk")
+    t0 = ladder_band_t0(T, extent)
     if anchor_stride is None:
         anchor_stride = max(2, space[0] // 8)  # ~8 translates at any size
     anchors = [x for x in range(0, space[0], anchor_stride)]

@@ -4,7 +4,10 @@ Samples are stored column-major and bit-packed: one packed row of n sample
 bits per detector, built by XOR-accumulating the incidence columns of the
 drawn mechanism bits. Sampling is chunked with counter-based Philox streams
 (one high-counter block per chunk), so batches are bit-reproducible for a
-given (model, draw region, n, seed, stream) regardless of scheduling.
+given (model, draw region, n, seed, stream) regardless of scheduling. The
+chunks are drawn concurrently, one thread per usable CPU; each writes only
+its own bytes of the packed rows, so the output does not depend on the
+number of threads.
 
 The random stream is laid out by the draw region (by default the requested
 region): every mechanism incident to it takes its n draws, in mechanism
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +47,14 @@ def stream_key(seed: int, stream: str) -> np.ndarray:
     """Derive a 128-bit Philox key from a root seed and a stream name."""
     digest = hashlib.sha256(f"{seed}/{stream}".encode()).digest()
     return np.frombuffer(digest[:16], dtype=np.uint64).copy()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _chunk_generator(key: np.ndarray, chunk: int) -> np.random.Generator:
@@ -187,21 +199,30 @@ def sample_batch(
     key = stream_key(seed, stream)
     bounds = chunk_bounds(n, n_chunks)
     packed = np.zeros((len(region), (n + 7) // 8), dtype=np.uint8)
-    for c in range(len(bounds) - 1):
+
+    def fill(c: int) -> None:
+        # Chunk c writes only its own byte span of the packed rows (interior
+        # bounds are byte-aligned), so chunks need no lock between them.
         lo, hi = bounds[c], bounds[c + 1]
-        if hi == lo:
-            continue
         gen = _chunk_generator(key, c)
         m = hi - lo
         acc = np.zeros((len(region), m), dtype=np.uint8)
+        u = np.empty(m)
+        bits = np.empty(m, dtype=bool)
         for p, rows, skipped in draws:
             if skipped:
                 _skip_draws(gen, m, skipped)
-            bits = (gen.random(m) < p).astype(np.uint8)
+            np.less(gen.random(out=u), p, out=bits)
             for j in rows:
-                acc[j] ^= bits
+                acc[j] ^= bits.view(np.uint8)
         span = slice(lo // 8, lo // 8 + (m + 7) // 8)
         packed[:, span] = np.packbits(acc, axis=1, bitorder="little")
+
+    chunks = [c for c in range(len(bounds) - 1) if bounds[c + 1] > bounds[c]]
+    # A pool per call: no thread outlives the call, so a process pool forked
+    # later (markov.sweep_cells) copies none.
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(chunks))) as pool:
+        list(pool.map(fill, chunks))
     return SampleBatch(
         region=region,
         n_samples=n,
@@ -213,18 +234,34 @@ def sample_batch(
     )
 
 
+# _SPREAD[b] moves bit i of the byte b to bit 0 of byte i: the 8 samples of
+# one packed byte land one per byte of a little-endian word.
+_SPREAD = np.array(
+    [sum(((b >> i) & 1) << (8 * i) for i in range(8)) for b in range(256)], dtype="<u8"
+)
+
+
 def subset_patterns(batch: SampleBatch, sub_region: Sequence[int]) -> np.ndarray:
     """Repack each sample onto the bits of ``sub_region`` (subset of region)."""
     if len(sub_region) > 64:
         raise PatternWidthExceeded(len(sub_region), 64)
     pos = {d: j for j, d in enumerate(batch.region)}
-    out = np.zeros(batch.n_samples, dtype=np.uint64)
-    for j, d in enumerate(sub_region):
+    for d in sub_region:
         if d not in pos:
             raise ValueError(f"detector {d} not in batch region")
-        bits = batch.row_bits(pos[d]).astype(np.uint64)
-        out |= bits << np.uint64(j)
-    return out
+    n_bytes = batch.rows.shape[1]
+    # One row per sample (8 per packed byte), one column per pattern byte.
+    out = np.zeros((8 * n_bytes, 8), dtype=np.uint8)
+    word = np.empty(n_bytes, dtype="<u8")
+    spread = np.empty(n_bytes, dtype="<u8")
+    for g in range(0, len(sub_region), 8):
+        word[:] = 0
+        for j, d in enumerate(sub_region[g:g + 8]):
+            np.take(_SPREAD, batch.rows[pos[d]], out=spread)
+            spread <<= np.uint64(j)
+            word |= spread
+        out[:, g // 8] = word.view(np.uint8)
+    return out.view("<u8").reshape(-1)[: batch.n_samples].astype(np.uint64, copy=False)
 
 
 def marginalize(batch: SampleBatch, sub_region: Sequence[int], cap: int = 24) -> Dict[int, int]:

@@ -150,12 +150,6 @@ class DetectorModel:
                 act[l, k] = 1
         return act
 
-    def detector_distance(self, i: int, j: int) -> int:
-        """Chebyshev distance between detectors: space wraps, time is open."""
-        return chebyshev_distance(
-            self.detectors[i].coords, self.detectors[j].coords, self.code.space_shape
-        )
-
     def to_text(self) -> str:
         lines = []
         for mech in self.mechanisms:

@@ -8,12 +8,19 @@ detector model can be checked against a second, unrelated construction.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from stmarkov.codes import CssCode
 from stmarkov.decoder import DecodeResult, InfeasibleSyndrome
+from stmarkov.sampler import (
+    SampleBatch,
+    _chunk_generator,
+    _skip_draws,
+    chunk_bounds,
+    stream_key,
+)
 from stmarkov.spacetime import DetectorModel
 
 
@@ -180,6 +187,95 @@ def four_histogram_cmi(batch, tri, correction: bool = True):
         support = values.size
     value = full[0] + full[1] - full[2] - full[3]
     return value, loo[0] + loo[1] - loo[2] - loo[3], support
+
+
+# -- serial sampler and per-bit patterns ---------------------------------------
+#
+# ``stmarkov.sampler.sample_batch`` before its chunks were drawn on threads,
+# and ``subset_patterns`` before it read packed bytes, kept as written. The
+# threaded sampler and the byte-table patterns must give the same arrays.
+
+
+def serial_sample_batch(
+    model: DetectorModel,
+    region: Sequence[int],
+    n: int,
+    seed: int,
+    stream: str = "sampling",
+    n_chunks: int = 32,
+    draw_region: Optional[Sequence[int]] = None,
+) -> SampleBatch:
+    region = tuple(region)
+    if not region:
+        raise ValueError("region must be nonempty")
+    if n < 1:
+        raise ValueError("need at least one sample")
+    draw_region = region if draw_region is None else tuple(draw_region)
+    if not set(region) <= set(draw_region):
+        raise ValueError("region must lie inside the draw region")
+    pos = {d: j for j, d in enumerate(region)}
+    draws: List[Tuple[float, List[int], int]] = []
+    skipped = 0
+    for k in model.region_mechanisms(draw_region):
+        mech = model.mechanisms[k]
+        rows = [pos[d] for d in mech.detectors if d in pos]
+        if rows:
+            draws.append((mech.p, rows, skipped))
+            skipped = 0
+        else:
+            skipped += 1
+    key = stream_key(seed, stream)
+    bounds = chunk_bounds(n, n_chunks)
+    packed = np.zeros((len(region), (n + 7) // 8), dtype=np.uint8)
+    for c in range(len(bounds) - 1):
+        lo, hi = bounds[c], bounds[c + 1]
+        if hi == lo:
+            continue
+        gen = _chunk_generator(key, c)
+        m = hi - lo
+        acc = np.zeros((len(region), m), dtype=np.uint8)
+        for p, rows, skipped in draws:
+            if skipped:
+                _skip_draws(gen, m, skipped)
+            bits = (gen.random(m) < p).astype(np.uint8)
+            for j in rows:
+                acc[j] ^= bits
+        span = slice(lo // 8, lo // 8 + (m + 7) // 8)
+        packed[:, span] = np.packbits(acc, axis=1, bitorder="little")
+    return SampleBatch(
+        region=region,
+        n_samples=n,
+        rows=packed,
+        chunk_bounds=bounds,
+        seed=seed,
+        stream=stream,
+        model_hash=model.model_hash(),
+    )
+
+
+def per_bit_subset_patterns(batch: SampleBatch, sub_region: Sequence[int]) -> np.ndarray:
+    pos = {d: j for j, d in enumerate(batch.region)}
+    out = np.zeros(batch.n_samples, dtype=np.uint64)
+    for j, d in enumerate(sub_region):
+        if d not in pos:
+            raise ValueError(f"detector {d} not in batch region")
+        bits = batch.row_bits(pos[d]).astype(np.uint64)
+        out |= bits << np.uint64(j)
+    return out
+
+
+def repeat_chunk_table(patterns: np.ndarray, bounds: Sequence[int], width: int):
+    """``stmarkov.entropy._chunk_table`` as one bincount over (row, chunk id) pairs."""
+    sizes = np.diff(bounds)
+    n_chunks = sizes.size
+    chunk_id = np.repeat(np.arange(n_chunks, dtype=np.int64), sizes)
+    if (1 << width) * n_chunks <= patterns.size:
+        values, row, n_rows = None, patterns.astype(np.int64), 1 << width
+    else:
+        values, row = np.unique(patterns, return_inverse=True)
+        n_rows = values.size
+    table = np.bincount(row * n_chunks + chunk_id, minlength=n_rows * n_chunks)
+    return table.reshape(n_rows, n_chunks), values
 
 
 # -- reference union-find decoder ----------------------------------------------

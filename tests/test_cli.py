@@ -12,7 +12,8 @@ from stmarkov.cli import (
     main,
     read_interchange,
 )
-from stmarkov.markov import build_tripartition, cmi_from_batch, sweep
+from stmarkov.decoder import threshold_estimate
+from stmarkov.markov import build_tripartition, cmi_from_batch, rate_points, sweep
 from stmarkov.sampler import sample_batch
 from stmarkov.spacetime import NoiseModel, build_detector_model
 from stmarkov.codes import repetition_code, toric_code
@@ -161,8 +162,10 @@ def test_sweep_resume_refuses_cells_of_another_config(tmp_path, capsys):
         ["--sizes", "8x8", "--p-grid", "0.1,0.1"],
         ["--sizes", "8x8,2x8", "--p-grid", "0.1"],
         ["--sizes", "8x8,8x0", "--p-grid", "0.1"],
+        ["--sizes", "12x12,8x4", "--p-grid", "0.06,0.1"],
     ],
-    ids=["negative-decoder-shots", "repeated-size", "repeated-p", "bad-L", "bad-T"],
+    ids=["negative-decoder-shots", "repeated-size", "repeated-p", "bad-L", "bad-T",
+         "ladder-too-deep"],
 )
 def test_sweep_grid_checked_before_any_cell(tmp_path, flags):
     out = str(tmp_path / "sweep.json")
@@ -171,6 +174,22 @@ def test_sweep_grid_checked_before_any_cell(tmp_path, flags):
     assert run_cli(args) == 2
     assert not os.path.exists(out + ".cells.jsonl")
     assert not os.path.exists(out)
+
+
+def test_sweep_decoder_curves_keyed_by_size(tmp_path):
+    """Sizes sharing an L each keep their curve in the decoder crossing."""
+    out = str(tmp_path / "sweep.json")
+    sizes, p_grid = [(8, 6), (8, 12), (12, 12)], [0.06, 0.1, 0.14]
+    assert run_cli(["sweep", "--code", "repetition", "--sizes", "8x6,8x12,12x12",
+                    "--p-grid", "0.06,0.1,0.14", "--wB-max", "1", "--samples", "2000",
+                    "--seed", "1", "--decoder-shots", "300", "--out", out]) == 0
+    points = list(rate_points("repetition", sizes, p_grid, 300, 1))
+    curves = {size: [(rp.p, rp.rate) for rp in points if (rp.L, rp.T) == size] for size in sizes}
+    est = threshold_estimate(curves)
+    # The 8x6 and 12x12 curves cross; keyed by L alone, 8x12 replaced 8x6.
+    assert any({a, b} == {(8, 6), (12, 12)} for a, b, _ in est.crossings)
+    crossing = json.loads(open(out).read())["decoder_crossing"]
+    assert crossing == {"p_cross": est.p_cross, "spread": est.spread}
 
 
 def test_run_with_fewer_samples_than_chunks(tmp_path):

@@ -163,6 +163,16 @@ def test_threshold_requires_bracketing():
         threshold_estimate(curves)
 
 
+def test_threshold_names_sizes_that_share_L():
+    ps = (0.05, 0.10)
+    curves = {(8, 6): [(p, 0.1 + p) for p in ps], (8, 12): [(p, 0.2 + p) for p in ps],
+              (16, 16): [(p, 0.3 + p) for p in ps]}
+    with pytest.raises(NoCrossingError) as err:
+        threshold_estimate(curves)
+    lines = str(err.value).splitlines()[1:]
+    assert [line.split(":")[0] for line in lines] == ["L=8 T=6", "L=8 T=12", "L=16"]
+
+
 def _noise(family, p, T):
     if family == "repetition":
         return NoiseModel.phenomenological(p)

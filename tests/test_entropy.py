@@ -9,11 +9,13 @@ from oracles import (
     enumerate_region_distribution,
     entropy_of_dist,
     history_from_errors,
+    repeat_chunk_table,
 )
 
 from stmarkov.codes import repetition_code
 from stmarkov.entropy import (
     BruteForceCapExceeded,
+    _chunk_table,
     entropy_decomposition_check,
     entropy_from_batch,
     exact_entropy,
@@ -158,6 +160,26 @@ def test_entropy_from_batch_matches_recount(case, correction):
     assert est.support == len(set().union(*chunks))
     kind = f"plugin+{correction}" + ("+jackknife" if len(chunks) > 1 else "")
     assert est.estimator == kind
+
+
+@pytest.mark.parametrize(
+    "width, bounds",
+    [
+        (3, (0, 8, 16, 24, 40, 41)),  # dense: 8 patterns x 5 chunks <= 41 samples
+        (12, (0, 8, 16, 24, 40, 41)),  # compacted
+        (2, (0, 0, 16, 16, 30)),  # dense, with empty chunks
+        (20, (0, 30)),  # compacted, one chunk
+    ],
+)
+def test_chunk_table_matches_repeat_formulation(width, bounds):
+    rng = np.random.default_rng(width)
+    patterns = rng.integers(0, 1 << width, bounds[-1]).astype(np.uint64)
+    table, values = _chunk_table(patterns, bounds, width)
+    expect, expect_values = repeat_chunk_table(patterns, bounds, width)
+    assert table.dtype == expect.dtype and np.array_equal(table, expect)
+    dense = (1 << width) * (len(bounds) - 1) <= bounds[-1]
+    assert (values is None) == (expect_values is None) == dense
+    assert dense or np.array_equal(values, expect_values)
 
 
 # Recorded with a plug-in estimator that clamped only the full-sample value:

@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import enumerate_region_distribution
+from oracles import enumerate_region_distribution, per_bit_subset_patterns, serial_sample_batch
 
 from stmarkov.codes import repetition_code, toric_code
 from stmarkov.sampler import (
@@ -193,3 +196,48 @@ def test_draw_region_rows_match_whole_band(code):
     assert part.chunk_bounds == whole.chunk_bounds
     with pytest.raises(ValueError):
         sample_batch(model, sub + [band[0] - 1], 10, seed=21, draw_region=band)
+
+
+@pytest.mark.parametrize("n", [7, 10_001, 50_003])
+@pytest.mark.parametrize("code", [repetition_code(8), toric_code(4)], ids=["repetition", "toric"])
+def test_threaded_sampler_matches_serial_oracle(code, n):
+    """Chunks drawn on threads give the rows of the serial chunk loop."""
+    model = build_detector_model(code, 6, NoiseModel.phenomenological(0.1))
+    band = [i for i, d in enumerate(model.detectors) if 2 <= d.t <= 4]
+    sub = band[1::3]
+    args = dict(seed=21, stream="band", draw_region=band)
+    batch = sample_batch(model, sub, n, **args)
+    # n = 10,001 ends in a 313-sample chunk, so its skips go through random_raw.
+    assert n != 10_001 or batch.chunk_bounds[-1] - batch.chunk_bounds[-2] == 313
+    oracle = serial_sample_batch(model, sub, n, **args)
+    assert np.array_equal(batch.rows, oracle.rows)
+    assert batch.chunk_bounds == oracle.chunk_bounds
+    assert np.array_equal(subset_patterns(batch, sub), per_bit_subset_patterns(oracle, sub))
+
+
+def test_sampler_leaves_no_thread_running():
+    before = threading.active_count()
+    sample_batch(small_model(), list(range(6)), 20_000, seed=5)
+    assert threading.active_count() == before
+
+
+@st.composite
+def packed_batches(draw):
+    """A batch of random packed rows (padding bits set too) and a sub-region of it."""
+    width = draw(st.integers(1, 70))
+    n = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).integers(0, 256, (width, (n + 7) // 8), dtype=np.uint8)
+    region = tuple(draw(st.permutations(range(100, 100 + width))))
+    sub = draw(st.lists(st.sampled_from(region), min_size=1, max_size=min(64, width), unique=True))
+    batch = SampleBatch(region, n, rows, (0, n), seed, "hand", "")
+    return batch, sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_batches())
+def test_subset_patterns_match_per_bit_oracle(case):
+    batch, sub = case
+    out = subset_patterns(batch, sub)
+    assert out.dtype == np.uint64
+    assert np.array_equal(out, per_bit_subset_patterns(batch, sub))

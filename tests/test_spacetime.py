@@ -8,6 +8,7 @@ from stmarkov.spacetime import (
     NoiseModel,
     Tripartition,
     build_detector_model,
+    chebyshev_distance,
     detector_flip_probability,
     detectors_from_errors,
     build_detector_model as build,
@@ -195,13 +196,14 @@ def test_syndromes_to_detectors_shape_check():
 
 def test_chebyshev_distance_wraps_space():
     model = build_detector_model(repetition_code(6), 4, NoiseModel.phenomenological(0.1))
-    a = model.det_index[("z", 0, 2)]
-    b = model.det_index[("z", 5, 2)]
-    assert model.detector_distance(a, b) == 1
-    c = model.det_index[("z", 3, 2)]
-    assert model.detector_distance(a, c) == 3
-    d = model.det_index[("z", 0, 4)]
-    assert model.detector_distance(a, d) == 2
+    space = model.code.space_shape
+    a = model.detectors[model.det_index[("z", 0, 2)]].coords
+    b = model.detectors[model.det_index[("z", 5, 2)]].coords
+    assert chebyshev_distance(a, b, space) == 1
+    c = model.detectors[model.det_index[("z", 3, 2)]].coords
+    assert chebyshev_distance(a, c, space) == 3
+    d = model.detectors[model.det_index[("z", 0, 4)]].coords
+    assert chebyshev_distance(a, d, space) == 2
 
 
 def test_tripartition_disjointness_enforced():
