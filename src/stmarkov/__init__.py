@@ -22,14 +22,8 @@ from .spacetime import (
 )
 from .foliation import ResourceState, detector_cells, foliate, lbl_stabilizers
 from .tableau import Tableau, evaluate_detectors, init_graph_state, measure_x_all
-from .sampler import SampleBatch, marginalize, sample_batch
-from .entropy import (
-    EntropyEstimate,
-    entropy_decomposition_check,
-    exact_entropy,
-    plugin_entropy,
-    rank_entropy_half,
-)
+from .sampler import SampleBatch, sample_batch
+from .entropy import entropy_decomposition_check, exact_entropy, rank_entropy_half
 from .markov import (
     CmiPoint,
     MarkovFit,

@@ -328,25 +328,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             done[(cell.L, cell.T, cell.p)] = rec
     cells = [done[cell] for cell in grid]
 
+    # One peak per size, keyed by L as before while every size has its own L;
+    # when two sizes share an L, every key is LxT.
+    shared_L = len({L for (L, _) in sizes}) < len(sizes)
     peaks = {}
-    for (L, _) in sizes:
+    for (L, T) in sizes:
         series = [
             (c["p"], c["fit"]["xi"])
             for c in cells
-            if c["L"] == L and "xi" in c["fit"]
+            if (c["L"], c["T"]) == (L, T) and "xi" in c["fit"]
         ]
+        name = f"{L}x{T}" if shared_L else str(L)
         if len(series) >= 2:
             ps, xis = zip(*sorted(series))
             peak = interpolate_peak(ps, xis)
-            peaks[str(L)] = {
+            peaks[name] = {
                 "p_peak": peak.p_peak,
                 "xi_peak": peak.xi_peak,
                 "interior": peak.interior,
             }
             if not peak.interior:
-                peaks[str(L)]["note"] = "no interior maximum"
+                peaks[name]["note"] = "no interior maximum"
         else:
-            peaks[str(L)] = {"note": "no interior maximum", "fits": len(series)}
+            peaks[name] = {"note": "no interior maximum", "fits": len(series)}
 
     payload = _payload(
         cfg, code_hashes={str(L): _code_hash(cfg, L) for (L, _) in sizes}, cells=cells,
@@ -749,11 +753,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # Geometry/shape errors triggered by the configuration surface here.
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError, and geometry/shape errors triggered by the configuration.
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .gf2 import gf2_in_rowspan, gf2_rank, matrix_to_rows
+from .gf2 import gf2_in_rowspan, matrix_to_rows
 
 Coord = Tuple[int, ...]
 
@@ -74,22 +74,6 @@ class CssCode:
             "space_shape": list(self.space_shape),
         }
         return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "CssCode":
-        d = json.loads(text)
-        return CssCode(
-            name=d["name"],
-            n_qubits=d["n_qubits"],
-            z_checks=np.array(d["z_checks"], dtype=np.uint8).reshape(-1, d["n_qubits"]),
-            x_checks=np.array(d["x_checks"], dtype=np.uint8).reshape(-1, d["n_qubits"]),
-            z_logicals=np.array(d["z_logicals"], dtype=np.uint8).reshape(-1, d["n_qubits"]),
-            x_logicals=np.array(d["x_logicals"], dtype=np.uint8).reshape(-1, d["n_qubits"]),
-            qubit_coords=[tuple(c) for c in d["qubit_coords"]],
-            z_check_coords=[tuple(c) for c in d["z_check_coords"]],
-            x_check_coords=[tuple(c) for c in d["x_check_coords"]],
-            space_shape=tuple(d["space_shape"]),
-        )
 
 
 def repetition_code(L: int) -> CssCode:
@@ -244,8 +228,3 @@ def validate_code(code: CssCode) -> ValidationReport:
                 failures.append((name, f"logical {j}"))
 
     return ValidationReport(ok=not failures, failures=failures)
-
-
-def check_rank(mat: np.ndarray) -> int:
-    """GF(2) rank of a check matrix."""
-    return gf2_rank(matrix_to_rows(mat))

@@ -1,15 +1,16 @@
 """Shannon entropies of detector and syndrome distributions.
 
 Three routes with different trust levels: plug-in (optionally Miller-Madow
-corrected) estimates from sampled histograms, an exact brute-force oracle
-that enumerates region-incident mechanisms, and a GF(2)-rank oracle valid at
+corrected) estimates from sampled patterns, an exact brute-force oracle that
+enumerates region-incident mechanisms, and a GF(2)-rank oracle valid at
 p = 1/2 where the detector distribution is uniform over the image of the
 incidence matrix.
 
-``_chunk_table`` is the one (pattern x chunk) count table of sampled patterns,
-``_table_entropies`` its full-sample and leave-one-chunk-out plug-in entropies
-(``_entropy_counts``) and ``_jackknife_std`` the one delete-one-chunk error;
-``entropy_from_batch`` and the sampled CMI of ``markov`` both read them.
+Sampled patterns reach an entropy one way: ``_chunk_table`` counts them into
+one (pattern x chunk) table, ``_marginal_table`` sums it onto a sub-region,
+``_table_entropies`` gives its full-sample and leave-one-chunk-out plug-in
+entropies (``_entropy_counts``) and ``_jackknife_std`` the one delete-one-chunk
+error. The sampled CMI of ``markov`` reads them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .codes import CssCode
 from .gf2 import gf2_nullspace, gf2_rank, gf2_solve
-from .sampler import PatternWidthExceeded, SampleBatch, subset_patterns
 from .spacetime import DetectorModel, NoiseModel, build_detector_model
 
 LN2 = math.log(2.0)
@@ -33,15 +33,6 @@ class BruteForceCapExceeded(ValueError):
         super().__init__(f"{count} {what} exceed brute-force cap {cap}")
         self.count = count
         self.cap = cap
-
-
-@dataclass
-class EntropyEstimate:
-    value: float  # bits
-    std_error: float
-    estimator: str
-    n_samples: int
-    support: int
 
 
 def _entropy_bits(probs: np.ndarray) -> float:
@@ -139,36 +130,6 @@ def _table_entropies(table: np.ndarray, width: int, correction: bool) -> np.ndar
             for i in range(table.shape[1])
         ]
     )
-
-
-def plugin_entropy(
-    counts,
-    n: int,
-    correction: str = "miller_madow",
-    width: Optional[int] = None,
-) -> EntropyEstimate:
-    """Plug-in entropy of a counts table, in bits.
-
-    ``counts`` is a {pattern: count} dict or an array of counts summing to n.
-    The standard error is the delta-method one of the plug-in. The value is
-    clamped to [0, width] when a region width is given.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if isinstance(counts, dict):
-        arr = np.array(list(counts.values()), dtype=np.float64)
-    else:
-        arr = np.asarray(counts, dtype=np.float64)
-    if arr.sum() != n:
-        raise ValueError("counts do not sum to n")
-    if correction not in ("miller_madow", "none"):
-        raise ValueError(f"unknown correction {correction!r}")
-    hi = math.inf if width is None else width
-    h = _entropy_counts(arr, n, hi, correction == "miller_madow")
-    p = arr[arr > 0] / n
-    var = float((p * np.log2(p) ** 2).sum() - (-(p * np.log2(p)).sum()) ** 2) / n
-    std = math.sqrt(max(var, 0.0))
-    return EntropyEstimate(h, std, f"plugin+{correction}", n, int(np.count_nonzero(arr)))
 
 
 def _xor_dp_table(masks: Sequence[int], probs: Sequence[float], width: int) -> np.ndarray:
@@ -428,27 +389,3 @@ def full_syndrome_region(model: DetectorModel) -> List[Tuple[str, int, int]]:
             for r in range(1, model.rounds + 2):
                 out.append((sector, c, r))
     return out
-
-
-def entropy_from_batch(
-    batch: SampleBatch,
-    sub_region: Sequence[int],
-    correction: str = "miller_madow",
-    cap: int = 24,
-) -> EntropyEstimate:
-    """Plug-in entropy of a sampled batch marginal with jackknife errors.
-
-    The sub-region's patterns are counted into one (pattern x chunk) table;
-    a batch of one chunk keeps the delta-method error of ``plugin_entropy``.
-    Patterns wider than ``cap`` bits are refused.
-    """
-    width = len(sub_region)
-    if width > cap:
-        raise PatternWidthExceeded(width, cap)
-    table, _ = _chunk_table(subset_patterns(batch, sub_region), batch.chunk_bounds, width)
-    est = plugin_entropy(table.sum(axis=1), batch.n_samples, correction, width)
-    if table.shape[1] > 1:
-        loo = _table_entropies(table, width, correction == "miller_madow")[1:]
-        est.std_error = _jackknife_std(loo)
-        est.estimator += "+jackknife"
-    return est

@@ -130,9 +130,6 @@ class ResourceState:
         top = set(self.top_layer_sites)
         return [i for i in range(self.n_sites) if i not in top]
 
-    def layer_label(self, site: int) -> float:
-        return self.sites[site][2] / 2.0
-
     def _build_cells(self) -> None:
         code, m_f = self.code, self.m_f
         for c in range(code.n_z_checks):

@@ -16,6 +16,9 @@ draws skipped, not made, so the rows of a narrow region are bit-identical to
 the same rows of a batch over its whole draw region. Mechanisms incident to
 no detector of the draw region are left out; that leaves the marginal
 unchanged.
+
+``subset_patterns`` turns a batch's packed rows into one word per sample over
+a sub-region; ``entropy._chunk_table`` counts those words.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,11 +92,6 @@ class SampleBatch:
     def row_bits(self, j: int) -> np.ndarray:
         """Unpacked 0/1 bits of one detector row."""
         return np.unpackbits(self.rows[j], bitorder="little", count=self.n_samples)
-
-    @property
-    def patterns(self) -> np.ndarray:
-        """One little-endian word per sample (regions up to 64 bits)."""
-        return subset_patterns(self, self.region)
 
     def save(self, path: str) -> None:
         """Flat binary file (packed rows) plus a JSON sidecar."""
@@ -262,15 +260,3 @@ def subset_patterns(batch: SampleBatch, sub_region: Sequence[int]) -> np.ndarray
             word |= spread
         out[:, g // 8] = word.view(np.uint8)
     return out.view("<u8").reshape(-1)[: batch.n_samples].astype(np.uint64, copy=False)
-
-
-def marginalize(batch: SampleBatch, sub_region: Sequence[int], cap: int = 24) -> Dict[int, int]:
-    """Exact histogram {pattern: count} of sample patterns over a sub-region.
-
-    Patterns wider than ``cap`` bits are refused.
-    """
-    sub_region = list(sub_region)
-    if len(sub_region) > cap:
-        raise PatternWidthExceeded(len(sub_region), cap)
-    values, counts = np.unique(subset_patterns(batch, sub_region), return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}

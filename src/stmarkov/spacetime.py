@@ -46,10 +46,6 @@ class NoiseModel:
     def phenomenological(p: float, p_z: float = 0.0) -> "NoiseModel":
         return NoiseModel(p_x=p, p_z=p_z, q=p)
 
-    @staticmethod
-    def perfect_measurement(p: float) -> "NoiseModel":
-        return NoiseModel(p_x=p, p_z=0.0, q=0.0)
-
 
 @dataclass(frozen=True)
 class Detector:

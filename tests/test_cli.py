@@ -13,7 +13,13 @@ from stmarkov.cli import (
     read_interchange,
 )
 from stmarkov.decoder import threshold_estimate
-from stmarkov.markov import build_tripartition, cmi_from_batch, rate_points, sweep
+from stmarkov.markov import (
+    build_tripartition,
+    cmi_from_batch,
+    interpolate_peak,
+    rate_points,
+    sweep,
+)
 from stmarkov.sampler import sample_batch
 from stmarkov.spacetime import NoiseModel, build_detector_model
 from stmarkov.codes import repetition_code, toric_code
@@ -190,6 +196,27 @@ def test_sweep_decoder_curves_keyed_by_size(tmp_path):
     assert any({a, b} == {(8, 6), (12, 12)} for a, b, _ in est.crossings)
     crossing = json.loads(open(out).read())["decoder_crossing"]
     assert crossing == {"p_cross": est.p_cross, "spread": est.spread}
+
+
+@pytest.mark.parametrize("sizes, keys", [
+    ("6x6,6x10,8x10", ["6x6", "6x10", "8x10"]),  # a shared L: every key is LxT
+    ("6x6,8x10", ["6", "8"]),  # distinct L: keyed by L, as before
+])
+def test_sweep_peaks_keyed_by_size(tmp_path, sizes, keys):
+    """Each size's peak comes from its own cells, also when sizes share an L."""
+    out = str(tmp_path / "sweep.json")
+    assert run_cli(["sweep", "--code", "repetition", "--sizes", sizes, "--p-grid", "0.1,0.2,0.3",
+                    "--method", "exact", "--wA", "1", "--wC", "1", "--wB-max", "3",
+                    "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    assert sorted(payload["peaks"]) == sorted(keys)
+    for key, size in zip(keys, sizes.split(",")):
+        L, T = map(int, size.split("x"))
+        ps, xis = zip(*[(c["p"], c["fit"]["xi"]) for c in payload["cells"]
+                        if (c["L"], c["T"]) == (L, T)])
+        peak = interpolate_peak(ps, xis)
+        assert payload["peaks"][key]["p_peak"] == peak.p_peak
+        assert payload["peaks"][key]["xi_peak"] == peak.xi_peak
 
 
 def test_run_with_fewer_samples_than_chunks(tmp_path):

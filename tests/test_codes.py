@@ -1,13 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from stmarkov.codes import (
     CssCode,
-    check_rank,
     repetition_code,
     toric_code,
     validate_code,
 )
+from stmarkov.gf2 import gf2_rank, matrix_to_rows
 
 
 def test_repetition_basic_structure():
@@ -18,7 +20,7 @@ def test_repetition_basic_structure():
     expected = {frozenset([0, 1]), frozenset([1, 2]), frozenset([2, 0])}
     got = {frozenset(np.flatnonzero(row)) for row in code.z_checks}
     assert got == expected
-    assert check_rank(code.z_checks) == 2
+    assert gf2_rank(matrix_to_rows(code.z_checks)) == 2
 
 
 def test_repetition_periodic_redundancy():
@@ -43,8 +45,8 @@ def test_toric_counts_and_ranks():
     code = toric_code(2)
     assert code.n_qubits == 8
     assert code.n_z_checks == 4 and code.n_x_checks == 4
-    assert check_rank(code.z_checks) == 3
-    assert check_rank(code.x_checks) == 3
+    assert gf2_rank(matrix_to_rows(code.z_checks)) == 3
+    assert gf2_rank(matrix_to_rows(code.x_checks)) == 3
     # 8 qubits - 6 independent stabilizers = 2 logical qubits.
     assert code.z_logicals.shape[0] == 2 and code.x_logicals.shape[0] == 2
 
@@ -112,7 +114,10 @@ def test_logicals_not_in_check_rowspan():
 
 def test_json_roundtrip():
     code = toric_code(2)
-    again = CssCode.from_json(code.to_json())
-    assert again.to_json() == code.to_json()
-    assert np.array_equal(again.z_checks, code.z_checks)
-    assert again.qubit_coords == code.qubit_coords
+    d = json.loads(code.to_json())
+    assert d["name"] == code.name and d["n_qubits"] == code.n_qubits
+    for key in ("z_checks", "x_checks", "z_logicals", "x_logicals"):
+        assert np.array_equal(np.array(d[key], dtype=np.uint8), getattr(code, key))
+    for key in ("qubit_coords", "z_check_coords", "x_check_coords"):
+        assert [tuple(c) for c in d[key]] == list(getattr(code, key))
+    assert tuple(d["space_shape"]) == code.space_shape

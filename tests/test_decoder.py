@@ -83,7 +83,7 @@ def test_random_patterns_validity_and_determinism():
 
 def test_toric_perfect_measurement_decoding():
     code = toric_code(4)
-    model = build_detector_model(code, 1, NoiseModel.perfect_measurement(0.08))
+    model = build_detector_model(code, 1, NoiseModel(p_x=0.08, p_z=0.0, q=0.0))
     rng = np.random.default_rng(9)
     probs = model.mechanism_probs()
     act = model.logical_action()
@@ -176,7 +176,7 @@ def test_threshold_names_sizes_that_share_L():
 def _noise(family, p, T):
     if family == "repetition":
         return NoiseModel.phenomenological(p)
-    return NoiseModel(p, p / 2, p) if T > 1 else NoiseModel.perfect_measurement(p)
+    return NoiseModel(p, p / 2, p) if T > 1 else NoiseModel(p_x=p, p_z=0.0, q=0.0)
 
 
 def _draws(model, n, rng):
@@ -237,7 +237,7 @@ def test_rate_points_pinned():
         build_detector_model(repetition_code(5), 1, NoiseModel.phenomenological(0.1)),
         build_detector_model(repetition_code(5), 2, NoiseModel(0.5, 0.0, 0.5)),
         build_detector_model(toric_code(4), 3, NoiseModel(0.06, 0.04, 0.05)),
-        build_detector_model(toric_code(4), 1, NoiseModel.perfect_measurement(0.08)),
+        build_detector_model(toric_code(4), 1, NoiseModel(p_x=0.08, p_z=0.0, q=0.0)),
     ]
     got = [repr(logical_error_rate(model, 4200, seed=3)) for model in small]
     assert got == PINNED_SMALL_RATE_POINTS

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,17 +17,18 @@ from stmarkov.codes import repetition_code
 from stmarkov.entropy import (
     BruteForceCapExceeded,
     _chunk_table,
+    _entropy_counts,
+    _jackknife_std,
+    _table_entropies,
     entropy_decomposition_check,
-    entropy_from_batch,
     exact_entropy,
     exact_region_dist,
     full_syndrome_region,
     marginal_entropy,
-    plugin_entropy,
     rank_entropy_half,
 )
 from stmarkov.foliation import foliate
-from stmarkov.sampler import SampleBatch, sample_batch
+from stmarkov.sampler import SampleBatch, sample_batch, subset_patterns
 from stmarkov.spacetime import (
     Detector,
     DetectorModel,
@@ -70,58 +72,44 @@ def batch_of(chunks, width):
     )
 
 
-# -- plug-in estimator ------------------------------------------------------
+# -- plug-in kernel ----------------------------------------------------------
 
 
 def test_plugin_simple_values():
-    assert plugin_entropy({0: 5, 1: 5}, 10, correction="none").value == pytest.approx(1.0)
-    assert plugin_entropy({0: 10}, 10, correction="none").value == pytest.approx(0.0)
-    assert plugin_entropy({0: 10}, 10).value == pytest.approx(0.0)
-    est = plugin_entropy({0: 2, 1: 2, 2: 2, 3: 2}, 8, correction="none")
-    assert est.value == pytest.approx(2.0)
-    assert est.support == 4
+    assert _entropy_counts(np.array([5, 5]), 10, math.inf, False) == pytest.approx(1.0)
+    assert _entropy_counts(np.array([10]), 10, math.inf, False) == pytest.approx(0.0)
+    assert _entropy_counts(np.array([10]), 10, math.inf, True) == pytest.approx(0.0)
+    assert _entropy_counts(np.array([2, 2, 2, 2]), 8, math.inf, False) == pytest.approx(2.0)
 
 
 def test_plugin_miller_madow_correction():
-    est_none = plugin_entropy({0: 6, 1: 4}, 10, correction="none")
-    est_mm = plugin_entropy({0: 6, 1: 4}, 10, correction="miller_madow")
-    assert est_mm.value == pytest.approx(est_none.value + 1 / (20 * np.log(2)))
+    h_none = _entropy_counts(np.array([6, 4]), 10, math.inf, False)
+    h_mm = _entropy_counts(np.array([6, 4]), 10, math.inf, True)
+    assert h_mm == pytest.approx(h_none + 1 / (20 * np.log(2)))
 
 
 def test_plugin_clamps_to_width():
-    est = plugin_entropy({0: 1, 1: 1}, 2, correction="miller_madow", width=1)
-    assert est.value == 1.0
-
-
-def test_plugin_rejects_bad_input():
-    with pytest.raises(ValueError):
-        plugin_entropy({0: 5}, 0)
-    with pytest.raises(ValueError):
-        plugin_entropy({0: 5}, 9)
-    with pytest.raises(ValueError):
-        plugin_entropy({0: 5}, 5, correction="nsb")
+    assert _entropy_counts(np.array([1, 1]), 2, 1, True) == 1.0
 
 
 def test_plugin_jackknife_error_reasonable():
     rng = np.random.default_rng(0)
     bits = rng.random(40_000) < 0.3
-    est = entropy_from_batch(batch_of(np.array_split(bits, 20), 1), [0])
-    assert est.estimator == "plugin+miller_madow+jackknife"
-    assert abs(est.value - binary_entropy(0.3)) < 4 * est.std_error
-    assert 0 < est.std_error < 0.02
+    batch = batch_of(np.array_split(bits, 20), 1)
+    table, _ = _chunk_table(subset_patterns(batch, [0]), batch.chunk_bounds, 1)
+    h = _table_entropies(table, 1, True)
+    std = _jackknife_std(h[1:])
+    assert abs(h[0] - binary_entropy(0.3)) < 4 * std
+    assert 0 < std < 0.02
 
 
 def recount_entropy(chunks, width, correction):
-    """Value and standard error of entropy_from_batch, recounted chunk by chunk with np.unique."""
+    """Plug-in value and jackknife error of chunked patterns, recounted chunk by chunk with np.unique."""
     cols = [np.asarray(c, dtype=np.uint64) for c in chunks]
     patterns = np.concatenate(cols)
     n = patterns.size
     values, totals = np.unique(patterns, return_counts=True)
     value = _plugin_entropy_bits(totals, n, width, correction)
-    if len(cols) == 1:
-        p = totals / n
-        var = ((p * np.log2(p) ** 2).sum() - ((p * np.log2(p)).sum()) ** 2) / n
-        return value, np.sqrt(max(var, 0.0))
     loo = []
     for col in cols:
         v, c = np.unique(col, return_counts=True)
@@ -146,20 +134,21 @@ def hand_batches(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(hand_batches(), st.sampled_from(["miller_madow", "none"]))
-@example((1, [[0, 1, 1, 0, 1]]), "miller_madow")  # one chunk: delta-method error
+@example((1, [[0, 1, 1, 0, 1]]), "miller_madow")  # one chunk: zero jackknife error
 @example((2, [[0, 1, 2, 3] * 5, [3, 3, 0, 1] * 5]), "miller_madow")  # dense table
 @example((12, [[4095, 17, 17], [0, 2048], [4095]]), "none")  # compacted table
 @example((3, [[], [5, 1, 5, 2], []]), "miller_madow")  # one chunk holds every sample
 def test_entropy_from_batch_matches_recount(case, correction):
     width, chunks = case
-    est = entropy_from_batch(batch_of(chunks, width), list(range(width)), correction=correction)
+    batch = batch_of(chunks, width)
+    table, _ = _chunk_table(subset_patterns(batch, list(range(width))), batch.chunk_bounds, width)
+    h = _table_entropies(table, width, correction == "miller_madow")
     value, std = recount_entropy(chunks, width, correction == "miller_madow")
-    assert est.value == pytest.approx(value, rel=1e-12, abs=1e-15)
-    assert est.std_error == pytest.approx(std, rel=1e-12, abs=1e-15)
-    assert est.n_samples == sum(map(len, chunks))
-    assert est.support == len(set().union(*chunks))
-    kind = f"plugin+{correction}" + ("+jackknife" if len(chunks) > 1 else "")
-    assert est.estimator == kind
+    assert h[0] == pytest.approx(value, rel=1e-12, abs=1e-15)
+    assert _jackknife_std(h[1:]) == pytest.approx(std, rel=1e-12, abs=1e-15)
+    assert len(chunks) > 1 or _jackknife_std(h[1:]) == 0.0
+    assert table.sum() == sum(map(len, chunks))
+    assert np.count_nonzero(table.sum(axis=1)) == len(set().union(*chunks))
 
 
 @pytest.mark.parametrize(
@@ -198,8 +187,6 @@ PINNED_PLUGIN = {
     "batch/toric12": ("7.150891623598599", "0.1001068602204035"),
     "dict/width": ("2.9418659920862136", "0.03234186156256991"),
     "dict/width/none": ("2.936141011765226", "0.03279079807682679"),
-    "dict/width/delta": ("2.9418659920862136", "0.014028444115592897"),
-    "array/delta": ("2.9418659920862136", "0.014028444115592897"),
     "clamped_loo": ("1.0", "0.005589996953164533"),
 }
 
@@ -209,36 +196,30 @@ def test_plugin_entropy_pinned():
 
     got = {}
 
-    def record(name, est):
-        got[name] = (repr(est.value), repr(est.std_error))
+    def record(name, batch, region, correction=True):
+        table, _ = _chunk_table(subset_patterns(batch, region), batch.chunk_bounds, len(region))
+        h = _table_entropies(table, len(region), correction)
+        got[name] = (repr(float(h[0])), repr(_jackknife_std(h[1:])))
 
     rep = build_detector_model(repetition_code(6), 5, NoiseModel.phenomenological(0.1))
     batch = sample_batch(rep, list(range(rep.n_detectors)), 5_003, seed=11)
     for name, region in (("rep3", [7, 8, 13]), ("rep6", [1, 2, 3, 8, 9, 10]),
                          ("rep10", list(range(12, 22)))):
-        record(f"batch/{name}", entropy_from_batch(batch, region))
-        record(f"batch/{name}/none", entropy_from_batch(batch, region, correction="none"))
+        record(f"batch/{name}", batch, region)
+        record(f"batch/{name}/none", batch, region, correction=False)
     tor = build_detector_model(toric_code(3), 3, NoiseModel.phenomenological(0.05))
     batch = sample_batch(tor, list(range(20)), 997, seed=4, n_chunks=7)
-    record("batch/toric12", entropy_from_batch(batch, list(range(3, 15))))
+    record("batch/toric12", batch, list(range(3, 15)))
 
-    # A dict whose keys are not in sorted order, and the same counts as an array.
+    # Six chunks of per-pattern counts over keys not in sorted order, as a 4-bit batch.
     rng = np.random.default_rng(5)
     keys = [9, 3, 14, 0, 7, 5, 12, 1]
     chunks = [{k: int(rng.integers(0, 40)) for k in keys} for _ in range(6)]
-    total = {k: sum(ch[k] for ch in chunks) for k in keys}
-    n = sum(total.values())
-    for width in (None, 4, 3):
-        # The value (2.94 bits) stays below every width, so all three agree.
-        record("dict/width/delta", plugin_entropy(total, n, width=width))
-        assert got["dict/width/delta"] == PINNED_PLUGIN["dict/width/delta"]
-    record("array/delta", plugin_entropy(np.array([total[k] for k in keys]), n))
-    # The same per-chunk counts, as six chunks of a 4-bit batch.
     batch = batch_of([np.repeat(keys, [ch[k] for k in keys]) for ch in chunks], 4)
-    record("dict/width", entropy_from_batch(batch, list(range(4))))
-    record("dict/width/none", entropy_from_batch(batch, list(range(4)), correction="none"))
+    record("dict/width", batch, list(range(4)))
+    record("dict/width/none", batch, list(range(4)), correction=False)
     # Two of the three leave-one-chunk-out values exceed the 1-bit width.
-    record("clamped_loo", entropy_from_batch(batch_of([[0, 0], [0, 1, 1], [1]], 1), [0]))
+    record("clamped_loo", batch_of([[0, 0], [0, 1, 1], [1]], 1), [0])
     assert got == PINNED_PLUGIN
 
 
@@ -346,9 +327,10 @@ def test_sampled_entropy_tracks_exact():
     model = build_detector_model(repetition_code(4), 3, NoiseModel.phenomenological(0.1))
     region = [model.det_index[("z", c, t)] for c in range(3) for t in (1, 2)]
     batch = sample_batch(model, region, 300_000, seed=23)
-    est = entropy_from_batch(batch, region)
+    table, _ = _chunk_table(subset_patterns(batch, region), batch.chunk_bounds, len(region))
+    h = _table_entropies(table, len(region), True)
     exact = exact_entropy(model, region, cap=24)
-    assert abs(est.value - exact) < 3 * est.std_error + 1e-3
+    assert abs(h[0] - exact) < 3 * _jackknife_std(h[1:]) + 1e-3
 
 
 # -- syndrome entropy decomposition -------------------------------------------
@@ -526,8 +508,8 @@ def test_tableau_syndrome_entropy_matches_decomposition():
         for j, (_, c, r) in enumerate(order):
             pat |= int(out[sites[(c, r)]]) << j
         counts[pat] = counts.get(pat, 0) + 1
-    est = plugin_entropy(counts, n_shots, correction="miller_madow", width=len(order))
-    assert abs(est.value - report.h_s) < 0.1
+    h_s = _entropy_counts(np.array(list(counts.values())), n_shots, len(order), True)
+    assert abs(h_s - report.h_s) < 0.1
 
 
 def test_cell_sign_entropy_equals_detector_entropy():

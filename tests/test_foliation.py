@@ -27,7 +27,7 @@ def test_foliate_counts_repetition():
     rs = foliate(repetition_code(3), 2)
     # 5 layers of 3 code qubits plus Z-syndrome qubits in layers 1 and 2.
     assert rs.n_sites == 15 + 6
-    layers = sorted({rs.layer_label(i) for i in range(rs.n_sites)})
+    layers = sorted({rs.sites[i][2] / 2 for i in range(rs.n_sites)})
     assert layers == [0.0, 0.5, 1.0, 1.5, 2.0]
     syn = [s for s in rs.sites if s[0] == "sz"]
     assert {tick for (_, _, tick) in syn} == {2, 4}

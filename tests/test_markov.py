@@ -235,7 +235,7 @@ def test_toric_sampled_cmi_matches_exact():
     from stmarkov.codes import toric_code
 
     code = toric_code(4)
-    model = build_detector_model(code, 1, NoiseModel.perfect_measurement(0.11))
+    model = build_detector_model(code, 1, NoiseModel(p_x=0.11, p_z=0.0, q=0.0))
     tri = build_tripartition(
         model, wA=1, wB=1, wC=1, anchor=(1, 1, 0), mode="ring", cap=64, bulk_margin=0
     )
