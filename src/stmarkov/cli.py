@@ -36,10 +36,10 @@ from .markov import (
     build_tripartition,
     cell_noise,
     cmi,
-    cmi_from_batch,
     cmi_rank_half,
     interpolate_peak,
     ladder_band_t0,
+    ladder_from_batch,
     ladder_t0,
     lattice_tripartition,
     make_code,
@@ -106,8 +106,12 @@ class ExperimentConfig:
             raise ConfigError("rounds must be >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
-        if self.wA < 1 or self.wC < 1 or self.wB_max < 0:
-            raise ConfigError("tripartition widths must be positive (wB_max >= 0)")
+        if self.wA < 1 or self.wC < 1:
+            raise ConfigError("tripartition widths must be positive")
+        if self.wB_max < 1:
+            raise ConfigError(
+                f"config key 'wB_max': {self.wB_max} < 1; the ladder needs at least one rung"
+            )
         if self.method not in ("sampled", "exact"):
             raise ConfigError(f"method={self.method!r} not in sampled|exact")
         if self.estimator not in ("miller_madow", "none"):
@@ -668,17 +672,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     # Every rung shares the anchor of the deepest one, as in averaged_cmi_ladder.
     t0 = ladder_t0(rounds, cfg.wA + cfg.wB_max + cfg.wC)
     anchor = tuple((size - cfg.wA) // 2 for size in space) + (t0,)
-    points = []
+    tris = []
     for wB in range(1, cfg.wB_max + 1):
         try:
-            tri = lattice_tripartition(
+            tris.append(lattice_tripartition(
                 lattice, space, rounds, wA=cfg.wA, wB=wB, wC=cfg.wC, anchor=anchor,
                 mode="strip", cap=64, bulk_margin=0,
-            )
+            ))
         except ValueError as exc:
             print(f"skipping wB={wB}: {exc}", file=sys.stderr)
-            continue
-        points.append(cmi_from_batch(batch, tri))
+    points = ladder_from_batch(batch, tris)
     fit, err = None, None
     try:
         fit = markov_length(points)

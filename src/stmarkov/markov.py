@@ -34,7 +34,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,12 +89,6 @@ class MarkovFit:
     points: List[CmiPoint]
 
 
-def _sector_lattice(model: DetectorModel, sector: str) -> Dict[Tuple[int, ...], int]:
-    return {
-        d.coords: i for i, d in enumerate(model.detectors) if d.sector == sector
-    }
-
-
 def _wrap_block(start: int, width: int, size: int, periodic: bool) -> List[int]:
     if width > size:
         raise ValueError(f"block width {width} exceeds lattice extent {size}")
@@ -120,7 +114,7 @@ def ladder_band_t0(rounds: int, extent: int) -> int:
 
 
 def lattice_tripartition(
-    lattice: Dict[Tuple[int, ...], int],
+    lattice: Mapping[Tuple[int, ...], int],
     space: Sequence[int],
     rounds: int,
     wA: int = 2,
@@ -232,7 +226,7 @@ def build_tripartition(
     The tripartition is also checked for separation: no mechanism of the
     model may touch both A and C.
     """
-    lattice = _sector_lattice(model, sector)
+    lattice = model.sector_lattice(sector)
     if not lattice:
         raise ValueError(f"model has no detectors in sector {sector!r}")
     tri = lattice_tripartition(
@@ -244,12 +238,16 @@ def build_tripartition(
 
 
 def validate_tripartition(model: DetectorModel, tri: Tripartition) -> None:
-    """Check the separation property: no mechanism touches both A and C."""
+    """Check the separation property: no mechanism touches both A and C.
+
+    Only the mechanisms incident to A can, and they are scanned in mechanism
+    order, so the first offender is the one a scan of every mechanism finds.
+    """
     if tri.dist_ac >= 2:
-        a_set, c_set = set(tri.a), set(tri.c)
-        for mech in model.mechanisms:
-            dets = set(mech.detectors)
-            if dets & a_set and dets & c_set:
+        c_set = set(tri.c)
+        for k in model.region_mechanisms(tri.a):
+            mech = model.mechanisms[k]
+            if not c_set.isdisjoint(mech.detectors):
                 raise ValueError(f"mechanism {mech} spans A and C")
 
 
@@ -268,25 +266,57 @@ def _cmi_identity(tri: Tripartition, h):
     )
 
 
-def _tripartition_cmi(batch, tri: Tripartition, correction: bool):
-    """CMI, its leave-one-chunk-out values and the ABC support of one tripartition.
+def _region_table(batch, region: Sequence[int]):
+    """(pattern x chunk) count table of a batch's samples over ``region``, with its values."""
+    return _chunk_table(subset_patterns(batch, region), batch.chunk_bounds, len(region))
 
-    The ABC patterns are histogrammed once into a (pattern x chunk) count
-    table; the AB, BC and B tables are its marginals, and every entropy (full
-    sample and each chunk left out) is read from these tables.
+
+def _table_cmi(table, values, region: Sequence[int], tri: Tripartition, correction: bool):
+    """CMI, its leave-one-chunk-out values and the ABC support of a tripartition
+    whose detectors lie in ``region``, read from the count table over ``region``.
+
+    The ABC, AB, BC and B tables are marginals of that table, and every
+    entropy (full sample and each chunk left out) is read from them. A
+    marginal lists its patterns in ascending order and zero counts add no
+    entropy, so the numbers do not depend on how wide ``region`` is.
     """
-    region = list(tri.all_detectors)
     width = len(region)
-    table, values = _chunk_table(subset_patterns(batch, region), batch.chunk_bounds, width)
     bit = {d: i for i, d in enumerate(region)}
 
-    def entropies(sub):
-        cc = _marginal_table(table, values, width, [bit[d] for d in sub])
-        return _table_entropies(cc, len(sub), correction)
+    def counts(sub) -> np.ndarray:
+        return _marginal_table(table, values, width, [bit[d] for d in sub])
 
-    stat = _cmi_identity(tri, entropies)
-    support = int(np.count_nonzero(table.sum(axis=1)))
+    stat = _cmi_identity(tri, lambda sub: _table_entropies(counts(sub), len(sub), correction))
+    support = int(np.count_nonzero(counts(tri.all_detectors).sum(axis=1)))
     return float(stat[0]), stat[1:], support
+
+
+def _tripartition_cmi(batch, tri: Tripartition, correction: bool):
+    """``_table_cmi`` of one tripartition on its own ABC count table."""
+    region = tri.all_detectors
+    return _table_cmi(*_region_table(batch, region), region, tri, correction)
+
+
+def _anchor_cmis(batch, tris: Sequence[Tripartition], correction: bool) -> List[tuple]:
+    """``_table_cmi`` of the tripartitions at one anchor, on one table where they nest.
+
+    The table counts the ABC of the widest tripartition; every tripartition
+    whose detectors lie inside it reads its marginals, any other one counts
+    its own table once the shared one is dropped.
+    """
+    region = max(tris, key=lambda tri: len(tri.all_detectors)).all_detectors
+    inside = set(region)
+    table, values = _region_table(batch, region)
+    stats = [
+        _table_cmi(table, values, region, tri, correction)
+        if inside.issuperset(tri.all_detectors) else None
+        for tri in tris
+    ]
+    del table, values
+    return [
+        _tripartition_cmi(batch, tri, correction) if stat is None else stat
+        for tri, stat in zip(tris, stats)
+    ]
 
 
 def cmi(
@@ -326,13 +356,11 @@ def cmi(
 SUPPORT_FACTOR = 100
 
 
-def _sampled_point(batch, tris: Sequence[Tripartition], correction: bool, method: str) -> CmiPoint:
-    """Translate-averaged CMI of ``tris`` on one batch, jackknifed on the average."""
-    stats = [_tripartition_cmi(batch, tri, correction) for tri in tris]
+def _sampled_point(tris: Sequence[Tripartition], stats, n: int, method: str) -> CmiPoint:
+    """Translate-averaged CMI of ``tris`` from their stats, jackknifed on the average."""
     value = float(np.mean([s[0] for s in stats]))
     std = _jackknife_std(np.mean([s[1] for s in stats], axis=0))
     support_abc = max(s[2] for s in stats)
-    n = batch.n_samples
     return CmiPoint(
         tris[0].dist_ac,
         value,
@@ -345,10 +373,33 @@ def _sampled_point(batch, tris: Sequence[Tripartition], correction: bool, method
     )
 
 
+def _ladder_points(
+    batch, rungs: Sequence[Sequence[Tripartition]], correction: bool, method: str
+) -> List[CmiPoint]:
+    """One CmiPoint per rung; a rung lists its tripartitions, one per anchor.
+
+    Anchor by anchor, the tripartitions of every rung are read from one count
+    table (``_anchor_cmis``); each rung's translate average and jackknife
+    then run over its anchors in order.
+    """
+    per_anchor = [_anchor_cmis(batch, tris, correction) for tris in zip(*rungs)]
+    return [
+        _sampled_point(tris, stats, batch.n_samples, method)
+        for tris, stats in zip(rungs, zip(*per_anchor))
+    ]
+
+
+def ladder_from_batch(
+    batch, tris: Sequence[Tripartition], correction: bool = True
+) -> List[CmiPoint]:
+    """CMI estimates of tripartitions that share one anchor, from an existing sample batch."""
+    method = f"sampled(n={batch.n_samples},seed={batch.seed})"
+    return _ladder_points(batch, [[tri] for tri in tris], correction, method)
+
+
 def cmi_from_batch(batch, tri: Tripartition, correction: bool = True) -> CmiPoint:
     """CMI estimate of a tripartition from an existing sample batch."""
-    method = f"sampled(n={batch.n_samples},seed={batch.seed})"
-    return _sampled_point(batch, [tri], correction, method)
+    return ladder_from_batch(batch, [tri], correction)[0]
 
 
 def averaged_cmi_ladder(
@@ -373,7 +424,8 @@ def averaged_cmi_ladder(
     the detectors the tripartitions read, on the random stream of a batch
     over the ladder's whole time band, so its rows equal that batch's rows.
     Rungs whose joint histograms crowd the sample count are flagged
-    unreliable.
+    unreliable. The strip rungs at one anchor nest, so each anchor's
+    patterns are counted once, over the ABC of its deepest rung.
     """
     space = model.code.space_shape
     T = model.rounds
@@ -383,7 +435,7 @@ def averaged_cmi_ladder(
     if anchor_stride is None:
         anchor_stride = max(2, space[0] // 8)  # ~8 translates at any size
     anchors = [x for x in range(0, space[0], anchor_stride)]
-    lattice = _sector_lattice(model, sector)
+    lattice = model.sector_lattice(sector)
     band = sorted(
         idx
         for coords, idx in lattice.items()
@@ -403,7 +455,7 @@ def averaged_cmi_ladder(
     used = sorted({d for tris in rungs for tri in tris for d in tri.all_detectors})
     batch = sample_batch(model, used, n, seed, stream=stream, draw_region=band)
     method = f"sampled(n={n},seed={seed},anchors={len(anchors)})"
-    return [_sampled_point(batch, tris, correction, method) for tris in rungs]
+    return _ladder_points(batch, rungs, correction, method)
 
 
 def cmi_rank_half(model: DetectorModel, tri: Tripartition) -> float:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +101,7 @@ class DetectorModel:
         }
         self._incidence: Optional[np.ndarray] = None
         self._incident_mechs: Optional[List[List[int]]] = None
+        self._sector_lattices: Dict[str, Dict[Tuple[int, ...], int]] = {}
 
     @property
     def n_detectors(self) -> int:
@@ -127,6 +129,14 @@ class DetectorModel:
                     table[d].append(k)
             self._incident_mechs = table
         return self._incident_mechs[detector]
+
+    def sector_lattice(self, sector: str) -> Mapping[Tuple[int, ...], int]:
+        """Read-only {coords: detector index} of the detectors of one sector."""
+        if sector not in self._sector_lattices:
+            self._sector_lattices[sector] = {
+                d.coords: i for i, d in enumerate(self.detectors) if d.sector == sector
+            }
+        return MappingProxyType(self._sector_lattices[sector])
 
     def region_mechanisms(self, region: Sequence[int]) -> List[int]:
         """Mechanisms incident to any detector in the region, sorted."""

@@ -485,3 +485,20 @@ def reference_decode(model: DetectorModel, detector_bits: np.ndarray) -> DecodeR
         for l in model.mechanisms[k].logical_flips:
             flips[l] ^= 1
     return DecodeResult(sorted(correction), flips)
+
+
+# -- tripartition separation ---------------------------------------------------
+
+
+def all_mechanism_validate(model: DetectorModel, tri) -> None:
+    """``stmarkov.markov.validate_tripartition`` scanning every mechanism of the model.
+
+    Raises ValueError naming the first mechanism (in mechanism order) that
+    flips a detector of A and one of C.
+    """
+    if tri.dist_ac >= 2:
+        a_set, c_set = set(tri.a), set(tri.c)
+        for mech in model.mechanisms:
+            dets = set(mech.detectors)
+            if dets & a_set and dets & c_set:
+                raise ValueError(f"mechanism {mech} spans A and C")

@@ -91,8 +91,11 @@ def test_unknown_config_key_rejected(tmp_path):
         ({"samples": True}, "config key 'samples': True is not of type int"),
         ({"q": [0.1]}, "config key 'q': [0.1] is not of type Optional[float]"),
         ([{"L": 8}], "JSON config file is not an object"),
+        ({"wB_max": 0}, "config key 'wB_max': 0 < 1; the ladder needs at least one rung"),
+        ({"wB_max": 0, "method": "exact"}, "config key 'wB_max': 0 < 1"),
     ],
-    ids=["str-for-int", "str-for-float", "bool-for-int", "list-for-optional", "list-file"],
+    ids=["str-for-int", "str-for-float", "bool-for-int", "list-for-optional", "list-file",
+         "no-rung", "no-rung-exact"],
 )
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
@@ -540,3 +543,56 @@ def test_read_interchange_rejects_bits_above_width(tmp_path):
     with pytest.raises(ConfigError, match="^row 9: bits set above the header's 13 detectors"):
         read_interchange(bad)
     assert run_cli(["ingest", bad, "--L", "7", "--rounds", "4"]) == 2
+
+
+# sha256 of every file the commands below write, recorded before a ladder's
+# rungs at one anchor shared one count table. Outputs are written under
+# relative names in a fresh directory, so the paths in each config are fixed.
+PINNED_OUTPUTS = {
+    "ingest-rep.json": "3edf5a7d674879f22687f6800ced7109f047363fe74a94e7899ba47b133d60b7",
+    "ingest-toric.json": "8d5d97d495359f06286df8473ba1c7fcae435525529998d0d1f74b5a05be3b69",
+    "rep-ring.json": "7dd92f072b1aa2b8ff4b28f8a81d6af5e4ff2451d478b13c383b8ccb8bd4006a",
+    "rep.csv": "9e6dea689aca03f2d1661309b36dd6dfe62ecebdad1b61e3cee451bf7adcbdf2",
+    "rep.json": "9230d88d650e4e75576507a55886c8e17b89d3a267f1d6e41a8ab76fee87843c",
+    "sweep.csv": "c9ecc04464108c3e6cdaa615cde045c47c3270f79c12b1b6207d1a051b91e3af",
+    "sweep.json": "2e896fb799381d230c09612221ab7e70d99f70a370042743c5d4030b1e61f368",
+    "sweep.json.cells.jsonl": "f1ff3a106646032caa38ea67d57111c22fac17324d060993fd22858a20b4953b",
+    "sweep.json.decoder.csv": "a2438caf3881ccdd9de536481fc23462931c736e2905e08d2bd3e570aa0ce902",
+    "toric-ring.json": "624f1f4edbf8ca775b6d367d2935bbfea12447f57d6e94c6d5bbdf9a5db4ca5e",
+}
+
+PINNED_COMMANDS = [
+    ["run", "--code", "repetition", "--L", "8", "--rounds", "8", "--p", "0.11",
+     "--wB-max", "3", "--samples", "20000", "--seed", "7", "--out", "rep.json",
+     "--csv", "rep.csv"],
+    ["run", "--code", "toric", "--L", "6", "--rounds", "4", "--p", "0.05", "--mode", "ring",
+     "--wA", "1", "--wC", "1", "--wB-max", "1", "--samples", "20000", "--seed", "7",
+     "--out", "toric-ring.json"],
+    ["run", "--code", "repetition", "--L", "8", "--rounds", "5", "--p", "0.11",
+     "--mode", "ring", "--wA", "1", "--wC", "1", "--wB-max", "2", "--samples", "20000",
+     "--seed", "7", "--out", "rep-ring.json"],
+    ["sweep", "--code", "repetition", "--sizes", "6x6,8x8", "--p-grid", "0.07,0.11",
+     "--wC", "1", "--wB-max", "2", "--samples", "10000", "--seed", "3",
+     "--decoder-shots", "200", "--jobs", "1", "--out", "sweep.json", "--csv", "sweep.csv"],
+    ["ingest", "rep-band.txt", "--wB-max", "3", "--out", "ingest-rep.json"],
+    ["ingest", "toric-band.txt", "--wB-max", "3", "--out", "ingest-toric.json"],
+]
+
+
+def pinned_outputs(directory):
+    """Run ``PINNED_COMMANDS`` in ``directory``; the sha256 of each file they write."""
+    for family, name in (("repetition", "rep-band.txt"), ("toric", "toric-band.txt")):
+        make_band_batch(directory, family=family, wB_max=3)
+        os.replace(directory / "samples.txt", directory / name)
+    inputs = set(os.listdir(directory))
+    for args in PINNED_COMMANDS:
+        assert run_cli(args) == 0, args
+    return {
+        name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        for name in sorted(set(os.listdir(directory)) - inputs)
+    }
+
+
+def test_cli_outputs_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert pinned_outputs(tmp_path) == PINNED_OUTPUTS

@@ -1,20 +1,24 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import four_histogram_cmi
+from oracles import all_mechanism_validate, four_histogram_cmi
 
 from stmarkov.codes import repetition_code, toric_code
 from stmarkov.markov import (
     CmiPoint,
     FitError,
+    _anchor_cmis,
     _tripartition_cmi,
     averaged_cmi_ladder,
     build_tripartition,
     cmi,
     cmi_rank_half,
     interpolate_peak,
+    ladder_band_t0,
     markov_length,
     sweep,
     validate_tripartition,
@@ -64,6 +68,50 @@ def test_tripartition_separation_random_anchors():
         anchor = (int(rng.integers(0, 16)), int(rng.integers(1, 10)))
         tri = build_tripartition(model, wA=2, wB=1, wC=2, anchor=anchor, mode="ring")
         validate_tripartition(model, tri)  # raises on a spanning mechanism
+
+
+@functools.lru_cache(maxsize=None)
+def small_model(family, L, T, p_x, p_z, q):
+    code = repetition_code(L) if family == "repetition" else toric_code(L)
+    return build_detector_model(code, T, NoiseModel(p_x=p_x, p_z=p_z, q=q))
+
+
+@st.composite
+def models_and_tripartitions(draw):
+    """A small model and index sets A, C; half the time A and C share a mechanism."""
+    family = draw(st.sampled_from(["repetition", "toric"]))
+    L = draw(st.integers(3, 5) if family == "repetition" else st.integers(2, 3))
+    rates = st.sampled_from([0.0, 0.1])
+    model = small_model(family, L, draw(st.integers(1, 3)), draw(rates), draw(rates), draw(rates))
+    detectors = st.integers(0, model.n_detectors - 1)
+    a, c = [], []
+    wide = [m for m in model.mechanisms if len(m.detectors) >= 2]
+    if wide and draw(st.booleans()):
+        mech = draw(st.sampled_from(wide))
+        a.append(mech.detectors[0])
+        c.append(mech.detectors[-1])
+    a += draw(st.lists(detectors, max_size=4))
+    c += draw(st.lists(detectors, max_size=4))
+    a = list(dict.fromkeys(a)) or [0]
+    c = [d for d in dict.fromkeys(c) if d not in a] or [min(set(range(10)) - set(a))]
+    return model, Tripartition(a=tuple(a), b=(), c=tuple(c), dist_ac=draw(st.integers(0, 3)))
+
+
+def _refusal(check, model, tri):
+    try:
+        check(model, tri)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(models_and_tripartitions())
+def test_validate_tripartition_matches_all_mechanism_scan(case):
+    model, tri = case
+    assert _refusal(validate_tripartition, model, tri) == _refusal(
+        all_mechanism_validate, model, tri
+    )
 
 
 def test_tripartition_cap_refused():
@@ -271,6 +319,71 @@ def test_histogram_kernel_matches_four_histograms(n, wB):
         assert support == ref_support
 
 
+def count_pattern_calls(monkeypatch):
+    """Record each call of ``markov.subset_patterns``: one per count table built."""
+    from stmarkov import markov
+
+    calls = []
+    original = markov.subset_patterns
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(markov, "subset_patterns", counted)
+    return calls
+
+
+def assert_anchor_table_matches_own_tables(batch, tris):
+    for correction in (True, False):
+        shared = _anchor_cmis(batch, tris, correction)
+        for tri, (value, loo, support) in zip(tris, shared):
+            own_value, own_loo, own_support = _tripartition_cmi(batch, tri, correction)
+            assert value == own_value
+            assert np.array_equal(loo, own_loo)
+            assert support == own_support
+
+
+@pytest.mark.parametrize(
+    "mode, wA, T, ladder, cap, n, dense",
+    [
+        ("strip", 2, 8, (0, 1, 2, 3), 24, 140_000, True),
+        ("strip", 2, 8, (0, 1, 2, 3), 24, 3_000, False),
+        ("ring", 1, 5, (0, 1), 24, 20_000, True),
+        ("ring", 1, 6, (0, 1, 2, 3), 64, 3_000, False),
+    ],
+    ids=["strip-dense", "strip-compacted", "ring-dense", "ring-compacted"],
+)
+def test_anchor_table_matches_own_tables(monkeypatch, mode, wA, T, ladder, cap, n, dense):
+    model = model_for(8, T, 0.1)
+    t0 = ladder_band_t0(T, wA + max(ladder) + 1)
+    tris = [
+        build_tripartition(model, wA=wA, wB=wB, wC=1, anchor=(3, t0), mode=mode, cap=cap)
+        for wB in ladder
+    ]
+    # 2^width * 32 chunks against n decides which table the widest ABC gets.
+    assert ((1 << len(tris[-1].all_detectors)) * 32 <= n) == dense
+    batch = sample_batch(model, list(range(model.n_detectors)), n, seed=4)
+    calls = count_pattern_calls(monkeypatch)
+    _anchor_cmis(batch, tris, True)
+    assert len(calls) == 1  # the rungs nest: one table serves them all
+    assert_anchor_table_matches_own_tables(batch, tris)
+
+
+def test_anchor_table_counts_outsiders_on_their_own(monkeypatch):
+    model = model_for(8, 8, 0.1)
+    tris = [
+        build_tripartition(model, wA=2, wB=wB, wC=1, anchor=(x, 1), mode="strip")
+        for (x, wB) in ((0, 1), (4, 1), (0, 3))
+    ]
+    batch = sample_batch(model, list(range(model.n_detectors)), 20_000, seed=4)
+    calls = count_pattern_calls(monkeypatch)
+    _anchor_cmis(batch, tris, True)
+    # The x = 4 rung lies outside the widest ABC (x = 0, wB = 3): it gets its own table.
+    assert [len(args[1]) for args in calls] == [12, 8]
+    assert_anchor_table_matches_own_tables(batch, tris)
+
+
 # Recorded before the ladder sampled only the tripartitions' detectors: the
 # ladder's output must not depend on which rows the batch holds.
 PINNED_LADDERS = {
@@ -332,6 +445,9 @@ def test_cross_module_calls_go_through_module_globals(monkeypatch):
     model = model_for(6, 6, 0.1)
     markov.averaged_cmi_ladder(model, (1, 2), 2_000, 1, wA=2, wC=1)
     decoder.logical_error_rate(model, 20, 1)
-    n_tris = 2 * 3  # two rungs, anchors x = 0, 2, 4
+    n_anchors = 3  # x = 0, 2, 4
     assert calls.pop("decode") >= 1
-    assert calls == {"build_tripartition": n_tris, "subset_patterns": n_tris, "sample_batch": 1}
+    # Each rung at each anchor is built; the patterns are read once per anchor.
+    assert calls == {
+        "build_tripartition": 2 * n_anchors, "subset_patterns": n_anchors, "sample_batch": 1,
+    }

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,19 @@ def test_chebyshev_distance_wraps_space():
     assert chebyshev_distance(a, c, space) == 3
     d = model.detectors[model.det_index[("z", 0, 4)]].coords
     assert chebyshev_distance(a, d, space) == 2
+
+
+@pytest.mark.parametrize("sector", ["z", "x"])
+def test_sector_lattice_lists_the_sector_read_only(sector):
+    model = build_detector_model(toric_code(3), 2, NoiseModel(p_x=0.1, p_z=0.1, q=0.1))
+    lattice = model.sector_lattice(sector)
+    assert dict(lattice) == {
+        d.coords: i for i, d in enumerate(model.detectors) if d.sector == sector
+    }
+    with pytest.raises(TypeError):
+        lattice[(0, 0, 0)] = 0
+    assert model.sector_lattice(sector) == lattice
+    assert pickle.loads(pickle.dumps(model)).sector_lattice(sector) == lattice
 
 
 def test_tripartition_disjointness_enforced():
