@@ -30,7 +30,6 @@ from .decoder import threshold_estimate, NoCrossingError
 from .entropy import entropy_decomposition_check, full_syndrome_region
 from .foliation import detector_cells, foliate, lbl_stabilizers
 from .markov import (
-    FitError,
     MarkovFit,
     SweepCell,
     build_tripartition,
@@ -39,11 +38,11 @@ from .markov import (
     cmi_rank_half,
     interpolate_peak,
     ladder_band_t0,
+    ladder_fit,
     ladder_from_batch,
     ladder_t0,
     lattice_tripartition,
     make_code,
-    markov_length,
     rate_points,
     sweep_cells,
 )
@@ -117,10 +116,6 @@ class ExperimentConfig:
         if self.estimator not in ("miller_madow", "none"):
             raise ConfigError(f"estimator={self.estimator!r} not in miller_madow|none")
 
-    def noise(self, p: float) -> NoiseModel:
-        """Noise of the config's cell at error rate p."""
-        return cell_noise(p, self.p_z, self.q)
-
     def as_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
@@ -132,23 +127,13 @@ class ExperimentConfig:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     base: Dict = {}
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            text = f.read()
         try:
-            base = json.loads(text)
-            if not isinstance(base, dict):
-                raise ConfigError("JSON config file is not an object of key: value pairs")
-        except json.JSONDecodeError:
-            # key=value lines
-            base = {}
-            for line in text.splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"config line not key=value: {line!r}")
-                k, v = line.split("=", 1)
-                base[k.strip()] = json.loads(v.strip())
+            with open(args.config) as f:
+                base = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config file {args.config!r} is not readable JSON: {exc}") from None
+        if not isinstance(base, dict):
+            raise ConfigError("JSON config file is not an object of key: value pairs")
     cfg = ExperimentConfig()
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for k, v in base.items():
@@ -258,7 +243,7 @@ def _write_cmi_csv(path: str, cfg: ExperimentConfig, cells: List[Dict]) -> None:
             ["code", "L", "T", "p", "q", "wA", "wB", "dist", "cmi_bits", "cmi_stderr"]
         )
         for c in cells:
-            q = cfg.noise(c["p"]).q
+            q = cell_noise(c["p"], cfg.p_z, cfg.q).q
             for pt in c["points"]:
                 writer.writerow(
                     (cfg.code, c["L"], c["T"], c["p"], q, cfg.wA, pt["wB"], pt["dist"],
@@ -542,8 +527,13 @@ _HEX_VALUE[list(b"0123456789abcdefABCDEF")] = [*range(16), *range(10, 16)]
 _ROW_BLOCK = 1 << 14
 
 
-def _interchange_header(batch: SampleBatch, model: DetectorModel) -> Dict:
-    return {
+def export_interchange(batch: SampleBatch, model: DetectorModel, path: str) -> None:
+    """Write a batch in the detector-sample interchange format.
+
+    One JSON header line, then one hex row per sample (little-endian bit
+    order over the header's detector list).
+    """
+    header = {
         "version": INTERCHANGE_VERSION,
         "detectors": [
             {
@@ -559,21 +549,13 @@ def _interchange_header(batch: SampleBatch, model: DetectorModel) -> Dict:
         "rounds": model.rounds,
         "seed": batch.seed,
         "stream": batch.stream,
-        "model_hash": batch.model_hash,
+        "model_hash": model.model_hash(),
     }
-
-
-def export_interchange(batch: SampleBatch, model: DetectorModel, path: str) -> None:
-    """Write a batch in the detector-sample interchange format.
-
-    One JSON header line, then one hex row per sample (little-endian bit
-    order over the header's detector list).
-    """
-    width = batch.region_width
+    width = len(batch.region)
     digits = (width + 3) // 4
     n = batch.n_samples
     with open(path, "w") as f:
-        f.write(json.dumps(_interchange_header(batch, model), sort_keys=True) + "\n")
+        f.write(json.dumps(header, sort_keys=True) + "\n")
         for lo in range(0, n, _ROW_BLOCK):
             m = min(_ROW_BLOCK, n - lo)
             packed = batch.rows[:, lo // 8 : lo // 8 + (m + 7) // 8]
@@ -586,93 +568,107 @@ def export_interchange(batch: SampleBatch, model: DetectorModel, path: str) -> N
             f.write(text.tobytes().decode("ascii"))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
+# The header keys ingest reads: the test each value must pass, and what it must be.
+_HEADER_TYPES = {
+    "detectors": (lambda v: isinstance(v, list) and len(v) >= 1, "a nonempty list"),
+    "n_rows": (_is_count, "an integer >= 1"),
+    "rounds": (_is_count, "an integer >= 1"),
+    "space_shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
+                    "a list of integers >= 1"),
+    "seed": (_is_int, "an integer"),
+    "stream": (lambda v: isinstance(v, str), "a string"),
+    "model_hash": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_header(header) -> None:
+    """Refuse a header whose keys are missing, of the wrong type or out of range."""
+    if not isinstance(header, dict):
+        raise ConfigError("interchange header is not a JSON object")
+    if header.get("version") != INTERCHANGE_VERSION:
+        raise ConfigError(f"unsupported interchange version {header.get('version')}")
+    for key in ("detectors", "n_rows", "space_shape", "rounds"):
+        if key not in header:
+            raise ConfigError(f"interchange header has no {key!r} key")
+    for key, (ok, kind) in _HEADER_TYPES.items():
+        if key in header and not ok(header[key]):
+            raise ConfigError(f"interchange header key {key!r}: {header[key]!r} is not {kind}")
+    scheme = {"sector", "check", "round", "coords"}
+    for i, rec in enumerate(header["detectors"]):
+        if not isinstance(rec, dict) or not scheme.issubset(rec):
+            raise ConfigError(
+                f"detector {i}: unknown coordinate scheme {rec!r}; expected fields {sorted(scheme)}"
+            )
+        if not (isinstance(rec["coords"], list) and all(map(_is_int, rec["coords"]))):
+            raise ConfigError(f"detector {i}: coords {rec['coords']!r} are not a list of integers")
+
+
+def _refuse_rows(bad: np.ndarray, lo: int, lines: List[str], what: str) -> None:
+    """Refuse the first row of a block flagged in ``bad``, quoting it."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(f"row {lo + i + 1}: {what}{lines[i]!r}")
+
+
 def read_interchange(path: str) -> Tuple[Dict, SampleBatch]:
     with open(path) as f:
         header = json.loads(f.readline())
-        if not isinstance(header, dict):
-            raise ConfigError("interchange header is not a JSON object")
-        if header.get("version") != INTERCHANGE_VERSION:
-            raise ConfigError(f"unsupported interchange version {header.get('version')}")
-        for key in ("detectors", "n_rows", "space_shape", "rounds"):
-            if key not in header:
-                raise ConfigError(f"interchange header has no {key!r} key")
+        _check_header(header)
         width = len(header["detectors"])
         n = header["n_rows"]
         digits = (width + 3) // 4
-        rows = np.zeros((width, (n + 7) // 8), dtype=np.uint8)
+        # Blocks are kept as rows arrive: a header that claims more rows
+        # than the file holds fails at the first missing row.
+        blocks = []
         for lo in range(0, n, _ROW_BLOCK):
             m = min(_ROW_BLOCK, n - lo)
             lines = [f.readline().strip() for _ in range(m)]
             lengths = np.fromiter(map(len, lines), dtype=np.int64, count=m)
-            bad = np.flatnonzero(lengths != digits)
-            if bad.size:
-                i = int(bad[0])
-                raise ConfigError(
-                    f"row {lo + i + 1}: expected {digits} hex digits, got {lines[i]!r}"
-                )
+            _refuse_rows(lengths != digits, lo, lines, f"expected {digits} hex digits, got ")
             chars = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
             nibbles = _HEX_VALUE[chars].reshape(m, digits)
-            bad = np.flatnonzero((nibbles > 15).any(axis=1))
-            if bad.size:
-                i = int(bad[0])
-                raise ConfigError(f"row {lo + i + 1}: not a hex number: {lines[i]!r}")
+            _refuse_rows((nibbles > 15).any(axis=1), lo, lines, "not a hex number: ")
             # Least significant nibble first, then its bits: bit j of the row.
             bits = np.unpackbits(
                 nibbles[:, ::-1, None], axis=2, count=4, bitorder="little"
             ).reshape(m, 4 * digits)
-            bad = np.flatnonzero(bits[:, width:].any(axis=1))
-            if bad.size:
-                i = int(bad[0])
-                raise ConfigError(
-                    f"row {lo + i + 1}: bits set above the header's {width} detectors: "
-                    f"{lines[i]!r}"
-                )
-            rows[:, lo // 8 : lo // 8 + (m + 7) // 8] = np.packbits(
-                bits[:, :width].T, axis=1, bitorder="little"
-            )
+            _refuse_rows(bits[:, width:].any(axis=1), lo, lines,
+                         f"bits set above the header's {width} detectors: ")
+            blocks.append(np.packbits(bits[:, :width].T, axis=1, bitorder="little"))
     batch = SampleBatch(
         region=tuple(range(width)),
         n_samples=n,
-        rows=rows,
+        rows=np.concatenate(blocks, axis=1),
         chunk_bounds=chunk_bounds(n),
         seed=header.get("seed", 0),
         stream=header.get("stream", "ingest"),
-        model_hash=header.get("model_hash", ""),
     )
     return header, batch
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if os.path.exists(args.path + ".json"):
-        # Sampler-native batch (flat binary + sidecar): rebuild the model
-        # from the config and check it matches the batch's provenance.
-        batch = SampleBatch.load(args.path)
-        model = build_detector_model(make_code(cfg.code, cfg.L), cfg.rounds, cfg.noise(cfg.p))
-        if batch.model_hash and batch.model_hash != model.model_hash():
-            raise ConfigError(
-                f"batch was sampled from model {batch.model_hash}, config gives "
-                f"{model.model_hash()}"
-            )
-        header = _interchange_header(batch, model)
-        batch = dataclasses.replace(batch, region=tuple(range(batch.region_width)))
-    else:
-        header, batch = read_interchange(args.path)
-    scheme = {"sector", "check", "round", "coords"}
-    lattice = {}
-    for i, rec in enumerate(header["detectors"]):
-        if not scheme.issubset(rec):
-            raise ConfigError(
-                f"unknown coordinate scheme {sorted(rec)}; expected fields {sorted(scheme)}"
-            )
-        if rec["sector"] == "z":
-            lattice[tuple(rec["coords"])] = i
+    # The samples fix the ladder: sampled, strip-shaped, at one anchor.
+    for key, value in (("mode", "strip"), ("method", "sampled")):
+        if getattr(cfg, key) != value:
+            raise ConfigError(f"config key {key!r}: ingest runs only the {value} ladder")
+    header, batch = read_interchange(args.path)
+    lattice = {tuple(rec["coords"]): i for i, rec in enumerate(header["detectors"])
+               if rec["sector"] == "z"}
     space = tuple(header["space_shape"])
     rounds = header["rounds"]
     # Every rung shares the anchor of the deepest one, as in averaged_cmi_ladder.
     t0 = ladder_t0(rounds, cfg.wA + cfg.wB_max + cfg.wC)
     anchor = tuple((size - cfg.wA) // 2 for size in space) + (t0,)
-    tris = []
+    tris, refused = [], []
     for wB in range(1, cfg.wB_max + 1):
         try:
             tris.append(lattice_tripartition(
@@ -680,20 +676,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 mode="strip", cap=64, bulk_margin=0,
             ))
         except ValueError as exc:
-            print(f"skipping wB={wB}: {exc}", file=sys.stderr)
-    points = ladder_from_batch(batch, tris)
-    fit, err = None, None
-    try:
-        fit = markov_length(points)
-    except FitError as exc:
-        err = str(exc)
+            refused.append(f"wB={wB}: {exc}")
+            print(f"skipping {refused[-1]}", file=sys.stderr)
+    if not tris:
+        raise ConfigError(f"no rung of the ladder fits the samples; {refused[0]}")
+    points = ladder_from_batch(batch, tris, correction=cfg.estimator == "miller_madow")
     source = {
         "path": os.path.basename(args.path),
         "model_hash": header.get("model_hash", ""),
         "n_rows": header["n_rows"],
     }
     _emit_json(cfg.out, _payload(
-        cfg, source=source, fit=_fit_record(fit, err), points=_point_records(points)
+        cfg, source=source, fit=_fit_record(*ladder_fit(points)),
+        points=_point_records(points),
     ))
     return 0
 
@@ -707,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--config", help="JSON or key=value config file")
+        sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--code", choices=["repetition", "toric"])
         sp.add_argument("--L", type=int)
         sp.add_argument("--rounds", type=int)
@@ -756,8 +751,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError, and geometry/shape errors triggered by the configuration.
+    except (ValueError, OSError) as exc:
+        # ConfigError, geometry errors the configuration triggers, unreadable paths.
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

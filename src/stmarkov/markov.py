@@ -532,6 +532,16 @@ def markov_length(
     )
 
 
+def ladder_fit(points: Sequence[CmiPoint]) -> Tuple[Optional[MarkovFit], Optional[str]]:
+    """The Markov-length fit of a ladder's points, or None and the reason there is none."""
+    if all(pt.cmi <= 0 for pt in points):
+        return None, "all CMI at zero"
+    try:
+        return markov_length(points), None
+    except FitError as exc:
+        return None, str(exc)
+
+
 # -- sweeps -------------------------------------------------------------------
 
 
@@ -592,8 +602,8 @@ def _sweep_cell(args) -> SweepCell:
      anchor_stride, correction) = args
     model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
     if model.n_mechanisms == 0:
-        return SweepCell(L=L, T=T, p=p, points=[], fit=None, fit_error="all CMI at zero")
-    if method == "exact":
+        points = []
+    elif method == "exact":
         points = []
         for wB in ladder:
             tri = build_tripartition(model, wA=wA, wB=wB, wC=wC, mode=mode, cap=cap)
@@ -606,15 +616,7 @@ def _sweep_cell(args) -> SweepCell:
         )
     else:
         raise ValueError(f"unknown sweep method {method!r}")
-    fit = None
-    err = None
-    if all(pt.cmi <= 0 for pt in points):
-        err = "all CMI at zero"
-    else:
-        try:
-            fit = markov_length(points)
-        except FitError as exc:
-            err = str(exc)
+    fit, err = ladder_fit(points)
     return SweepCell(L=L, T=T, p=p, points=points, fit=fit, fit_error=err)
 
 

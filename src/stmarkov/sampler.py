@@ -19,12 +19,14 @@ unchanged.
 
 ``subset_patterns`` turns a batch's packed rows into one word per sample over
 a sub-region; ``entropy._chunk_table`` counts those words.
+
+A batch lives in memory only. The one file format for detector samples is
+the interchange file of ``cli.export_interchange`` and ``cli.read_interchange``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,8 +35,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .spacetime import DetectorModel
-
-FORMAT_VERSION = 1
 
 
 class PatternWidthExceeded(ValueError):
@@ -79,11 +79,6 @@ class SampleBatch:
     chunk_bounds: Tuple[int, ...]
     seed: int
     stream: str
-    model_hash: str
-
-    @property
-    def region_width(self) -> int:
-        return len(self.region)
 
     @property
     def n_chunks(self) -> int:
@@ -92,39 +87,6 @@ class SampleBatch:
     def row_bits(self, j: int) -> np.ndarray:
         """Unpacked 0/1 bits of one detector row."""
         return np.unpackbits(self.rows[j], bitorder="little", count=self.n_samples)
-
-    def save(self, path: str) -> None:
-        """Flat binary file (packed rows) plus a JSON sidecar."""
-        with open(path, "wb") as f:
-            f.write(self.rows.tobytes())
-        sidecar = {
-            "version": FORMAT_VERSION,
-            "region": list(self.region),
-            "n_samples": self.n_samples,
-            "chunk_bounds": list(self.chunk_bounds),
-            "seed": self.seed,
-            "stream": self.stream,
-            "model_hash": self.model_hash,
-        }
-        with open(path + ".json", "w") as f:
-            json.dump(sidecar, f, sort_keys=True)
-
-    @staticmethod
-    def load(path: str) -> "SampleBatch":
-        with open(path + ".json") as f:
-            meta = json.load(f)
-        width = len(meta["region"])
-        n = meta["n_samples"]
-        raw = np.fromfile(path, dtype=np.uint8).reshape(width, (n + 7) // 8)
-        return SampleBatch(
-            region=tuple(meta["region"]),
-            n_samples=n,
-            rows=raw,
-            chunk_bounds=tuple(meta["chunk_bounds"]),
-            seed=meta["seed"],
-            stream=meta["stream"],
-            model_hash=meta["model_hash"],
-        )
 
 
 def chunk_bounds(n: int, n_chunks: int = 32) -> Tuple[int, ...]:
@@ -228,7 +190,6 @@ def sample_batch(
         chunk_bounds=bounds,
         seed=seed,
         stream=stream,
-        model_hash=model.model_hash(),
     )
 
 

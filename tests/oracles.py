@@ -249,7 +249,6 @@ def serial_sample_batch(
         chunk_bounds=bounds,
         seed=seed,
         stream=stream,
-        model_hash=model.model_hash(),
     )
 
 

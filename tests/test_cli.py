@@ -1,13 +1,22 @@
+import dataclasses
+import functools
 import hashlib
 import json
+import math
 import os
+import pathlib
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stmarkov.cli import (
     ConfigError,
+    ExperimentConfig,
     _cell_record,
+    _point_records,
     export_interchange,
     main,
     read_interchange,
@@ -17,6 +26,7 @@ from stmarkov.markov import (
     build_tripartition,
     cmi_from_batch,
     interpolate_peak,
+    ladder_from_batch,
     rate_points,
     sweep,
 )
@@ -377,33 +387,6 @@ def test_sweep_decoder_csv_and_peak_flag(tmp_path):
     assert open(csv_path).readline().startswith("code,L,T,p,q")
 
 
-def test_ingest_native_batch_roundtrip(tmp_path):
-    model = build_detector_model(repetition_code(8), 8, NoiseModel.phenomenological(0.1))
-    extent = 2 + 1 + 2
-    t0 = max(1, (model.rounds + 1 - extent) // 2)
-    band = sorted(i for i, d in enumerate(model.detectors) if t0 <= d.t <= t0 + extent - 1)
-    batch = sample_batch(model, band, 20000, seed=5)
-    path = str(tmp_path / "batch.bin")
-    batch.save(path)
-    out = str(tmp_path / "native.json")
-    assert run_cli(["ingest", path, "--code", "repetition", "--L", "8", "--rounds", "8",
-                    "--p", "0.1", "--wB-max", "1", "--out", out]) == 0
-    payload = json.loads(open(out).read())
-    tri = build_tripartition(model, wA=2, wB=1, wC=2, mode="strip")
-    point = cmi_from_batch(batch, tri)
-    got = [rec for rec in payload["points"] if rec["wB"] == 1][0]
-    assert got["cmi_bits"] == point.cmi
-
-
-def test_ingest_native_batch_wrong_model(tmp_path):
-    model = build_detector_model(repetition_code(8), 8, NoiseModel.phenomenological(0.1))
-    batch = sample_batch(model, [0, 1, 2], 100, seed=5)
-    path = str(tmp_path / "batch.bin")
-    batch.save(path)
-    assert run_cli(["ingest", path, "--code", "repetition", "--L", "8", "--rounds", "8",
-                    "--p", "0.2"]) == 2
-
-
 def test_sweep_jobs_numerically_deterministic(tmp_path):
     a = str(tmp_path / "a.json")
     b = str(tmp_path / "b.json")
@@ -596,3 +579,229 @@ def pinned_outputs(directory):
 def test_cli_outputs_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert pinned_outputs(tmp_path) == PINNED_OUTPUTS
+
+
+def write_edited(tmp_path, path, edit):
+    """Copy the interchange file ``path`` with ``edit`` applied to its header; the copy's path."""
+    lines = open(path).read().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    lines[0] = json.dumps(header)
+    bad = str(tmp_path / "edited.txt")
+    open(bad, "w").write("\n".join(lines) + "\n")
+    return bad
+
+
+def set_key(key, value):
+    return lambda header: header.__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (set_key("n_rows", "200"), "'n_rows': '200' is not an integer >= 1"),
+        (set_key("n_rows", 200.0), "'n_rows': 200.0 is not an integer >= 1"),
+        (set_key("n_rows", -1), "'n_rows': -1 is not an integer >= 1"),
+        (set_key("n_rows", 0), "'n_rows': 0 is not an integer >= 1"),
+        (set_key("detectors", 5), "'detectors': 5 is not a nonempty list"),
+        (set_key("detectors", []), "'detectors': [] is not a nonempty list"),
+        (set_key("space_shape", 8), "'space_shape': 8 is not a list of integers >= 1"),
+        (set_key("space_shape", [0]), "'space_shape': [0] is not a list of integers >= 1"),
+        (set_key("rounds", "8"), "'rounds': '8' is not an integer >= 1"),
+        (set_key("rounds", 0), "'rounds': 0 is not an integer >= 1"),
+        (set_key("seed", "5"), "'seed': '5' is not an integer"),
+        (set_key("model_hash", 3), "'model_hash': 3 is not a string"),
+        (lambda h: h["detectors"][3].__setitem__("coords", 3),
+         "detector 3: coords 3 are not a list of integers"),
+        (lambda h: h["detectors"].__setitem__(2, 7), "detector 2: unknown coordinate scheme 7"),
+    ],
+    ids=["n_rows-str", "n_rows-float", "n_rows-negative", "n_rows-zero", "detectors-int",
+         "detectors-empty", "space_shape-int", "space_shape-zero", "rounds-str", "rounds-zero",
+         "seed-str", "model_hash-int", "coords-int", "detector-int"],
+)
+def test_ingest_refuses_malformed_header(tmp_path, capsys, edit, message):
+    _, _, _, path = make_band_batch(tmp_path, n=20)
+    bad = write_edited(tmp_path, path, edit)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        read_interchange(bad)
+    out = str(tmp_path / "o.json")
+    assert run_cli(["ingest", bad, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("content", [None, "L=8\nrounds=8\n", '{"L": 8'],
+                         ids=["directory", "key-value", "truncated"])
+@pytest.mark.parametrize("command", [["run"], ["ingest", "samples.txt"]],
+                         ids=["run", "ingest"])
+def test_config_file_not_json_rejected(tmp_path, capsys, content, command):
+    path = tmp_path / "cfg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert run_cli(command + ["--config", str(path)]) == 2
+    assert f"config file {str(path)!r}" in capsys.readouterr().err
+
+
+def test_ingest_honours_estimator(tmp_path):
+    model, batch, band, path = make_band_batch(tmp_path, wB_max=3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimator": "none"}))
+    points = {}
+    for name, extra in (("none", ["--config", str(cfg)]), ("default", [])):
+        out = str(tmp_path / f"{name}.json")
+        assert run_cli(["ingest", path, "--wB-max", "3", "--out", out] + extra) == 0
+        points[name] = json.loads(open(out).read())["points"]
+    anchor = tuple((size - 2) // 2 for size in model.code.space_shape) + (
+        ladder_anchor_t0(model.rounds, 3),
+    )
+    tris = [
+        build_tripartition(model, wA=2, wB=wB, wC=2, anchor=anchor, mode="strip", cap=64,
+                           bulk_margin=0)
+        for wB in (1, 2, 3)
+    ]
+    expected = _point_records(ladder_from_batch(batch, tris, correction=False))
+    assert points["none"] == json.loads(json.dumps(expected))
+    assert points["none"] != points["default"]
+
+
+@pytest.mark.parametrize("flags, key", [(["--mode", "ring"], "mode"),
+                                        (["--method", "exact"], "method")])
+def test_ingest_refuses_settings_it_cannot_honour(tmp_path, capsys, flags, key):
+    _, _, _, path = make_band_batch(tmp_path, n=50)
+    assert run_cli(["ingest", path] + flags) == 2
+    assert f"config key {key!r}: ingest runs only the" in capsys.readouterr().err
+
+
+def test_ingest_with_no_rung_exits_2(tmp_path, capsys):
+    _, _, _, path = make_band_batch(tmp_path, n=50)
+    out = str(tmp_path / "o.json")
+    assert run_cli(["ingest", path, "--wA", "9", "--out", out]) == 2
+    assert ("no rung of the ladder fits the samples; wB=1: block width 9 exceeds lattice "
+            "extent 8") in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_ingest_all_zero_ladder_is_a_gap_like_a_sweep_cell(tmp_path):
+    quiet = NoiseModel(p_x=0.0, p_z=0.0, q=0.0)
+    model = build_detector_model(repetition_code(8), 8, quiet)
+    t0 = ladder_anchor_t0(model.rounds, 3)
+    band = [i for i, d in enumerate(model.detectors) if t0 <= d.t <= t0 + 6]
+    path = str(tmp_path / "quiet.txt")
+    export_interchange(sample_batch(model, band, 500, seed=1), model, path)
+    out = str(tmp_path / "o.json")
+    assert run_cli(["ingest", path, "--wB-max", "3", "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    assert [pt["cmi_bits"] for pt in payload["points"]] == [0.0, 0.0, 0.0]
+    cell, = sweep("repetition", [(8, 8)], [0.0], q=0.0, ladder=(1, 2, 3), n=500).cells
+    assert payload["fit"] == {"error": "all CMI at zero"} == _cell_record(cell)["fit"]
+
+
+# -- bad input never raises: every command exits 0 or 2 -------------------------
+
+# A JSON value of any type: header keys and detector fields are replaced by these.
+ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from(["", "x", "z", "8", "0x1f"]),
+    st.lists(st.integers(-2, 9), max_size=3),
+    st.dictionaries(st.sampled_from(["coords", "sector", "a"]), st.integers(-2, 9), max_size=2),
+)
+# Config values: small integers, since a valid config with many samples or a
+# deep ladder is a long run, not bad input. For the same reason a mutated
+# config keeps its ``samples`` key (the default is 10^6).
+CONFIG_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9),
+    st.sampled_from([0.0, 0.05, 0.1, 0.5, 0.7, -0.1, math.nan, math.inf]),
+    st.sampled_from(["", "x", "toric", "repetition", "ring", "strip", "exact", "sampled",
+                     "none", "miller_madow"]),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}),
+)
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["bogus"]
+
+
+@functools.lru_cache(maxsize=None)
+def small_interchange_text():
+    with tempfile.TemporaryDirectory() as d:
+        _, _, _, path = make_band_batch(pathlib.Path(d), n=40, wB_max=2)
+        return open(path).read()
+
+
+@st.composite
+def mutated_configs(draw, base):
+    """``base`` with some keys dropped and some set to arbitrary values, or not JSON at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "L=8", "[1, 2]", '{"L": ', "null"]))
+    cfg = {k: v for k, v in base.items() if k == "samples" or draw(st.integers(0, 7))}
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3)):
+        cfg[key] = draw(CONFIG_VALUE)
+    return json.dumps(cfg)
+
+
+@st.composite
+def mutated_interchange(draw):
+    """The small interchange file with its header keys and rows edited at random."""
+    lines = small_interchange_text().splitlines()
+    header = json.loads(lines[0])
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(header) + ["n_rows", "space_shape", "rounds"]))
+        action = draw(st.sampled_from(["delete", "replace", "detector"]))
+        if action == "delete":
+            header.pop(key, None)
+        elif action == "replace":
+            header[key] = draw(ANY_JSON)
+        elif isinstance(header.get("detectors"), list) and header["detectors"]:
+            i = draw(st.integers(0, len(header["detectors"]) - 1))
+            rec = header["detectors"][i]
+            field = draw(st.sampled_from(["sector", "check", "round", "coords", None]))
+            if field is None or not isinstance(rec, dict):
+                header["detectors"][i] = draw(ANY_JSON)
+            elif draw(st.booleans()):
+                rec.pop(field, None)
+            else:
+                rec[field] = draw(ANY_JSON)
+    lines[0] = json.dumps(header)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["cut", "alter", "delete", "insert"]))
+        new = draw(st.text(alphabet="0123456789abcdefgx é", max_size=12))
+        if action == "cut":
+            lines = lines[:i]
+        elif action == "insert":
+            lines.insert(i, new)
+        elif i < len(lines):
+            lines[i:i + 1] = [new] if action == "alter" else []
+    return "\n".join(lines) + "\n"
+
+
+def exit_code_in(directory, argv, files):
+    """``main(argv)`` run in ``directory`` after writing ``files`` there."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for name, text in files.items():
+            open(name, "w", encoding="utf-8").write(text)
+        return main(argv)
+    finally:
+        os.chdir(cwd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_interchange(), mutated_configs({"wB_max": 2, "estimator": "miller_madow"}))
+def test_ingest_of_bad_input_exits_0_or_2(samples, config):
+    with tempfile.TemporaryDirectory() as d:
+        code = exit_code_in(d, ["ingest", "samples.txt", "--config", "cfg.json"],
+                            {"samples.txt": samples, "cfg.json": config})
+    assert code in (0, 2)
+
+
+RUN_CONFIG = {"code": "repetition", "L": 6, "rounds": 8, "p": 0.1, "wA": 1, "wC": 1,
+              "wB_max": 2, "samples": 300, "seed": 1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_configs(RUN_CONFIG))
+def test_run_of_bad_config_exits_0_or_2(config):
+    with tempfile.TemporaryDirectory() as d:
+        code = exit_code_in(d, ["run", "--config", "cfg.json"], {"cfg.json": config})
+    assert code in (0, 2)

@@ -68,7 +68,6 @@ def batch_of(chunks, width):
         chunk_bounds=tuple(np.cumsum([0] + [len(c) for c in chunks]).tolist()),
         seed=0,
         stream="hand",
-        model_hash="",
     )
 
 

@@ -133,19 +133,6 @@ def test_empty_region_and_bad_n():
         sample_batch(model, [0], 0, seed=0)
 
 
-def test_save_load_roundtrip(tmp_path):
-    model = small_model()
-    region = [model.det_index[("z", c, t)] for c in range(3) for t in (0, 1)]
-    batch = sample_batch(model, region, 3333, seed=7)
-    path = str(tmp_path / "batch.bin")
-    batch.save(path)
-    again = SampleBatch.load(path)
-    assert np.array_equal(subset_patterns(again, region), subset_patterns(batch, region))
-    assert again.region == batch.region
-    assert again.model_hash == batch.model_hash
-    assert again.chunk_bounds == batch.chunk_bounds
-
-
 def test_packed_rows_consistent_with_patterns():
     model = small_model()
     region = [0, 5, 9]
@@ -227,7 +214,7 @@ def packed_batches(draw):
     rows = np.random.default_rng(seed).integers(0, 256, (width, (n + 7) // 8), dtype=np.uint8)
     region = tuple(draw(st.permutations(range(100, 100 + width))))
     sub = draw(st.lists(st.sampled_from(region), min_size=1, max_size=min(64, width), unique=True))
-    batch = SampleBatch(region, n, rows, (0, n), seed, "hand", "")
+    batch = SampleBatch(region, n, rows, (0, n), seed, "hand")
     return batch, sub
 
 
