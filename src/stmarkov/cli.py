@@ -181,6 +181,56 @@ def _progress_key(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The fields of a progress record that a resumed sweep reads, and what each must be.
+_RECORD_TYPES = {
+    "L": (_is_int, "an integer"),
+    "T": (_is_int, "an integer"),
+    "p": (_is_number, "a number"),
+    "points": (lambda v: isinstance(v, list), "a list"),
+    "fit": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _read_progress(path: str, key: str) -> Dict[Tuple[int, int, float], Dict]:
+    """The finished cells of a sweep progress file, by (L, T, p).
+
+    Refuses a line that is not a JSON object, a record written under another
+    config and a record missing a field (or holding one of the wrong type).
+    """
+    done = {}
+    with open(path) as f:
+        for i, line in enumerate(f, 1):
+            where = f"{path} line {i}"
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                raise ConfigError(f"{where}: not a JSON record: {line.strip()!r}") from None
+            if not isinstance(rec, dict):
+                raise ConfigError(f"{where}: cell record {rec!r} is not a JSON object")
+            if rec.pop("key", None) != key:
+                raise ConfigError(
+                    f"{where}: cell written under another config "
+                    f"(seed, samples, ladder or noise differ); rerun without --resume"
+                )
+            for field, (ok, kind) in _RECORD_TYPES.items():
+                if not ok(rec.get(field)):
+                    raise ConfigError(f"{where}: cell record field {field!r} is not {kind}")
+            done[(rec["L"], rec["T"], rec["p"])] = rec
+    return done
+
+
 def _code_hash(cfg: ExperimentConfig, L: int) -> str:
     return hashlib.sha256(make_code(cfg.code, L).to_json().encode()).hexdigest()[:16]
 
@@ -294,17 +344,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = cfg.out or "sweep.json"
     progress_path = out + ".cells.jsonl"
     key = _progress_key(cfg)
-    done: Dict[Tuple[int, int, float], Dict] = {}
-    if args.resume and os.path.exists(progress_path):
-        with open(progress_path) as f:
-            for i, line in enumerate(f, 1):
-                rec = json.loads(line)
-                if rec.pop("key", None) != key:
-                    raise ConfigError(
-                        f"{progress_path} line {i}: cell written under another config "
-                        f"(seed, samples, ladder or noise differ); rerun without --resume"
-                    )
-                done[(rec["L"], rec["T"], rec["p"])] = rec
+    resume = args.resume and os.path.exists(progress_path)
+    done = _read_progress(progress_path, key) if resume else {}
 
     grid = [(L, T, p) for (L, T) in sizes for p in p_grid]
     # Each cell is appended to the progress file as soon as it is computed,
@@ -568,14 +609,6 @@ def export_interchange(batch: SampleBatch, model: DetectorModel, path: str) -> N
             f.write(text.tobytes().decode("ascii"))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_count(v) -> bool:
-    return _is_int(v) and v >= 1
-
-
 # The header keys ingest reads: the test each value must pass, and what it must be.
 _HEADER_TYPES = {
     "detectors": (lambda v: isinstance(v, list) and len(v) >= 1, "a nonempty list"),
@@ -643,6 +676,9 @@ def read_interchange(path: str) -> Tuple[Dict, SampleBatch]:
             _refuse_rows(bits[:, width:].any(axis=1), lo, lines,
                          f"bits set above the header's {width} detectors: ")
             blocks.append(np.packbits(bits[:, :width].T, axis=1, bitorder="little"))
+        for row, line in enumerate(f, n + 1):
+            if line.strip():
+                raise ConfigError(f"row {row}: beyond the header's {n} rows: {line.strip()!r}")
     batch = SampleBatch(
         region=tuple(range(width)),
         n_samples=n,

@@ -1,17 +1,50 @@
 """Stabilizer-tableau simulator for verifying the foliation correspondence.
 
-Standard destabilizer/stabilizer tableau with sign bits. This is a verifier
-for graph-state preparation, Z errors, and X-basis readout, not a production
-sampler; instances are expected to stay below a couple thousand qubits.
+Aaronson-Gottesman destabilizer/stabilizer tableau (quant-ph/0406196) with
+sign bits, stored as dense uint8 ``x`` and ``z`` arrays with one row per
+generator. This is a verifier for graph-state preparation, Z errors, and
+X-basis readout, not a production sampler; instances are expected to stay
+below a couple thousand qubits.
+
+One X readout (``Tableau.measure_x``) reads column q of ``z`` for the k
+generators that anticommute with X_q. A random outcome folds the k - 1
+others into the first such stabilizer row (one rowsum over a k x n block)
+and writes X_q there; a deterministic one is the product of the k selected
+stabilizer rows, formed by one prefix XOR over them. Every product's phase
+is computed from the bits (``_log_i``, Stim's rule, arXiv:2103.02202), with
+no lookup table. ``tests/oracles.ReferenceTableau``, the table-lookup
+version with a per-row product loop, is the test oracle.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .foliation import PauliOp, ResourceState
+
+
+def _log_i(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Exponent of i, mod 4, of the product (x1, z1)(x2, z2) of Pauli rows.
+
+    Bits (x, z) = (1, 1) stand for Y. A qubit where the factors anticommute
+    contributes i or -i, the latter where ``x1 ^ x2 ^ z1 ^ z2 ^ x1 & z2``
+    is set; others contribute 1. Rows run along the last axis.
+    """
+    x1z2 = x1 & z2
+    anti = (x2 & z1) ^ x1z2
+    minus = anti & (x1 ^ x2 ^ z1 ^ z2 ^ x1z2)
+    return (anti.sum(axis=-1) + 2 * minus.sum(axis=-1)) & 3
+
+
+def _outcome(rng: Optional[np.random.Generator], force: Optional[int]) -> int:
+    if force is not None:
+        return int(force)
+    if rng is not None:
+        return int(rng.integers(0, 2))
+    raise ValueError("random measurement outcome requires rng or force")
 
 
 class Tableau:
@@ -66,44 +99,33 @@ class Tableau:
 
     # -- Generator products --------------------------------------------------
 
-    # Exponent of i when multiplying X^x1 Z^z1 by X^x2 Z^z2, indexed by the
-    # four bits (x1, z1, x2, z2).
-    _G_TABLE = np.array(
-        [0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 1, 0, 1, -1, 0], dtype=np.int8
-    )
-
-    @classmethod
-    def _g(cls, x1, z1, x2, z2):
-        idx = (x1 << 3) | (z1 << 2) | (x2 << 1) | z2
-        return cls._G_TABLE[idx]
-
     def _rowsum_many(self, targets: np.ndarray, src: int) -> None:
         """row[t] <- row[src] * row[t] for each target, with sign tracking."""
         if len(targets) == 0:
             return
-        g = self._g(self.x[src][None, :], self.z[src][None, :], self.x[targets], self.z[targets])
-        phase = (
-            2 * self.r[targets].astype(np.int64)
-            + 2 * int(self.r[src])
-            + g.sum(axis=1, dtype=np.int64)
-        ) % 4
-        self.r[targets] = (phase // 2).astype(np.uint8)
-        self.x[targets] ^= self.x[src]
-        self.z[targets] ^= self.z[src]
+        x1, z1 = self.x[src], self.z[src]
+        x2, z2 = self.x[targets], self.z[targets]
+        # Bit 1 of (2 r_src + 2 r_t + log_i) mod 4 is the new sign.
+        flip = (_log_i(x1, z1, x2, z2) >> 1).astype(np.uint8)
+        self.r[targets] ^= flip ^ self.r[src]
+        self.x[targets] = x2 ^ x1
+        self.z[targets] = z2 ^ z1
 
-    def _product_sign(self, rows: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Accumulated Pauli product of the given rows; returns (x, z, sign bit)."""
-        xs = np.zeros(self.n, dtype=np.uint8)
-        zs = np.zeros(self.n, dtype=np.uint8)
-        phase = 0
-        for i in rows:
-            g = self._g(self.x[i], self.z[i], xs, zs)
-            phase = (phase + 2 * int(self.r[i]) + int(g.sum(dtype=np.int64))) % 4
-            xs ^= self.x[i]
-            zs ^= self.z[i]
+    def _product_sign(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Accumulated Pauli product of the given rows; returns (x, z, sign bit).
+
+        Row j multiplies the product of rows 0..j-1 from the left: one prefix
+        XOR gives every partial product, and one sum their phases.
+        """
+        if len(rows) == 0:
+            return np.zeros(self.n, dtype=np.uint8), np.zeros(self.n, dtype=np.uint8), 0
+        x, z = self.x[rows], self.z[rows]
+        xs = np.bitwise_xor.accumulate(x, axis=0)
+        zs = np.bitwise_xor.accumulate(z, axis=0)
+        phase = 2 * int(self.r[rows].sum()) + int(_log_i(x[1:], z[1:], xs[:-1], zs[:-1]).sum())
         if phase % 2 != 0:
             raise AssertionError("generator product left a residual factor of i")
-        return xs, zs, phase // 2
+        return xs[-1], zs[-1], phase % 4 // 2
 
     def _commutation(self, px: np.ndarray, pz: np.ndarray) -> np.ndarray:
         anti = (self.x @ pz.astype(np.int64) + self.z @ px.astype(np.int64)) % 2
@@ -120,6 +142,47 @@ class Tableau:
 
     # -- Measurement ---------------------------------------------------------
 
+    def _collapse(self, rows: np.ndarray, k: int, outcome: int) -> int:
+        """Project onto a random outcome; returns the pivot row.
+
+        ``rows`` lists the generators that anticommute with the measured
+        operator, ascending; ``rows[k]`` is the first stabilizer among them.
+        The others are folded into it, it moves to its destabilizer slot, and
+        the caller writes the measured operator into it.
+        """
+        p = int(rows[k])
+        self._rowsum_many(rows[rows != p], p)
+        d = p - self.n
+        self.x[d] = self.x[p]
+        self.z[d] = self.z[p]
+        self.r[d] = self.r[p]
+        self.r[p] = outcome
+        return p
+
+    def measure_x(
+        self,
+        q: int,
+        rng: Optional[np.random.Generator] = None,
+        force: Optional[int] = None,
+    ) -> int:
+        """Measure X on qubit ``q``; returns the outcome bit (as ``measure_pauli``)."""
+        n = self.n
+        rows = np.flatnonzero(self.z[:, q])
+        k = int(rows.searchsorted(n))
+        if k < len(rows):
+            outcome = _outcome(rng, force)
+            p = self._collapse(rows, k, outcome)
+            self.x[p] = 0
+            self.x[p, q] = 1
+            self.z[p] = 0
+            return outcome
+        # Deterministic: X_q is a +/- product of the stabilizers whose
+        # destabilizers anticommute with it.
+        xs, zs, sign = self._product_sign(rows + n)
+        if zs.any() or xs[q] != 1 or np.count_nonzero(xs) != 1:
+            raise AssertionError("deterministic measurement product mismatch")
+        return sign
+
     def measure_pauli(
         self,
         op: PauliOp,
@@ -132,45 +195,22 @@ class Tableau:
         branch (used for deterministic state preparation). Deterministic
         outcomes ignore both.
         """
-        n = self.n
         if len(op.x_sites) == 1 and not op.z_sites:
             (q,) = op.x_sites
-            px = np.zeros(n, dtype=np.uint8)
-            px[q] = 1
-            pz = np.zeros(n, dtype=np.uint8)
-            anti = self.z[:, q]
-        elif len(op.z_sites) == 1 and not op.x_sites:
-            (q,) = op.z_sites
-            pz = np.zeros(n, dtype=np.uint8)
-            pz[q] = 1
-            px = np.zeros(n, dtype=np.uint8)
-            anti = self.x[:, q]
-        else:
-            px, pz = self._masks(op)
-            anti = self._commutation(px, pz)
-        stab_anti = np.flatnonzero(anti[n:])
-        if stab_anti.size:
-            p = n + int(stab_anti[0])
-            others = np.flatnonzero(anti)
-            others = others[others != p]
-            self._rowsum_many(others, p)
-            if force is not None:
-                outcome = int(force)
-            elif rng is not None:
-                outcome = int(rng.integers(0, 2))
-            else:
-                raise ValueError("random measurement outcome requires rng or force")
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
+            return self.measure_x(q, rng, force)
+        n = self.n
+        px, pz = self._masks(op)
+        rows = np.flatnonzero(self._commutation(px, pz))
+        k = int(rows.searchsorted(n))
+        if k < len(rows):
+            outcome = _outcome(rng, force)
+            p = self._collapse(rows, k, outcome)
             self.x[p] = px
             self.z[p] = pz
-            self.r[p] = outcome
             return outcome
         # Deterministic: the operator is a +/- product of stabilizer rows,
         # selected by which destabilizers anticommute with it.
-        rows = [n + int(i) for i in np.flatnonzero(anti[:n])]
-        xs, zs, sign = self._product_sign(rows)
+        xs, zs, sign = self._product_sign(rows + n)
         if not (np.array_equal(xs, px) and np.array_equal(zs, pz)):
             raise AssertionError("deterministic measurement product mismatch")
         return sign
@@ -182,8 +222,7 @@ class Tableau:
         n = self.n
         if np.any(anti[n:]):
             return 0
-        rows = [n + int(i) for i in np.flatnonzero(anti[:n])]
-        xs, zs, sign = self._product_sign(rows)
+        xs, zs, sign = self._product_sign(n + np.flatnonzero(anti[:n]))
         if not (np.array_equal(xs, px) and np.array_equal(zs, pz)):
             raise AssertionError("expectation product mismatch")
         return 1 if sign == 0 else -1
@@ -238,17 +277,25 @@ def measure_x_all(
     if sites is None:
         sites = rs.measured_sites
     outcomes = np.full(rs.n_sites, -1, dtype=np.int8)
+    measure = tab.measure_x
     for q in sites:
-        outcomes[q] = tab.measure_pauli(PauliOp.x([q]), rng=rng)
+        outcomes[q] = measure(q, rng)
     return outcomes
 
 
 def evaluate_detectors(outcomes: np.ndarray, cells: Sequence[Sequence[int]]) -> np.ndarray:
-    """XOR measured outcomes over each cell's X support."""
-    bits = np.zeros(len(cells), dtype=np.uint8)
-    for k, cell in enumerate(cells):
-        vals = outcomes[list(cell)]
-        if np.any(vals < 0):
-            raise ValueError(f"cell {k} touches an unmeasured site")
-        bits[k] = int(vals.sum()) % 2
-    return bits
+    """XOR measured outcomes over each cell's X support.
+
+    One gather over the concatenated cells, then one prefix XOR: a cell's bit
+    is the prefix parity at its end XOR that at its start.
+    """
+    sizes = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    ends = np.cumsum(sizes)
+    vals = outcomes[np.fromiter(chain.from_iterable(cells), dtype=np.intp)]
+    bad = np.flatnonzero(vals < 0)
+    if bad.size:
+        k = int(ends.searchsorted(bad[0], side="right"))
+        raise ValueError(f"cell {k} touches an unmeasured site")
+    parity = np.zeros(vals.size + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(vals.astype(np.uint8), out=parity[1:])
+    return parity[ends] ^ parity[ends - sizes]

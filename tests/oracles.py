@@ -14,6 +14,7 @@ import numpy as np
 
 from stmarkov.codes import CssCode
 from stmarkov.decoder import DecodeResult, InfeasibleSyndrome
+from stmarkov.foliation import PauliOp, ResourceState
 from stmarkov.sampler import (
     SampleBatch,
     _chunk_generator,
@@ -22,6 +23,7 @@ from stmarkov.sampler import (
     stream_key,
 )
 from stmarkov.spacetime import DetectorModel
+from stmarkov.tableau import Tableau
 
 
 def history_from_errors(
@@ -501,3 +503,137 @@ def all_mechanism_validate(model: DetectorModel, tri) -> None:
             dets = set(mech.detectors)
             if dets & a_set and dets & c_set:
                 raise ValueError(f"mechanism {mech} spans A and C")
+
+
+# -- tableau measurement -------------------------------------------------------
+
+
+class ReferenceTableau(Tableau):
+    """``stmarkov.tableau.Tableau`` with its measurement path as first written.
+
+    Product phases come from a 16-entry lookup table of the exponent of i per
+    qubit (``_g``), deterministic outcomes from a Python loop over the
+    selected stabilizer rows, and every measurement builds its operator's
+    x/z masks.
+    """
+
+    # Exponent of i when multiplying X^x1 Z^z1 by X^x2 Z^z2, indexed by the
+    # four bits (x1, z1, x2, z2).
+    _G_TABLE = np.array(
+        [0, 0, 0, 0, 0, 0, 1, -1, 0, -1, 0, 1, 0, 1, -1, 0], dtype=np.int8
+    )
+
+    @classmethod
+    def _g(cls, x1, z1, x2, z2):
+        idx = (x1 << 3) | (z1 << 2) | (x2 << 1) | z2
+        return cls._G_TABLE[idx]
+
+    def _rowsum_many(self, targets: np.ndarray, src: int) -> None:
+        if len(targets) == 0:
+            return
+        g = self._g(self.x[src][None, :], self.z[src][None, :], self.x[targets], self.z[targets])
+        phase = (
+            2 * self.r[targets].astype(np.int64)
+            + 2 * int(self.r[src])
+            + g.sum(axis=1, dtype=np.int64)
+        ) % 4
+        self.r[targets] = (phase // 2).astype(np.uint8)
+        self.x[targets] ^= self.x[src]
+        self.z[targets] ^= self.z[src]
+
+    def _product_sign(self, rows: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, int]:
+        xs = np.zeros(self.n, dtype=np.uint8)
+        zs = np.zeros(self.n, dtype=np.uint8)
+        phase = 0
+        for i in rows:
+            g = self._g(self.x[i], self.z[i], xs, zs)
+            phase = (phase + 2 * int(self.r[i]) + int(g.sum(dtype=np.int64))) % 4
+            xs ^= self.x[i]
+            zs ^= self.z[i]
+        if phase % 2 != 0:
+            raise AssertionError("generator product left a residual factor of i")
+        return xs, zs, phase // 2
+
+    def measure_pauli(self, op: PauliOp, rng=None, force=None) -> int:
+        n = self.n
+        if len(op.x_sites) == 1 and not op.z_sites:
+            (q,) = op.x_sites
+            px = np.zeros(n, dtype=np.uint8)
+            px[q] = 1
+            pz = np.zeros(n, dtype=np.uint8)
+            anti = self.z[:, q]
+        elif len(op.z_sites) == 1 and not op.x_sites:
+            (q,) = op.z_sites
+            pz = np.zeros(n, dtype=np.uint8)
+            pz[q] = 1
+            px = np.zeros(n, dtype=np.uint8)
+            anti = self.x[:, q]
+        else:
+            px, pz = self._masks(op)
+            anti = self._commutation(px, pz)
+        stab_anti = np.flatnonzero(anti[n:])
+        if stab_anti.size:
+            p = n + int(stab_anti[0])
+            others = np.flatnonzero(anti)
+            others = others[others != p]
+            self._rowsum_many(others, p)
+            if force is not None:
+                outcome = int(force)
+            elif rng is not None:
+                outcome = int(rng.integers(0, 2))
+            else:
+                raise ValueError("random measurement outcome requires rng or force")
+            self.x[p - n] = self.x[p]
+            self.z[p - n] = self.z[p]
+            self.r[p - n] = self.r[p]
+            self.x[p] = px
+            self.z[p] = pz
+            self.r[p] = outcome
+            return outcome
+        rows = [n + int(i) for i in np.flatnonzero(anti[:n])]
+        xs, zs, sign = self._product_sign(rows)
+        if not (np.array_equal(xs, px) and np.array_equal(zs, pz)):
+            raise AssertionError("deterministic measurement product mismatch")
+        return sign
+
+
+def reference_init_graph_state(rs: ResourceState, frame: str = "x") -> ReferenceTableau:
+    """``stmarkov.tableau.init_graph_state`` on a ``ReferenceTableau``."""
+    tab = ReferenceTableau(rs.n_sites)
+    code = rs.code
+    layer0 = [rs.site_index[("d", i, 0)] for i in range(code.n_qubits)]
+    if frame == "x":
+        for q in range(rs.n_sites):
+            tab.h(q)
+        for c in range(code.n_z_checks):
+            sup = [layer0[int(i)] for i in code.check_support("z", c)]
+            assert tab.measure_pauli(PauliOp.z(sup), force=0) == 0
+    else:
+        for q in range(rs.n_sites):
+            if q not in set(layer0):
+                tab.h(q)
+        for b in range(code.n_x_checks):
+            sup = [layer0[int(i)] for i in code.check_support("x", b)]
+            assert tab.measure_pauli(PauliOp.x(sup), force=0) == 0
+    for u, v in rs.cz_edges:
+        tab.cz(u, v)
+    return tab
+
+
+def reference_measure_x_all(tab: ReferenceTableau, rs: ResourceState, rng) -> np.ndarray:
+    """One ``measure_pauli(PauliOp.x([q]))`` per measured site, in index order."""
+    outcomes = np.full(rs.n_sites, -1, dtype=np.int8)
+    for q in rs.measured_sites:
+        outcomes[q] = tab.measure_pauli(PauliOp.x([q]), rng=rng)
+    return outcomes
+
+
+def reference_evaluate_detectors(outcomes: np.ndarray, cells) -> np.ndarray:
+    """XOR of the outcomes over each cell, one cell at a time."""
+    bits = np.zeros(len(cells), dtype=np.uint8)
+    for k, cell in enumerate(cells):
+        vals = outcomes[list(cell)]
+        if np.any(vals < 0):
+            raise ValueError(f"cell {k} touches an unmeasured site")
+        bits[k] = int(vals.sum()) % 2
+    return bits

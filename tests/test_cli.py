@@ -173,6 +173,36 @@ def test_sweep_resume_refuses_cells_of_another_config(tmp_path, capsys):
     assert open(cells_file).read() == seed3
 
 
+def _with(**fields):
+    return lambda rec: json.dumps({**rec, **fields})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rec: "[1, 2]", "cell record [1, 2] is not a JSON object"),
+        (lambda rec: json.dumps({"key": rec["key"]}), "cell record field 'L' is not an integer"),
+        (lambda rec: '{"L": 8, "T"', "not a JSON record"),
+        (_with(T=8.0), "cell record field 'T' is not an integer"),
+        (_with(p="0.11"), "cell record field 'p' is not a number"),
+        (_with(points={}), "cell record field 'points' is not a list"),
+        (_with(fit=None), "cell record field 'fit' is not an object"),
+    ],
+    ids=["list", "key-only", "truncated", "T-float", "p-str", "points-object", "fit-null"],
+)
+def test_sweep_resume_refuses_malformed_record(tmp_path, capsys, edit, message):
+    out = str(tmp_path / "sweep.json")
+    args = ["sweep", "--code", "repetition", "--sizes", "8x8", "--p-grid", "0.09,0.11",
+            "--wB-max", "1", "--samples", "5000", "--seed", "3", "--out", out]
+    assert run_cli(args) == 0
+    cells_file = out + ".cells.jsonl"
+    first, second = open(cells_file).read().splitlines()
+    capsys.readouterr()
+    open(cells_file, "w").write(first + "\n" + edit(json.loads(second)) + "\n")
+    assert run_cli(args + ["--resume"]) == 2
+    assert f"{cells_file} line 2: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -362,6 +392,28 @@ def test_read_interchange_names_bad_row(tmp_path, row, edit, message):
     with pytest.raises(ConfigError, match=f"^row {row}: {message}"):
         read_interchange(bad)
     assert run_cli(["ingest", bad, "--L", "8", "--rounds", "8"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra", [["zzzz", "not hex"], ["", "zzzz", "not hex"], ["0123456789"]],
+    ids=["not-hex", "after-blank-line", "valid-hex"],
+)
+def test_read_interchange_refuses_rows_beyond_n_rows(tmp_path, capsys, extra):
+    _, _, _, path = make_band_batch(tmp_path, n=2000)
+    text = open(path).read()
+    out = str(tmp_path / "o.json")
+    assert run_cli(["ingest", path, "--wB-max", "1", "--out", out]) == 0
+    bad = str(tmp_path / "bad.txt")
+    open(bad, "w").write(text + "\n".join(extra) + "\n")
+    row = 2000 + len(extra) - len([s for s in extra if s]) + 1  # the first nonblank one
+    message = f"row {row}: beyond the header's 2000 rows: {extra[row - 2001]!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        read_interchange(bad)
+    assert run_cli(["ingest", bad, "--wB-max", "1", "--out", out + "2"]) == 2
+    assert message in capsys.readouterr().err
+    # Blank lines after the last row are not rows.
+    open(bad, "w").write(text + "\n\n")
+    assert np.array_equal(read_interchange(bad)[1].rows, read_interchange(path)[1].rows)
 
 
 def test_sweep_decoder_csv_and_peak_flag(tmp_path):

@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_detectors
+from oracles import (
+    ReferenceTableau,
+    oracle_detectors,
+    reference_evaluate_detectors,
+    reference_init_graph_state,
+    reference_measure_x_all,
+)
 
 from stmarkov.codes import repetition_code, toric_code
 from stmarkov.foliation import PauliOp, detector_cells, foliate, lbl_stabilizers
 from stmarkov.spacetime import NoiseModel, build_detector_model, detectors_from_errors
-from stmarkov.tableau import Tableau, evaluate_detectors, init_graph_state, measure_x_all
+from stmarkov.tableau import (
+    Tableau,
+    _log_i,
+    evaluate_detectors,
+    init_graph_state,
+    measure_x_all,
+)
 from test_foliation import single_qubit_code
 
 
@@ -258,3 +271,69 @@ def test_detector_marginals_match_flip_probability():
 def test_tableau_size_cap():
     with pytest.raises(ValueError):
         Tableau(Tableau.MAX_QUBITS + 1)
+
+
+def assert_same_tableau(tab, ref):
+    assert np.array_equal(tab.x, ref.x)
+    assert np.array_equal(tab.z, ref.z)
+    assert np.array_equal(tab.r, ref.r)
+
+
+@pytest.mark.parametrize(
+    "code, m_f",
+    [(toric_code(3), 3), (repetition_code(6), 4), (repetition_code(3), 2)],
+    ids=["toric3-mf3", "rep6-mf4", "rep3-mf2"],
+)
+def test_x_readout_matches_reference(code, m_f):
+    """Outcomes and final tableaux equal the table-lookup measurement path's."""
+    rs = foliate(code, m_f)
+    for frame in ("x", "z"):
+        assert_same_tableau(init_graph_state(rs, frame), reference_init_graph_state(rs, frame))
+    base = init_graph_state(rs)
+    picker = np.random.default_rng(m_f)
+    for seed in range(12):
+        sites = np.flatnonzero(picker.random(rs.n_sites) < 0.15 * (seed % 3))
+        tab, ref = base.copy(), reference_init_graph_state(rs)
+        tab.apply_z(sites)
+        ref.apply_z(sites)
+        outcomes = measure_x_all(tab, rs, np.random.default_rng(seed))
+        expect = reference_measure_x_all(ref, rs, np.random.default_rng(seed))
+        assert np.array_equal(outcomes, expect)
+        assert_same_tableau(tab, ref)
+        assert np.array_equal(
+            evaluate_detectors(outcomes, rs.cells), reference_evaluate_detectors(expect, rs.cells)
+        )
+        # Products of random stabilizer subsets, with their signs.
+        n = rs.n_sites
+        rows = n + np.flatnonzero(picker.random(n) < 0.2)
+        got, want = tab._product_sign(rows), ref._product_sign(list(rows))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_phase_bit_rule_equals_lookup_table(n_rows, n_qubits, seed):
+    """Stim's bit rule for the exponent of i is the lookup table's g-sum mod 4."""
+    x1, z1, x2, z2 = np.random.default_rng(seed).integers(
+        0, 2, size=(4, n_rows, n_qubits), dtype=np.uint8
+    )
+    table = ReferenceTableau._g(x1, z1, x2, z2).sum(axis=-1, dtype=np.int64) % 4
+    assert np.array_equal(_log_i(x1, z1, x2, z2), table)
+    # One row against many, as in a rowsum.
+    table = ReferenceTableau._g(x1[0][None, :], z1[0][None, :], x2, z2).sum(axis=-1) % 4
+    assert np.array_equal(_log_i(x1[0], z1[0], x2, z2), table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=8), st.integers(0, 2**32 - 1))
+def test_evaluate_detectors_matches_cell_loop(cells, seed):
+    """One gather and one prefix XOR give the per-cell loop's bits and error."""
+    outcomes = np.random.default_rng(seed).integers(-1, 2, size=10).astype(np.int8)
+    try:
+        expect = reference_evaluate_detectors(outcomes, cells)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            evaluate_detectors(outcomes, cells)
+    else:
+        got = evaluate_detectors(outcomes, cells)
+        assert got.dtype == np.uint8 and np.array_equal(got, expect)
