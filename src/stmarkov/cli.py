@@ -190,7 +190,10 @@ def _is_count(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A number that converts to a float (JSON integers have no size limit)."""
+    if isinstance(v, float):
+        return True
+    return _is_int(v) and abs(v) <= sys.float_info.max
 
 
 # The fields of a progress record that a resumed sweep reads, and what each must be.
@@ -201,13 +204,30 @@ _RECORD_TYPES = {
     "points": (lambda v: isinstance(v, list), "a list"),
     "fit": (lambda v: isinstance(v, dict), "an object"),
 }
+# The fields of each CMI point of a progress record, and what each must be.
+_POINT_TYPES = {
+    "wB": (_is_int, "an integer"),
+    "dist": (_is_int, "an integer"),
+    "cmi_bits": (_is_number, "a number"),
+    "cmi_stderr": (_is_number, "a number"),
+    "support_abc": (_is_int, "an integer"),
+    "reliable": (lambda v: isinstance(v, bool), "a boolean"),
+    "method": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_fields(what: str, rec: Dict, types: Dict) -> None:
+    for field, (ok, kind) in types.items():
+        if not ok(rec.get(field)):
+            raise ConfigError(f"{what} field {field!r} is not {kind}")
 
 
 def _read_progress(path: str, key: str) -> Dict[Tuple[int, int, float], Dict]:
     """The finished cells of a sweep progress file, by (L, T, p).
 
     Refuses a line that is not a JSON object, a record written under another
-    config and a record missing a field (or holding one of the wrong type).
+    config and a record missing a field (or holding one of the wrong type),
+    down to the fields of each CMI point and the fit's xi.
     """
     done = {}
     with open(path) as f:
@@ -224,9 +244,13 @@ def _read_progress(path: str, key: str) -> Dict[Tuple[int, int, float], Dict]:
                     f"{where}: cell written under another config "
                     f"(seed, samples, ladder or noise differ); rerun without --resume"
                 )
-            for field, (ok, kind) in _RECORD_TYPES.items():
-                if not ok(rec.get(field)):
-                    raise ConfigError(f"{where}: cell record field {field!r} is not {kind}")
+            _check_fields(f"{where}: cell record", rec, _RECORD_TYPES)
+            for j, pt in enumerate(rec["points"]):
+                if not isinstance(pt, dict):
+                    raise ConfigError(f"{where}: cell record point {j} is not a JSON object")
+                _check_fields(f"{where}: cell record point {j}", pt, _POINT_TYPES)
+            if "xi" in rec["fit"] and not _is_number(rec["fit"]["xi"]):
+                raise ConfigError(f"{where}: cell record fit field 'xi' is not a number")
             done[(rec["L"], rec["T"], rec["p"])] = rec
     return done
 
@@ -696,6 +720,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for key, value in (("mode", "strip"), ("method", "sampled")):
         if getattr(cfg, key) != value:
             raise ConfigError(f"config key {key!r}: ingest runs only the {value} ladder")
+    if cfg.csv:
+        raise ConfigError("config key 'csv': ingest writes no CSV; its points are in --out")
     header, batch = read_interchange(args.path)
     lattice = {tuple(rec["coords"]): i for i, rec in enumerate(header["detectors"])
                if rec["sector"] == "z"}

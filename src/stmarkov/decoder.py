@@ -16,11 +16,18 @@ every shot of a slice together with numpy arrays:
   from its lowest detector. A node's parent is the first node in queue
   order with a full edge to it, through that parent's lowest-index such
   edge. A tree edge belongs to the correction when the subtree below it
-  holds an odd number of fired detectors.
+  holds an odd number of fired detectors. The search reads one arc table
+  per slice, built once: the node across each full edge of every node.
 
 The correction's detector image is the observed pattern. Ties are broken by
 index throughout, so decoding is deterministic and a shot's correction does
 not depend on the other shots of its slice.
+
+One kernel, ``_correction_edges``, turns a slice of patterns into the
+(shot, edge) pairs of its corrections, and it has two readers: ``decode``
+builds a ``DecodeResult`` per shot from them, and ``logical_error_rate``
+reads only the predicted logical flips, the XOR of the edges' logical
+actions per shot.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ class _Graph:
             )
         self.mech = np.flatnonzero(sizes == 2)  # edge -> mechanism
         n_edges = self.mech.size
-        ends = np.fromiter(itertools.chain.from_iterable(dets), dtype=np.int32, count=2 * n_edges)
+        ends = np.fromiter(itertools.chain.from_iterable(dets), dtype=np.intp, count=2 * n_edges)
         self.u, self.v = ends[0::2].copy(), ends[1::2].copy()
         # Each node's edges in index order, padded with the index n_edges, and
         # the node at the other end of each (the node itself for a pad).
@@ -93,7 +100,7 @@ class _Graph:
         )
         pairs = [(l, k) for k, mech in enumerate(model.mechanisms) for l in mech.logical_flips]
         logical, flipper = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        act = np.zeros((model.n_mechanisms, len(model.logicals)), dtype=np.int64)
+        act = np.zeros((model.n_mechanisms, len(model.logicals)), dtype=np.uint8)
         act[flipper, logical] = 1
         self.edge_action = act[self.mech]
         # Rows of mechanism indices whose XOR is a detector bit or a logical
@@ -130,7 +137,7 @@ def _union(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     moves to its new root.
     """
     ra, rb = label[a], label[b]
-    up = np.arange(label.size, dtype=label.dtype)
+    up = np.arange(label.size)
     hooked = np.zeros(label.size, dtype=bool)
     while True:
         apart = ra != rb
@@ -159,15 +166,16 @@ def _grow(graph: _Graph, fired: np.ndarray, first_row: int) -> Tuple[np.ndarray,
     """
     shots, n = fired.shape
     fired_at = np.flatnonzero(fired)
-    label = np.arange(shots * n, dtype=np.int32)
+    label = np.arange(shots * n)
     growth = np.zeros((shots, graph.u.size), dtype=np.int8)
     while True:
-        odd_root = (np.bincount(label[fired_at], minlength=shots * n) & 1).astype(np.int8)
+        odd_root = np.bincount(label[fired_at], minlength=shots * n).astype(np.int8)
+        odd_root &= 1
         odd = odd_root[label].reshape(shots, n)
         rows = np.flatnonzero(odd.any(axis=1))
         if not rows.size:
             return growth == 2, label
-        odd, before = odd[rows], growth[rows]
+        odd, before = np.take(odd, rows, axis=0), np.take(growth, rows, axis=0)
         after = np.minimum(before + odd[:, graph.u] + odd[:, graph.v], 2)
         stuck = ~(after != before).any(axis=1)
         if stuck.any():
@@ -177,7 +185,7 @@ def _grow(graph: _Graph, fired: np.ndarray, first_row: int) -> Tuple[np.ndarray,
             )
         r, e = np.nonzero((after == 2) & (before != 2))
         growth[rows] = after
-        base = rows[r].astype(np.int32) * n
+        base = rows[r] * n
         _union(label, base + graph.u[e], base + graph.v[e])
 
 
@@ -189,50 +197,79 @@ def _peel(graph: _Graph, fired: np.ndarray, full: np.ndarray, label: np.ndarray)
     index order, so the arcs out of a level come in the order a first-in,
     first-out queue would try them, and each new node takes the first arc
     that reaches it.
+
+    Each level reads its arcs from one table built per slice: row (shot,
+    node) lists, in edge order, the flattened node across each of the
+    node's full edges, or the sentinel ``shots * nodes`` (never new) for
+    an edge that is not full or a pad.
     """
     shots, n = fired.shape
     size = shots * n
+    deg = graph.node_edges.shape[1]
     full = np.concatenate([full, np.zeros((shots, 1), dtype=bool)], axis=1)  # pad edge
-    node = np.arange(size)
-    level = np.flatnonzero((label == node) & (np.bincount(label, minlength=size) > 1))
-    visited = np.zeros(size, dtype=bool)
-    visited[level] = True
-    unclaimed = np.iinfo(np.int64).max
-    first = np.full(size, unclaimed)
-    levels = []
+    # (node across the arc - sentinel) * full + sentinel, in place.
+    reach = (np.arange(shots) * n - size)[:, None, None] + graph.node_other
+    reach *= full[:, graph.node_edges]
+    reach += size
+    reach = reach.reshape(size, deg)
+    level = np.flatnonzero((label == np.arange(size)) & (np.bincount(label, minlength=size) > 1))
+    new = np.ones(size + 1, dtype=bool)
+    new[size] = False
+    new[level] = False
+    # Position of the first arc to reach a node among its level's arcs. A
+    # node is reached in one level only, so the table is never reset.
+    first = np.full(size, np.iinfo(np.intp).max)
+    children, parents, arcs = [], [], []
     while level.size:
-        shot, at = np.divmod(level, n)
-        edges = graph.node_edges[at]
-        nodes = shot[:, None] * n + graph.node_other[at]
-        i, j = np.nonzero(full[shot[:, None], edges] & ~visited[nodes])
-        parents, nodes, edges = level[i], nodes[i, j], edges[i, j]
-        tried = np.arange(nodes.size)
-        np.minimum.at(first, nodes, tried)
-        won = first[nodes] == tried
-        first[nodes] = unclaimed
-        level = nodes[won]
-        visited[level] = True
-        levels.append((level, parents[won], edges[won]))
+        ends = reach[level]
+        arc = np.flatnonzero(new[ends])
+        node = ends.ravel()[arc]
+        tried = np.arange(node.size)
+        np.minimum.at(first, node, tried)
+        won = first[node] == tried
+        arc = arc[won]
+        parents.append(level[arc // deg])
+        level = node[won]
+        new[level] = False
+        children.append(level)
+        arcs.append(arc)
+    # Deepest level first, each node passes the parity of its subtree up.
     parity = fired.ravel().astype(np.uint8)
-    shot, edge = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for nodes, parents, edges in reversed(levels):
-        odd = parity[nodes] == 1
-        shot.append(nodes[odd] // n)
-        edge.append(edges[odd])
-        np.bitwise_xor.at(parity, parents[odd], 1)
-    return np.concatenate(shot), np.concatenate(edge)
+    children, parents, arcs = children[::-1], parents[::-1], arcs[::-1]
+    for child, parent in zip(children, parents):
+        np.bitwise_xor.at(parity, parent, parity[child])
+    none = [np.zeros(0, dtype=np.intp)]
+    child, parent, arc = (np.concatenate(x or none) for x in (children, parents, arcs))
+    odd = parity[child] == 1
+    return child[odd] // n, graph.node_edges[parent[odd] % n, arc[odd] % deg]
+
+
+def _correction_edges(
+    graph: _Graph, fired: np.ndarray, first_row: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The decoding kernel: (shot, edge) pairs of the corrections of a slice.
+
+    ``fired`` holds one (shots, nodes) pattern per row; ``first_row`` is the
+    row number of its first shot, for error messages.
+    """
+    full, label = _grow(graph, fired, first_row)
+    return _peel(graph, fired, full, label)
+
+
+def _logical_flips(graph: _Graph, shot: np.ndarray, edge: np.ndarray, shots: int) -> np.ndarray:
+    """Predicted flip of each logical bit per shot: the XOR of its edges' actions."""
+    flips = np.zeros((shots, graph.edge_action.shape[1]), dtype=np.uint8)
+    np.bitwise_xor.at(flips, shot, graph.edge_action[edge])
+    return flips
 
 
 def _decode_rows(graph: _Graph, fired: np.ndarray, first_row: int) -> List[DecodeResult]:
-    full, label = _grow(graph, fired, first_row)
-    shot, edge = _peel(graph, fired, full, label)
+    shot, edge = _correction_edges(graph, fired, first_row)
     mech = graph.mech[edge]
     order = np.lexsort((mech, shot))
     counts = np.bincount(shot, minlength=fired.shape[0])
     corrections = np.split(mech[order], np.cumsum(counts)[:-1])
-    flips = np.zeros((fired.shape[0], graph.edge_action.shape[1]), dtype=np.int64)
-    np.add.at(flips, shot, graph.edge_action[edge])
-    flips = (flips & 1).astype(np.uint8)
+    flips = _logical_flips(graph, shot, edge, fired.shape[0])
     return [DecodeResult(c.tolist(), f) for c, f in zip(corrections, flips)]
 
 
@@ -312,7 +349,10 @@ def logical_error_rate(
             rows = errors[: min(SLICE, m - k)]
             np.less(gen.random((rows.shape[0], probs.size)), probs, out=rows[:, :-1])
             dets, truth = graph.syndromes(rows)
-            flips = np.array([r.logical_flips for r in decode(model, dets)])
+            flips = 0  # a slice with no fired detector predicts no flip
+            if dets.any():
+                shot, edge = _correction_edges(graph, dets, start + k)
+                flips = _logical_flips(graph, shot, edge, rows.shape[0])
             failures += int(np.count_nonzero((flips != truth).any(axis=1)))
     rate = failures / shots
     lo, hi = wilson_interval(failures, shots)

@@ -177,6 +177,15 @@ def _with(**fields):
     return lambda rec: json.dumps({**rec, **fields})
 
 
+def _with_point(**fields):
+    """The record with its first CMI point's fields replaced (None deletes one)."""
+    def edit(rec):
+        point = {**rec["points"][0], **fields}
+        point = {k: v for k, v in point.items() if v is not None}
+        return json.dumps({**rec, "points": [point] + rec["points"][1:]})
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -187,8 +196,21 @@ def _with(**fields):
         (_with(p="0.11"), "cell record field 'p' is not a number"),
         (_with(points={}), "cell record field 'points' is not a list"),
         (_with(fit=None), "cell record field 'fit' is not an object"),
+        (_with(points=[1]), "cell record point 0 is not a JSON object"),
+        (_with_point(wB=1.0), "cell record point 0 field 'wB' is not an integer"),
+        (_with_point(dist=None), "cell record point 0 field 'dist' is not an integer"),
+        (_with_point(cmi_bits="0.1"), "cell record point 0 field 'cmi_bits' is not a number"),
+        (_with_point(cmi_stderr=[0]), "cell record point 0 field 'cmi_stderr' is not a number"),
+        (_with_point(support_abc=True),
+         "cell record point 0 field 'support_abc' is not an integer"),
+        (_with_point(reliable=1), "cell record point 0 field 'reliable' is not a boolean"),
+        (_with_point(method=0), "cell record point 0 field 'method' is not a string"),
+        (_with(fit={"xi": "x"}), "cell record fit field 'xi' is not a number"),
+        (_with(fit={"xi": 10**400}), "cell record fit field 'xi' is not a number"),
     ],
-    ids=["list", "key-only", "truncated", "T-float", "p-str", "points-object", "fit-null"],
+    ids=["list", "key-only", "truncated", "T-float", "p-str", "points-object", "fit-null",
+         "point-int", "wB-float", "dist-missing", "cmi-str", "stderr-list", "support-bool",
+         "reliable-int", "method-int", "xi-str", "xi-beyond-float"],
 )
 def test_sweep_resume_refuses_malformed_record(tmp_path, capsys, edit, message):
     out = str(tmp_path / "sweep.json")
@@ -199,8 +221,10 @@ def test_sweep_resume_refuses_malformed_record(tmp_path, capsys, edit, message):
     first, second = open(cells_file).read().splitlines()
     capsys.readouterr()
     open(cells_file, "w").write(first + "\n" + edit(json.loads(second)) + "\n")
-    assert run_cli(args + ["--resume"]) == 2
+    os.remove(out)
+    assert run_cli(args + ["--resume", "--csv", str(tmp_path / "s.csv")]) == 2
     assert f"{cells_file} line 2: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(
@@ -718,12 +742,26 @@ def test_ingest_honours_estimator(tmp_path):
     assert points["none"] != points["default"]
 
 
-@pytest.mark.parametrize("flags, key", [(["--mode", "ring"], "mode"),
-                                        (["--method", "exact"], "method")])
-def test_ingest_refuses_settings_it_cannot_honour(tmp_path, capsys, flags, key):
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--mode", "ring"], {}, "config key 'mode': ingest runs only the strip ladder"),
+        (["--method", "exact"], {}, "config key 'method': ingest runs only the sampled ladder"),
+        (["--csv", "x.csv"], {}, "config key 'csv': ingest writes no CSV"),
+        ([], {"csv": "x.csv"}, "config key 'csv': ingest writes no CSV"),
+    ],
+    ids=["flags0-mode", "flags1-method", "csv-flag", "csv-config"],
+)
+def test_ingest_refuses_settings_it_cannot_honour(tmp_path, capsys, flags, config, message):
     _, _, _, path = make_band_batch(tmp_path, n=50)
-    assert run_cli(["ingest", path] + flags) == 2
-    assert f"config key {key!r}: ingest runs only the" in capsys.readouterr().err
+    cfg = str(tmp_path / "cfg.json")
+    open(cfg, "w").write(json.dumps(config))
+    out = str(tmp_path / "o.json")
+    assert exit_code_in(tmp_path, ["ingest", path, "--config", cfg, "--out", out] + flags,
+                        {}) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert not os.path.exists(tmp_path / "x.csv")
 
 
 def test_ingest_with_no_rung_exits_2(tmp_path, capsys):
@@ -856,4 +894,103 @@ RUN_CONFIG = {"code": "repetition", "L": 6, "rounds": 8, "p": 0.1, "wA": 1, "wC"
 def test_run_of_bad_config_exits_0_or_2(config):
     with tempfile.TemporaryDirectory() as d:
         code = exit_code_in(d, ["run", "--config", "cfg.json"], {"cfg.json": config})
+    assert code in (0, 2)
+
+
+# A tiny sweep: one rung and few samples, so each example costs milliseconds.
+SWEEP_FLAGS = ["sweep", "--code", "repetition", "--wA", "1", "--wC", "1", "--wB-max", "1",
+               "--samples", "200", "--seed", "1", "--out", "sweep.json"]
+# Sizes and error rates as `--sizes` and `--p-grid` spell them, or garbage.
+SIZE_TEXT = st.one_of(
+    st.sampled_from(["6x6", "8x4"]),
+    st.builds("{}x{}".format, st.integers(-1, 9), st.integers(-1, 9)),
+    st.text(alphabet="0123456789x,. -", max_size=4),
+)
+P_TEXT = st.one_of(
+    st.sampled_from(["0.05", "0.1", "0.0", "0.5", "0.7", "-0.1", "nan", "inf", "1e-3"]),
+    st.floats(0.0, 0.5).map(repr),
+    st.text(alphabet="0123456789.,e-nai ", max_size=5),
+)
+
+
+XI_VALUE = st.one_of(ANY_JSON, st.floats(0.0, 3.0), st.sampled_from([10**400, -(10**400)]))
+
+
+@functools.lru_cache(maxsize=None)
+def small_progress_lines():
+    """The progress records of a finished tiny sweep of 6x6 at p = 0.05, 0.07 and 0.1."""
+    with tempfile.TemporaryDirectory() as d:
+        code = exit_code_in(d, SWEEP_FLAGS + ["--sizes", "6x6", "--p-grid", "0.05,0.07,0.1"], {})
+        assert code == 0
+        return tuple(open(os.path.join(d, "sweep.json.cells.jsonl")).read().splitlines())
+
+
+@st.composite
+def progress_files(draw):
+    """No progress file, arbitrary text, or the tiny sweep's records edited at random."""
+    kind = draw(st.sampled_from(["none", "text", "records", "records"]))
+    if kind == "none":
+        return None
+    if kind == "text":
+        return draw(st.text(alphabet='{}[]":,0123456789abcxyz \n', max_size=40))
+    lines = list(small_progress_lines())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        action = draw(st.sampled_from(["field", "point", "xi", "line", "cut", "copy"]))
+        if action == "cut" or not lines:
+            lines = lines[:i]
+            continue
+        if action == "copy":
+            lines.insert(i, lines[i])
+            continue
+        if action == "line":
+            lines[i] = draw(st.text(alphabet='{}[]":,0123456789x ', max_size=12))
+            continue
+        try:
+            rec = json.loads(lines[i])
+        except ValueError:
+            continue
+        if not isinstance(rec, dict):
+            continue
+        if action == "field":
+            key = draw(st.sampled_from(["L", "T", "p", "points", "fit", "key"]))
+            if draw(st.booleans()):
+                rec.pop(key, None)
+            else:
+                rec[key] = draw(ANY_JSON)
+        elif action == "xi":
+            # Every record gets a fitted xi, so that the peaks are interpolated.
+            for k, line in enumerate(lines):
+                if line.startswith("{") and '"fit": {' in line:
+                    other = json.loads(line)
+                    other["fit"]["xi"] = draw(XI_VALUE)
+                    lines[k] = json.dumps(other)
+            continue
+        elif isinstance(rec.get("points"), list) and rec["points"]:
+            j = draw(st.integers(0, len(rec["points"]) - 1))
+            point = rec["points"][j]
+            key = draw(st.sampled_from(sorted(point) if isinstance(point, dict) else [None]))
+            if key is None:
+                rec["points"][j] = draw(ANY_JSON)
+            else:
+                point[key] = draw(ANY_JSON)
+        lines[i] = json.dumps(rec)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.one_of(st.just("6x6"), st.lists(SIZE_TEXT, max_size=3).map(",".join)),
+    p_grid=st.one_of(st.sampled_from(["0.05,0.07,0.1", "0.1,0.05"]),
+                     st.lists(P_TEXT, max_size=3).map(",".join)),
+    progress=progress_files(),
+    decoder_shots=st.sampled_from(["0", "20"]),
+)
+def test_sweep_of_bad_input_exits_0_or_2(sizes, p_grid, progress, decoder_shots):
+    files = {} if progress is None else {"sweep.json.cells.jsonl": progress}
+    # The `--flag=value` spelling passes a value that starts with "-" as is.
+    argv = SWEEP_FLAGS + [f"--sizes={sizes}", f"--p-grid={p_grid}",
+                          "--decoder-shots", decoder_shots, "--csv", "sweep.csv", "--resume"]
+    with tempfile.TemporaryDirectory() as d:
+        code = exit_code_in(d, argv, files)
     assert code in (0, 2)

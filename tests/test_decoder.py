@@ -12,6 +12,7 @@ from stmarkov.decoder import (
     threshold_estimate,
     wilson_interval,
 )
+from stmarkov.sampler import _chunk_generator, stream_key
 from stmarkov.spacetime import NoiseModel, build_detector_model, detectors_from_errors
 
 from oracles import reference_decode
@@ -241,6 +242,42 @@ def test_rate_points_pinned():
     ]
     got = [repr(logical_error_rate(model, 4200, seed=3)) for model in small]
     assert got == PINNED_SMALL_RATE_POINTS
+
+
+def _rate_draws(model, shots, seed):
+    """The error draws of ``logical_error_rate(model, shots, seed)``: one
+    Philox stream per 4,096-shot chunk."""
+    probs = model.mechanism_probs()
+    key = stream_key(seed, "decoder")
+    return np.concatenate([
+        _chunk_generator(key, c).random((min(4096, shots - start), probs.size)) < probs
+        for c, start in enumerate(range(0, shots, 4096))
+    ]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("p", [1e-4, 0.08], ids=["quiet", "noisy"])
+@pytest.mark.parametrize(
+    "family, L, T", [("repetition", 5, 3), ("toric", 3, 2)], ids=["repetition", "toric"]
+)
+def test_rate_failures_recount_from_decode_and_reference(family, L, T, p):
+    """The rate path reads the kernel's flips without building DecodeResults;
+    its failure count equals a recount of its own draws through ``decode`` and
+    through the reference decoder, across the 64-shot slice and the 4,096-shot
+    chunk boundaries. At the quiet p most slices have no fired detector."""
+    code = repetition_code(L) if family == "repetition" else toric_code(L)
+    model = build_detector_model(code, T, _noise(family, p, T))
+    errors = _rate_draws(model, 4097, seed=5)
+    dets = (errors @ model.incidence().T) % 2
+    truth = (errors @ model.logical_action().T) % 2
+    batch = np.array([r.logical_flips for r in decode(model, dets)])
+    reference = np.array([reference_decode(model, d).logical_flips for d in dets])
+    assert np.array_equal(batch, reference)
+    wrong = (batch != truth).any(axis=1)
+    quiet = [not dets[lo : lo + 64].any() for lo in range(0, 4097, 64)]
+    assert any(quiet) == (p < 0.01) and not all(quiet)
+    for shots in (1, 63, 64, 65, 4097):
+        point = logical_error_rate(model, shots, seed=5)
+        assert point.logical_errors == int(np.count_nonzero(wrong[:shots])), shots
 
 
 @pytest.mark.parametrize(
