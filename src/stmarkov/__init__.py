@@ -30,6 +30,6 @@ from .markov import (
     build_tripartition,
     cmi,
     markov_length,
-    sweep,
+    sweep_cells,
 )
 from .decoder import DecodeResult, decode, logical_error_rate, threshold_estimate

@@ -214,6 +214,19 @@ _POINT_TYPES = {
     "reliable": (lambda v: isinstance(v, bool), "a boolean"),
     "method": (lambda v: isinstance(v, str), "a string"),
 }
+# The fields of a fit record (``_fit_record``), and what each must be; a
+# failed fit holds only its reason.
+_FIT_TYPES = {
+    "xi": (_is_number, "a number"),
+    "xi_stderr": (_is_number, "a number"),
+    "slope_log2": (_is_number, "a number"),
+    "slope_stderr": (_is_number, "a number"),
+    "r_squared": (_is_number, "a number"),
+    "window": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+               "a list of two integers"),
+    "n_used": (_is_int, "an integer"),
+}
+_FIT_ERROR_TYPES = {"error": (lambda v: isinstance(v, str), "a string")}
 
 
 def _check_fields(what: str, rec: Dict, types: Dict) -> None:
@@ -227,7 +240,8 @@ def _read_progress(path: str, key: str) -> Dict[Tuple[int, int, float], Dict]:
 
     Refuses a line that is not a JSON object, a record written under another
     config and a record missing a field (or holding one of the wrong type),
-    down to the fields of each CMI point and the fit's xi.
+    down to the fields of each CMI point and of the fit, which must hold
+    exactly the fields of ``_fit_record``.
     """
     done = {}
     with open(path) as f:
@@ -249,8 +263,13 @@ def _read_progress(path: str, key: str) -> Dict[Tuple[int, int, float], Dict]:
                 if not isinstance(pt, dict):
                     raise ConfigError(f"{where}: cell record point {j} is not a JSON object")
                 _check_fields(f"{where}: cell record point {j}", pt, _POINT_TYPES)
-            if "xi" in rec["fit"] and not _is_number(rec["fit"]["xi"]):
-                raise ConfigError(f"{where}: cell record fit field 'xi' is not a number")
+            fit_types = _FIT_ERROR_TYPES if "error" in rec["fit"] else _FIT_TYPES
+            _check_fields(f"{where}: cell record fit", rec["fit"], fit_types)
+            extra = sorted(set(rec["fit"]) - set(fit_types))
+            if extra:
+                raise ConfigError(
+                    f"{where}: cell record fit has a field {extra[0]!r} it cannot hold"
+                )
             done[(rec["L"], rec["T"], rec["p"])] = rec
     return done
 
@@ -647,7 +666,8 @@ _HEADER_TYPES = {
 
 
 def _check_header(header) -> None:
-    """Refuse a header whose keys are missing, of the wrong type or out of range."""
+    """Refuse a header whose keys are missing, of the wrong type or out of range,
+    or that places two z-sector detectors at the same coordinates."""
     if not isinstance(header, dict):
         raise ConfigError("interchange header is not a JSON object")
     if header.get("version") != INTERCHANGE_VERSION:
@@ -659,6 +679,7 @@ def _check_header(header) -> None:
         if key in header and not ok(header[key]):
             raise ConfigError(f"interchange header key {key!r}: {header[key]!r} is not {kind}")
     scheme = {"sector", "check", "round", "coords"}
+    z_at = {}
     for i, rec in enumerate(header["detectors"]):
         if not isinstance(rec, dict) or not scheme.issubset(rec):
             raise ConfigError(
@@ -666,6 +687,12 @@ def _check_header(header) -> None:
             )
         if not (isinstance(rec["coords"], list) and all(map(_is_int, rec["coords"]))):
             raise ConfigError(f"detector {i}: coords {rec['coords']!r} are not a list of integers")
+        if rec["sector"] == "z":
+            first = z_at.setdefault(tuple(rec["coords"]), i)
+            if first != i:
+                raise ConfigError(
+                    f"detectors {first} and {i} are both at z-sector coordinates {rec['coords']}"
+                )
 
 
 def _refuse_rows(bad: np.ndarray, lo: int, lines: List[str], what: str) -> None:

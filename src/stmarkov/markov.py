@@ -21,9 +21,13 @@ the detectors of an interchange header. Two layouts:
 CMI is reported in bits; the decay convention is I ~ exp(-dist/xi), so the
 fitted xi is an e-folding length in lattice units.
 
-Sweep cells are computed by one loop, ``sweep_cells``: it takes an ordered
+Sampled CMI reads every tripartition at one ladder anchor from one count
+table, over the union of their detectors (``_anchor_cmis``); a single
+tripartition (``cmi``) is a ladder of one rung at one anchor.
+
+Sweep cells are computed by one entry, ``sweep_cells``: it takes an ordered
 list of (L, T, p) cells, fits a w_B ladder per cell and yields the cells in
-order. ``sweep`` and the ``run`` and ``sweep`` commands of the CLI all call it.
+order. The ``run`` and ``sweep`` commands of the CLI call it.
 Decoder curves over the same grid come from one loop too: ``rate_points``
 yields the logical error rate of each (L, T, p) point in grid order.
 """
@@ -33,7 +37,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from functools import partial
+from itertools import product as iproduct, starmap
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -266,11 +271,6 @@ def _cmi_identity(tri: Tripartition, h):
     )
 
 
-def _region_table(batch, region: Sequence[int]):
-    """(pattern x chunk) count table of a batch's samples over ``region``, with its values."""
-    return _chunk_table(subset_patterns(batch, region), batch.chunk_bounds, len(region))
-
-
 def _table_cmi(table, values, region: Sequence[int], tri: Tripartition, correction: bool):
     """CMI, its leave-one-chunk-out values and the ABC support of a tripartition
     whose detectors lie in ``region``, read from the count table over ``region``.
@@ -291,32 +291,19 @@ def _table_cmi(table, values, region: Sequence[int], tri: Tripartition, correcti
     return float(stat[0]), stat[1:], support
 
 
-def _tripartition_cmi(batch, tri: Tripartition, correction: bool):
-    """``_table_cmi`` of one tripartition on its own ABC count table."""
-    region = tri.all_detectors
-    return _table_cmi(*_region_table(batch, region), region, tri, correction)
-
-
 def _anchor_cmis(batch, tris: Sequence[Tripartition], correction: bool) -> List[tuple]:
-    """``_table_cmi`` of the tripartitions at one anchor, on one table where they nest.
+    """``_table_cmi`` of the tripartitions at one anchor, all read from one count table.
 
-    The table counts the ABC of the widest tripartition; every tripartition
-    whose detectors lie inside it reads its marginals, any other one counts
-    its own table once the shared one is dropped.
+    The table counts the batch's samples over the union of the
+    tripartitions' detectors. The rungs of a ladder nest at each anchor, so
+    there the union is the ABC of the deepest rung and no wider table is
+    counted than that rung alone needs.
     """
-    region = max(tris, key=lambda tri: len(tri.all_detectors)).all_detectors
-    inside = set(region)
-    table, values = _region_table(batch, region)
-    stats = [
-        _table_cmi(table, values, region, tri, correction)
-        if inside.issuperset(tri.all_detectors) else None
-        for tri in tris
-    ]
-    del table, values
-    return [
-        _tripartition_cmi(batch, tri, correction) if stat is None else stat
-        for tri, stat in zip(tris, stats)
-    ]
+    region = sorted({d for tri in tris for d in tri.all_detectors})
+    table, values = _chunk_table(
+        subset_patterns(batch, region), batch.chunk_bounds, len(region)
+    )
+    return [_table_cmi(table, values, region, tri, correction) for tri in tris]
 
 
 def cmi(
@@ -347,7 +334,7 @@ def cmi(
     if method != "sampled":
         raise ValueError(f"unknown method {method!r}")
     batch = sample_batch(model, region, n, seed, stream=stream)
-    return cmi_from_batch(batch, tri, correction=correction)
+    return ladder_from_batch(batch, [tri], correction)[0]
 
 
 # Plug-in histograms stop being trustworthy once the observed support is a
@@ -397,11 +384,6 @@ def ladder_from_batch(
     return _ladder_points(batch, [[tri] for tri in tris], correction, method)
 
 
-def cmi_from_batch(batch, tri: Tripartition, correction: bool = True) -> CmiPoint:
-    """CMI estimate of a tripartition from an existing sample batch."""
-    return ladder_from_batch(batch, [tri], correction)[0]
-
-
 def averaged_cmi_ladder(
     model: DetectorModel,
     wB_list: Sequence[int],
@@ -410,8 +392,6 @@ def averaged_cmi_ladder(
     wA: int = 2,
     wC: int = 2,
     mode: str = "strip",
-    sector: str = "z",
-    cap: int = 24,
     stream: str = "cmi",
     anchor_stride: Optional[int] = None,
     correction: bool = True,
@@ -435,7 +415,7 @@ def averaged_cmi_ladder(
     if anchor_stride is None:
         anchor_stride = max(2, space[0] // 8)  # ~8 translates at any size
     anchors = [x for x in range(0, space[0], anchor_stride)]
-    lattice = model.sector_lattice(sector)
+    lattice = model.sector_lattice("z")
     band = sorted(
         idx
         for coords, idx in lattice.items()
@@ -444,10 +424,7 @@ def averaged_cmi_ladder(
     rest = tuple((space[d] - wA) // 2 for d in range(1, len(space))) + (t0,)
     rungs = [
         [
-            build_tripartition(
-                model, wA=wA, wB=wB, wC=wC, anchor=(x,) + rest, mode=mode,
-                sector=sector, cap=cap,
-            )
+            build_tripartition(model, wA=wA, wB=wB, wC=wC, anchor=(x,) + rest, mode=mode)
             for x in anchors
         ]
         for wB in wB_list
@@ -562,11 +539,6 @@ class SweepCell:
     fit_error: Optional[str]
 
 
-@dataclass
-class SweepResult:
-    cells: List[SweepCell]
-
-
 def interpolate_peak(ps: Sequence[float], xis: Sequence[float]) -> PeakEstimate:
     """Quadratic interpolation around the grid maximum of xi(p)."""
     ps = list(ps)
@@ -597,21 +569,24 @@ def cell_noise(p: float, p_z: float, q: Optional[float]) -> NoiseModel:
     return NoiseModel(p_x=p, p_z=p_z, q=p if q is None else q)
 
 
-def _sweep_cell(args) -> SweepCell:
-    (family, L, T, p, p_z, q, ladder, n, seed, wA, wC, mode, cap, method,
-     anchor_stride, correction) = args
+def _sweep_cell(
+    L: int, T: int, p: float, *, family: str, ladder: Sequence[int], n: int, seed: int,
+    wA: int, wC: int, mode: str, p_z: float, q: Optional[float], method: str,
+    anchor_stride: Optional[int], correction: bool,
+) -> SweepCell:
+    """The (L, T, p) cell of a sweep: its ladder's points and their fit (or the gap)."""
     model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
     if model.n_mechanisms == 0:
         points = []
     elif method == "exact":
         points = []
         for wB in ladder:
-            tri = build_tripartition(model, wA=wA, wB=wB, wC=wC, mode=mode, cap=cap)
+            tri = build_tripartition(model, wA=wA, wB=wB, wC=wC, mode=mode)
             points.append(cmi(model, tri, method="exact", exact_cap=10**9))
     elif method == "sampled":
         stream = f"cmi/L{L}/T{T}/p{p:.6g}"
         points = averaged_cmi_ladder(
-            model, ladder, n, seed, wA=wA, wC=wC, mode=mode, cap=cap, stream=stream,
+            model, ladder, n, seed, wA=wA, wC=wC, mode=mode, stream=stream,
             anchor_stride=anchor_stride, correction=correction,
         )
     else:
@@ -631,7 +606,6 @@ def sweep_cells(
     mode: str = "strip",
     p_z: float = 0.0,
     q: Optional[float] = None,
-    cap: int = 24,
     jobs: int = 1,
     method: str = "sampled",
     anchor_stride: Optional[int] = None,
@@ -639,22 +613,25 @@ def sweep_cells(
 ) -> Iterator[SweepCell]:
     """Compute the (L, T, p) ``cells`` in order, yielding each as it finishes.
 
-    The one loop over sweep cells: ``sweep``, ``stmarkov run`` and
-    ``stmarkov sweep`` all compute through it. More than one job and more
-    than one cell runs the cells in a process pool; results come back in
-    the order of ``cells`` either way. Per-cell RNG streams are derived from
-    the cell coordinates, so results do not depend on ``jobs``.
+    The one sweep entry: ``stmarkov run`` and ``stmarkov sweep`` compute
+    through it. Each cell fits xi from a w_B ladder of tripartitions
+    (sampled cells average over spatial anchor translates); a fit failure
+    is recorded as a gap, with its reason in ``fit_error``. The readout
+    error rate is ``q``, or p in each cell when ``q`` is None. More than one
+    job and more than one cell runs the cells in a process pool; results
+    come back in the order of ``cells`` either way. Per-cell RNG streams are
+    derived from the cell coordinates, so results do not depend on ``jobs``.
     """
-    tasks = [
-        (family, L, T, p, p_z, q, tuple(ladder), n, seed, wA, wC, mode, cap,
-         method, anchor_stride, correction)
-        for (L, T, p) in cells
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            yield from pool.map(_sweep_cell, tasks)
+    cell = partial(
+        _sweep_cell, family=family, ladder=tuple(ladder), n=n, seed=seed, wA=wA, wC=wC,
+        mode=mode, p_z=p_z, q=q, method=method, anchor_stride=anchor_stride,
+        correction=correction,
+    )
+    if jobs > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            yield from pool.map(cell, *zip(*cells))
     else:
-        yield from map(_sweep_cell, tasks)
+        yield from starmap(cell, cells)
 
 
 def rate_points(
@@ -674,35 +651,3 @@ def rate_points(
         for p in p_grid:
             model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
             yield logical_error_rate(model, shots, seed)
-
-
-def sweep(
-    family: str,
-    sizes: Sequence[Tuple[int, int]],
-    p_grid: Sequence[float],
-    ladder: Sequence[int] = (1, 2, 3),
-    n: int = 10**6,
-    seed: int = 0,
-    wA: int = 2,
-    wC: int = 2,
-    mode: str = "strip",
-    p_z: float = 0.0,
-    q: Optional[float] = None,
-    cap: int = 24,
-    jobs: int = 1,
-    method: str = "sampled",
-    anchor_stride: Optional[int] = None,
-    correction: bool = True,
-) -> SweepResult:
-    """Markov-length sweep over sizes and error rates, through ``sweep_cells``.
-
-    Each grid cell fits xi from a w_B ladder of tripartitions (sampled cells
-    average over spatial anchor translates); fit failures are recorded as
-    gaps. The readout error rate is ``q``, or p in each cell when ``q`` is
-    None. Cells come size by size, each size in the order of ``p_grid``.
-    """
-    grid = [(L, T, p) for (L, T) in sizes for p in p_grid]
-    return SweepResult(cells=list(sweep_cells(
-        family, grid, ladder, n, seed, wA, wC, mode, p_z, q, cap, jobs, method,
-        anchor_stride, correction,
-    )))

@@ -34,7 +34,7 @@ from stmarkov.markov import (
     interpolate_peak,
     markov_length,
     rate_points,
-    sweep,
+    sweep_cells,
 )
 from stmarkov.sampler import sample_batch
 from stmarkov.spacetime import (
@@ -272,25 +272,23 @@ DECODER_SHOTS = 4500
 @pytest.fixture(scope="module")
 def threshold_data():
     t0 = time.monotonic()
-    result = sweep(
-        "repetition", sizes=SIZES, p_grid=P_GRID, n=10**6, seed=SEED, wC=1,
-        anchor_stride=2,
-    )
+    grid = [(L, T, p) for (L, T) in SIZES for p in P_GRID]
+    cells = list(sweep_cells("repetition", grid, n=10**6, seed=SEED, wC=1, anchor_stride=2))
     t_sweep = time.monotonic() - t0
     curves = {}
     for rp in rate_points("repetition", SIZES, P_GRID, DECODER_SHOTS, SEED):
         curves.setdefault(rp.L, []).append((rp.p, rp.rate))
     t_all = time.monotonic() - t0
     print(f"\n[threshold fixture] sweep {t_sweep:.0f}s, total {t_all:.0f}s")
-    return result, curves
+    return cells, curves
 
 
-def _per_size_peaks(result):
+def _per_size_peaks(cells):
     peaks = {}
     for (L, _) in SIZES:
         series = sorted(
             (c.p, c.fit.xi, c.fit.xi_stderr)
-            for c in result.cells
+            for c in cells
             if c.L == L and c.fit is not None
         )
         ps = [s[0] for s in series]
@@ -302,7 +300,7 @@ def _per_size_peaks(result):
     return peaks
 
 
-def _pooled_peak(result):
+def _pooled_peak(cells):
     """Peak of xi(p) pooled (inverse-variance) across sizes.
 
     Exact bulk-region CMI is identical across these sizes, so pooling the
@@ -312,7 +310,7 @@ def _pooled_peak(result):
     for p in P_GRID:
         fits = [
             (c.fit.xi, c.fit.xi_stderr)
-            for c in result.cells
+            for c in cells
             if c.p == p and c.fit is not None
         ]
         if not fits:
@@ -325,10 +323,10 @@ def _pooled_peak(result):
 
 
 def test_criterion_7a_markov_peak(threshold_data):
-    result, _ = threshold_data
-    pooled = _pooled_peak(result)
+    cells, _ = threshold_data
+    pooled = _pooled_peak(cells)
     location_ok = pooled.interior and 0.08 <= pooled.p_peak <= 0.14
-    peaks = _per_size_peaks(result)
+    peaks = _per_size_peaks(cells)
     details = [f"pooled peak p={pooled.p_peak:.4f} (interior={pooled.interior})"]
     for L, (pk, err) in sorted(peaks.items()):
         details.append(f"L={L}: peak p={pk.p_peak:.4f} xi={pk.xi_peak:.4f}+-{err:.4f}")
@@ -373,8 +371,8 @@ def test_criterion_7b_decoder_crossing(threshold_data):
 
 
 def test_criterion_7c_peak_vs_crossing(threshold_data):
-    result, curves = threshold_data
-    pooled = _pooled_peak(result)
+    cells, curves = threshold_data
+    pooled = _pooled_peak(cells)
     est = threshold_estimate(curves)
     gap = abs(pooled.p_peak - est.p_cross)
     report(

@@ -24,11 +24,10 @@ from stmarkov.cli import (
 from stmarkov.decoder import threshold_estimate
 from stmarkov.markov import (
     build_tripartition,
-    cmi_from_batch,
     interpolate_peak,
     ladder_from_batch,
     rate_points,
-    sweep,
+    sweep_cells,
 )
 from stmarkov.sampler import sample_batch
 from stmarkov.spacetime import NoiseModel, build_detector_model
@@ -186,6 +185,13 @@ def _with_point(**fields):
     return edit
 
 
+def _with_fit(**fields):
+    """The record with a fit of every field, these replaced (None deletes one)."""
+    fit = {"xi": 1.5, "xi_stderr": 0.1, "slope_log2": -1.0, "slope_stderr": 0.1,
+           "r_squared": 0.9, "window": [2, 4], "n_used": 3, **fields}
+    return _with(fit={k: v for k, v in fit.items() if v is not None})
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -207,10 +213,23 @@ def _with_point(**fields):
         (_with_point(method=0), "cell record point 0 field 'method' is not a string"),
         (_with(fit={"xi": "x"}), "cell record fit field 'xi' is not a number"),
         (_with(fit={"xi": 10**400}), "cell record fit field 'xi' is not a number"),
+        (_with(fit={}), "cell record fit field 'xi' is not a number"),
+        (_with(fit={"xi": 1.5, "xi_stderr": "x", "window": 7, "bogus": [1]}),
+         "cell record fit field 'xi_stderr' is not a number"),
+        (_with_fit(window=[1, 2.0]),
+         "cell record fit field 'window' is not a list of two integers"),
+        (_with_fit(window=[1, 2, 3]),
+         "cell record fit field 'window' is not a list of two integers"),
+        (_with_fit(n_used=None), "cell record fit field 'n_used' is not an integer"),
+        (_with_fit(bogus=[1]), "cell record fit has a field 'bogus' it cannot hold"),
+        (_with(fit={"error": 3}), "cell record fit field 'error' is not a string"),
+        (_with(fit={"error": "x", "xi": 1.5}), "cell record fit has a field 'xi' it cannot hold"),
     ],
     ids=["list", "key-only", "truncated", "T-float", "p-str", "points-object", "fit-null",
          "point-int", "wB-float", "dist-missing", "cmi-str", "stderr-list", "support-bool",
-         "reliable-int", "method-int", "xi-str", "xi-beyond-float"],
+         "reliable-int", "method-int", "xi-str", "xi-beyond-float", "fit-empty",
+         "fit-mixed", "window-float", "window-long", "n_used-missing", "fit-extra",
+         "error-int", "error-and-xi"],
 )
 def test_sweep_resume_refuses_malformed_record(tmp_path, capsys, edit, message):
     out = str(tmp_path / "sweep.json")
@@ -300,9 +319,9 @@ def test_sweep_cells_equal_markov_sweep(tmp_path, jobs):
     assert run_cli(["sweep", "--code", "repetition", "--sizes", "8x8,12x12", "--p-grid",
                     "0.07,0.11", "--wB-max", "2", "--samples", "10000", "--seed", "3",
                     "--jobs", str(jobs), "--out", out]) == 0
-    result = sweep("repetition", sizes=[(8, 8), (12, 12)], p_grid=[0.07, 0.11],
-                   ladder=(1, 2), n=10000, seed=3)
-    expected = json.loads(json.dumps([_cell_record(c) for c in result.cells]))
+    grid = [(L, T, p) for (L, T) in [(8, 8), (12, 12)] for p in [0.07, 0.11]]
+    cells = sweep_cells("repetition", grid, ladder=(1, 2), n=10000, seed=3)
+    expected = json.loads(json.dumps([_cell_record(c) for c in cells]))
     assert json.loads(open(out).read())["cells"] == expected
 
 
@@ -348,7 +367,7 @@ def test_ingest_roundtrip_matches_in_process(tmp_path, family, wB_max):
             model, wA=2, wB=rec["wB"], wC=2, anchor=anchor, mode="strip", cap=64,
             bulk_margin=0,
         )
-        point = cmi_from_batch(batch, tri)
+        point, = ladder_from_batch(batch, [tri])
         assert rec["cmi_bits"] == point.cmi
         assert rec["cmi_stderr"] == point.std_error
 
@@ -535,11 +554,11 @@ def test_interrupted_sweep_resumes_byte_identical(tmp_path, monkeypatch):
     real_cell = markov._sweep_cell
     calls = []
 
-    def failing_cell(task):
-        calls.append(task)
+    def failing_cell(*args, **kwargs):
+        calls.append(args)
         if len(calls) == 3:
             raise KeyboardInterrupt
-        return real_cell(task)
+        return real_cell(*args, **kwargs)
 
     monkeypatch.setattr(markov, "_sweep_cell", failing_cell)
     with pytest.raises(KeyboardInterrupt):
@@ -605,14 +624,18 @@ def test_read_interchange_rejects_bits_above_width(tmp_path):
 
 
 # sha256 of every file the commands below write, recorded before a ladder's
-# rungs at one anchor shared one count table. Outputs are written under
+# rungs at one anchor shared one count table (rep-exact.json and sweep-jobs.*
+# before a sweep cell took its settings by keyword). Outputs are written under
 # relative names in a fresh directory, so the paths in each config are fixed.
 PINNED_OUTPUTS = {
     "ingest-rep.json": "3edf5a7d674879f22687f6800ced7109f047363fe74a94e7899ba47b133d60b7",
     "ingest-toric.json": "8d5d97d495359f06286df8473ba1c7fcae435525529998d0d1f74b5a05be3b69",
+    "rep-exact.json": "496008fb1f453059df56afc98b02ad75427a4edb74b47e18413ebbde552adb6a",
     "rep-ring.json": "7dd92f072b1aa2b8ff4b28f8a81d6af5e4ff2451d478b13c383b8ccb8bd4006a",
     "rep.csv": "9e6dea689aca03f2d1661309b36dd6dfe62ecebdad1b61e3cee451bf7adcbdf2",
     "rep.json": "9230d88d650e4e75576507a55886c8e17b89d3a267f1d6e41a8ab76fee87843c",
+    "sweep-jobs.json": "394b61b230124a16a394357b317deb12b5ad219123b1047e9ed3ba9ab08de8b0",
+    "sweep-jobs.json.cells.jsonl": "f1ff3a106646032caa38ea67d57111c22fac17324d060993fd22858a20b4953b",
     "sweep.csv": "c9ecc04464108c3e6cdaa615cde045c47c3270f79c12b1b6207d1a051b91e3af",
     "sweep.json": "2e896fb799381d230c09612221ab7e70d99f70a370042743c5d4030b1e61f368",
     "sweep.json.cells.jsonl": "f1ff3a106646032caa38ea67d57111c22fac17324d060993fd22858a20b4953b",
@@ -635,6 +658,11 @@ PINNED_COMMANDS = [
      "--decoder-shots", "200", "--jobs", "1", "--out", "sweep.json", "--csv", "sweep.csv"],
     ["ingest", "rep-band.txt", "--wB-max", "3", "--out", "ingest-rep.json"],
     ["ingest", "toric-band.txt", "--wB-max", "3", "--out", "ingest-toric.json"],
+    ["run", "--code", "repetition", "--L", "8", "--rounds", "8", "--p", "0.11",
+     "--method", "exact", "--wB-max", "3", "--out", "rep-exact.json"],
+    ["sweep", "--code", "repetition", "--sizes", "6x6,8x8", "--p-grid", "0.07,0.11",
+     "--wC", "1", "--wB-max", "2", "--samples", "10000", "--seed", "3", "--jobs", "2",
+     "--out", "sweep-jobs.json"],
 ]
 
 
@@ -690,10 +718,12 @@ def set_key(key, value):
         (lambda h: h["detectors"][3].__setitem__("coords", 3),
          "detector 3: coords 3 are not a list of integers"),
         (lambda h: h["detectors"].__setitem__(2, 7), "detector 2: unknown coordinate scheme 7"),
+        (lambda h: h["detectors"][3].__setitem__("coords", [0, 3]),
+         "detectors 1 and 3 are both at z-sector coordinates [0, 3]"),
     ],
     ids=["n_rows-str", "n_rows-float", "n_rows-negative", "n_rows-zero", "detectors-int",
          "detectors-empty", "space_shape-int", "space_shape-zero", "rounds-str", "rounds-zero",
-         "seed-str", "model_hash-int", "coords-int", "detector-int"],
+         "seed-str", "model_hash-int", "coords-int", "detector-int", "coords-repeated"],
 )
 def test_ingest_refuses_malformed_header(tmp_path, capsys, edit, message):
     _, _, _, path = make_band_batch(tmp_path, n=20)
@@ -784,7 +814,7 @@ def test_ingest_all_zero_ladder_is_a_gap_like_a_sweep_cell(tmp_path):
     assert run_cli(["ingest", path, "--wB-max", "3", "--out", out]) == 0
     payload = json.loads(open(out).read())
     assert [pt["cmi_bits"] for pt in payload["points"]] == [0.0, 0.0, 0.0]
-    cell, = sweep("repetition", [(8, 8)], [0.0], q=0.0, ladder=(1, 2, 3), n=500).cells
+    cell, = sweep_cells("repetition", [(8, 8, 0.0)], q=0.0, ladder=(1, 2, 3), n=500)
     assert payload["fit"] == {"error": "all CMI at zero"} == _cell_record(cell)["fit"]
 
 

@@ -1,18 +1,20 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import all_mechanism_validate, four_histogram_cmi
 
+from stmarkov import markov
 from stmarkov.codes import repetition_code, toric_code
 from stmarkov.markov import (
     CmiPoint,
     FitError,
     _anchor_cmis,
-    _tripartition_cmi,
+    _table_cmi,
     averaged_cmi_ladder,
     build_tripartition,
     cmi,
@@ -20,10 +22,11 @@ from stmarkov.markov import (
     interpolate_peak,
     ladder_band_t0,
     markov_length,
-    sweep,
+    sweep_cells,
     validate_tripartition,
 )
-from stmarkov.sampler import PatternWidthExceeded, sample_batch
+from stmarkov.entropy import _chunk_table
+from stmarkov.sampler import PatternWidthExceeded, sample_batch, subset_patterns
 from stmarkov.spacetime import NoiseModel, Tripartition, build_detector_model
 
 
@@ -222,32 +225,16 @@ def test_interpolate_peak_quadratic():
 
 
 def test_sweep_smoke():
-    result = sweep(
-        "repetition",
-        sizes=[(8, 8)],
-        p_grid=[0.05, 0.11],
-        ladder=(1, 2, 3),
-        n=20_000,
-        seed=7,
-        wA=2,
-        wC=2,
-    )
-    assert len(result.cells) == 2
-    for cell in result.cells:
+    grid = [(8, 8, 0.05), (8, 8, 0.11)]
+    cells = list(sweep_cells("repetition", grid, ladder=(1, 2, 3), n=20_000, seed=7, wA=2, wC=2))
+    assert len(cells) == 2
+    for cell in cells:
         assert len(cell.points) == 3
     # Reproducible independent of execution order / jobs.
-    again = sweep(
-        "repetition",
-        sizes=[(8, 8)],
-        p_grid=[0.05, 0.11],
-        ladder=(1, 2, 3),
-        n=20_000,
-        seed=7,
-        wA=2,
-        wC=2,
-        jobs=2,
+    again = sweep_cells(
+        "repetition", grid, ladder=(1, 2, 3), n=20_000, seed=7, wA=2, wC=2, jobs=2
     )
-    for c1, c2 in zip(result.cells, again.cells):
+    for c1, c2 in zip(cells, again):
         for p1, p2 in zip(c1.points, c2.points):
             assert p1.cmi == p2.cmi and p1.std_error == p2.std_error
 
@@ -293,11 +280,8 @@ def test_toric_sampled_cmi_matches_exact():
 
 
 def test_sweep_p_zero_row_is_gap():
-    result = sweep(
-        "repetition", sizes=[(8, 8)], p_grid=[0.0, 0.09], ladder=(1, 2),
-        n=5000, seed=2,
-    )
-    by_p = {c.p: c for c in result.cells}
+    cells = sweep_cells("repetition", [(8, 8, 0.0), (8, 8, 0.09)], ladder=(1, 2), n=5000, seed=2)
+    by_p = {c.p: c for c in cells}
     assert by_p[0.0].fit is None
     assert by_p[0.0].fit_error == "all CMI at zero"
 
@@ -312,17 +296,24 @@ def test_histogram_kernel_matches_four_histograms(n, wB):
     assert dense == (n == 20_000 and wB < 2)
     batch = sample_batch(model, list(range(model.n_detectors)), n, seed=3)
     for correction in (True, False):
-        value, loo, support = _tripartition_cmi(batch, tri, correction)
+        value, loo, support = own_table_cmi(batch, tri, correction)
         ref_value, ref_loo, ref_support = four_histogram_cmi(batch, tri, correction)
         assert value == ref_value
         assert np.array_equal(loo, ref_loo)
         assert support == ref_support
 
 
+def own_table_cmi(batch, tri, correction):
+    """``_table_cmi`` of one tripartition read from a count table over its own ABC."""
+    region = tri.all_detectors
+    table, values = _chunk_table(
+        subset_patterns(batch, region), batch.chunk_bounds, len(region)
+    )
+    return _table_cmi(table, values, region, tri, correction)
+
+
 def count_pattern_calls(monkeypatch):
     """Record each call of ``markov.subset_patterns``: one per count table built."""
-    from stmarkov import markov
-
     calls = []
     original = markov.subset_patterns
 
@@ -338,7 +329,7 @@ def assert_anchor_table_matches_own_tables(batch, tris):
     for correction in (True, False):
         shared = _anchor_cmis(batch, tris, correction)
         for tri, (value, loo, support) in zip(tris, shared):
-            own_value, own_loo, own_support = _tripartition_cmi(batch, tri, correction)
+            own_value, own_loo, own_support = own_table_cmi(batch, tri, correction)
             assert value == own_value
             assert np.array_equal(loo, own_loo)
             assert support == own_support
@@ -370,7 +361,7 @@ def test_anchor_table_matches_own_tables(monkeypatch, mode, wA, T, ladder, cap, 
     assert_anchor_table_matches_own_tables(batch, tris)
 
 
-def test_anchor_table_counts_outsiders_on_their_own(monkeypatch):
+def test_anchor_table_counts_the_union_of_its_tripartitions(monkeypatch):
     model = model_for(8, 8, 0.1)
     tris = [
         build_tripartition(model, wA=2, wB=wB, wC=1, anchor=(x, 1), mode="strip")
@@ -379,8 +370,63 @@ def test_anchor_table_counts_outsiders_on_their_own(monkeypatch):
     batch = sample_batch(model, list(range(model.n_detectors)), 20_000, seed=4)
     calls = count_pattern_calls(monkeypatch)
     _anchor_cmis(batch, tris, True)
-    # The x = 4 rung lies outside the widest ABC (x = 0, wB = 3): it gets its own table.
-    assert [len(args[1]) for args in calls] == [12, 8]
+    # The x = 4 rung lies outside the widest ABC (x = 0, wB = 3, 12 detectors):
+    # the one table counts its 8 detectors too.
+    assert [len(args[1]) for args in calls] == [20]
+    assert_anchor_table_matches_own_tables(batch, tris)
+
+
+@functools.lru_cache(maxsize=None)
+def full_batch(family, L, T, n):
+    """A batch over every detector of a small model at p = q = 0.1."""
+    model = small_model(family, L, T, 0.1, 0.0, 0.1)
+    return model, sample_batch(model, list(range(model.n_detectors)), n, seed=6)
+
+
+@st.composite
+def anchor_sets(draw):
+    """A batch and the tripartitions of one count table.
+
+    Either a ladder (one anchor, mode, w_A and w_C, several w_B: nested ABCs)
+    or tripartitions drawn independently (any anchors, modes and widths).
+    The sample count makes the union's table dense at small widths and
+    compacted at large ones.
+    """
+    family = draw(st.sampled_from(["repetition", "toric"]))
+    L = draw(st.integers(4, 8) if family == "repetition" else st.integers(3, 4))
+    T = draw(st.integers(3, 6))
+    model, batch = full_batch(family, L, T, draw(st.sampled_from([2_000, 40_000])))
+    cells = sorted(model.sector_lattice("z"))
+    widths = st.integers(1, 2)
+
+    def shape():
+        return dict(anchor=draw(st.sampled_from(cells)),
+                    mode=draw(st.sampled_from(["strip", "ring"])),
+                    wA=draw(widths), wC=draw(widths))
+
+    ladder = draw(st.booleans())
+    common = shape()
+    tris = []
+    for _ in range(draw(st.integers(1, 4))):
+        kw = common if ladder else shape()
+        wB = draw(st.integers(0, 3 if kw["mode"] == "strip" else 1))
+        try:
+            tri = build_tripartition(model, wB=wB, cap=64, bulk_margin=0, **kw)
+        except ValueError:
+            continue
+        if len({d for t in tris + [tri] for d in t.all_detectors}) <= 40:
+            tris.append(tri)
+    assume(tris)
+    return batch, tris
+
+
+@settings(max_examples=150, deadline=None)
+@given(anchor_sets())
+def test_anchor_table_matches_own_tables_on_random_sets(case):
+    batch, tris = case
+    with mock.patch.object(markov, "subset_patterns", wraps=subset_patterns) as spy:
+        _anchor_cmis(batch, tris, True)
+    assert spy.call_count == 1
     assert_anchor_table_matches_own_tables(batch, tris)
 
 
