@@ -9,8 +9,8 @@ incidence matrix.
 Sampled patterns reach an entropy one way: ``_chunk_table`` counts them into
 one (pattern x chunk) table, ``_marginal_table`` sums it onto a sub-region,
 ``_table_entropies`` gives its full-sample and leave-one-chunk-out plug-in
-entropies (``_entropy_counts``) and ``_jackknife_std`` the one delete-one-chunk
-error. The sampled CMI of ``markov`` reads them.
+entropies and ``_jackknife_std`` the one delete-one-chunk error. The sampled
+CMI of ``markov`` reads them.
 """
 
 from __future__ import annotations
@@ -38,22 +38,6 @@ class BruteForceCapExceeded(ValueError):
 def _entropy_bits(probs: np.ndarray) -> float:
     p = probs[probs > 0.0]
     return float(-(p * np.log2(p)).sum())
-
-
-def _entropy_counts(counts: np.ndarray, n: int, width: float, correction: bool) -> float:
-    """Plug-in entropy in bits of a count array over n samples, clamped to [0, width].
-
-    ``correction`` adds the Miller-Madow term (support - 1) / (2 n ln 2). An
-    empty sample (n = 0: a chunk holding every sample left out) has entropy 0.
-    """
-    if n == 0:
-        return 0.0
-    c = counts[counts > 0].astype(np.float64)
-    p = c / n
-    h = float(-(p * np.log2(p)).sum())
-    if correction:
-        h += (c.size - 1) / (2.0 * n * LN2)
-    return min(max(h, 0.0), float(width))
 
 
 def _jackknife_std(loo: np.ndarray) -> float:
@@ -119,17 +103,53 @@ def _marginal_table(
 
 
 def _table_entropies(table: np.ndarray, width: int, correction: bool) -> np.ndarray:
-    """Entropy of a (pattern x chunk) table's full sample, then with each chunk left out."""
+    """Entropy of a (pattern x chunk) table's full sample, then with each chunk left out.
+
+    Row 0 counts the full sample and row i + 1 the sample without chunk i.
+    Each row's plug-in entropy in bits is clamped to [0, width];
+    ``correction`` adds the Miller-Madow term (support - 1) / (2 n ln 2). An
+    empty sample (n = 0: a chunk holding every sample left out) has entropy 0.
+    """
     totals = table.sum(axis=1)
     sizes = table.sum(axis=0)
-    n = int(sizes.sum())
-    return np.array(
-        [_entropy_counts(totals, n, width, correction)]
-        + [
-            _entropy_counts(totals - table[:, i], n - int(sizes[i]), width, correction)
-            for i in range(table.shape[1])
-        ]
-    )
+    n_rows = sizes.size + 1
+    n = np.concatenate(([sizes.sum()], sizes.sum() - sizes))  # each row's sample size
+    h = np.empty(n_rows)
+    support = np.empty(n_rows, dtype=np.int64)
+    # A block's transients (float counts, mask, positive counts with their
+    # sample sizes, then their logs) peak at about 26 bytes per pattern and
+    # row. Blocks are sized to half the table's bytes, or to 512 KiB for a
+    # small table, so a large table's pass stays below the table itself.
+    budget = max(table.nbytes, 1 << 20) // 2
+    step = max(1, budget // (26 * max(totals.size, 1)))
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        counts = np.empty((hi - lo, totals.size))
+        counts[:] = totals
+        first = max(lo, 1)
+        counts[first - lo:] -= table[:, first - 1:hi - 1].T
+        positive = counts > 0
+        support[lo:hi] = np.count_nonzero(positive, axis=1)
+        # Row-major compaction keeps each row's counts contiguous and in
+        # ascending pattern order, so summing a row's slice adds the same
+        # values in the same (pairwise) order as summing that row alone.
+        c = counts[positive]
+        del counts, positive
+        c /= np.repeat(n[lo:hi], support[lo:hi])
+        terms = np.log2(c)
+        terms *= c
+        del c
+        ends = np.cumsum(support[lo:hi]).tolist()
+        h[lo:hi] = [terms[a:b].sum() for a, b in zip([0] + ends[:-1], ends)]
+    h = -h
+    nonempty = n > 0
+    if correction:
+        h[nonempty] += (support[nonempty] - 1) / (2.0 * n[nonempty] * LN2)
+    h[~nonempty] = 0.0
+    # min(max(h, 0.0), width) row by row, signed zeros included: a
+    # one-pattern row without the correction keeps its -0.0.
+    h = np.where(0.0 > h, 0.0, h)
+    return np.where(h > float(width), float(width), h)
 
 
 def _xor_dp_table(masks: Sequence[int], probs: Sequence[float], width: int) -> np.ndarray:

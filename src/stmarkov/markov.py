@@ -271,7 +271,10 @@ def _cmi_identity(tri: Tripartition, h):
     )
 
 
-def _table_cmi(table, values, region: Sequence[int], tri: Tripartition, correction: bool):
+def _table_cmi(
+    table, values, region: Sequence[int], tri: Tripartition, correction: bool,
+    memo: Dict[Tuple[int, ...], tuple],
+):
     """CMI, its leave-one-chunk-out values and the ABC support of a tripartition
     whose detectors lie in ``region``, read from the count table over ``region``.
 
@@ -279,16 +282,23 @@ def _table_cmi(table, values, region: Sequence[int], tri: Tripartition, correcti
     entropy (full sample and each chunk left out) is read from them. A
     marginal lists its patterns in ascending order and zero counts add no
     entropy, so the numbers do not depend on how wide ``region`` is.
+    ``memo`` maps each sorted detector subset already read from this table
+    to its entropies and support, so a marginal shared by several
+    tripartitions is summed and its entropies taken once.
     """
     width = len(region)
     bit = {d: i for i, d in enumerate(region)}
 
-    def counts(sub) -> np.ndarray:
-        return _marginal_table(table, values, width, [bit[d] for d in sub])
+    def entropies(sub) -> tuple:
+        key = tuple(sub)
+        if key not in memo:
+            counts = _marginal_table(table, values, width, [bit[d] for d in sub])
+            support = int(np.count_nonzero(counts.any(axis=1)))
+            memo[key] = (_table_entropies(counts, len(sub), correction), support)
+        return memo[key]
 
-    stat = _cmi_identity(tri, lambda sub: _table_entropies(counts(sub), len(sub), correction))
-    support = int(np.count_nonzero(counts(tri.all_detectors).sum(axis=1)))
-    return float(stat[0]), stat[1:], support
+    stat = _cmi_identity(tri, lambda sub: entropies(sub)[0])
+    return float(stat[0]), stat[1:], entropies(tri.all_detectors)[1]
 
 
 def _anchor_cmis(batch, tris: Sequence[Tripartition], correction: bool) -> List[tuple]:
@@ -297,13 +307,16 @@ def _anchor_cmis(batch, tris: Sequence[Tripartition], correction: bool) -> List[
     The table counts the batch's samples over the union of the
     tripartitions' detectors. The rungs of a ladder nest at each anchor, so
     there the union is the ABC of the deepest rung and no wider table is
-    counted than that rung alone needs.
+    counted than that rung alone needs. Each distinct marginal's entropies
+    are taken once per anchor: with w_C = 1, the AB and B of one strip rung
+    are the ABC and BC of the rung before it.
     """
     region = sorted({d for tri in tris for d in tri.all_detectors})
     table, values = _chunk_table(
         subset_patterns(batch, region), batch.chunk_bounds, len(region)
     )
-    return [_table_cmi(table, values, region, tri, correction) for tri in tris]
+    memo: Dict[Tuple[int, ...], tuple] = {}
+    return [_table_cmi(table, values, region, tri, correction, memo) for tri in tris]
 
 
 def cmi(

@@ -104,17 +104,26 @@ def chunk_bounds(n: int, n_chunks: int = 32) -> Tuple[int, ...]:
     return tuple(bounds)
 
 
-def _skip_draws(gen: np.random.Generator, m: int, count: int) -> None:
-    """Move the stream past ``count`` mechanisms' draws of m values each."""
-    # Generator.random takes one uint64 per double, and Philox4x64 makes
-    # four uint64 per counter step. Every mechanism of a chunk draws the same
-    # m, so when 4 | m the output buffer is empty here and advancing the
-    # counter is exact.
-    if m % 4 == 0:
-        gen.bit_generator.advance(count * m // 4)
-    else:
-        for _ in range(count):
-            gen.bit_generator.random_raw(m)
+def _skip_draws(gen: np.random.Generator, drawn: int, skip: int) -> None:
+    """Move the stream past ``skip`` values, ``drawn`` having been taken from it.
+
+    Generator.random takes one uint64 per double, and Philox4x64 makes four
+    uint64 per counter step, of which (-drawn) % 4 are still buffered. The
+    skip takes those, advances the counter by whole steps (advancing drops
+    the buffer, empty by then) and takes the rest, so it moves the stream as
+    ``random_raw(skip)`` would, in O(1). Each call holds the GIL that the
+    other chunks' threads wait on, so only the calls needed are made.
+    """
+    bit_gen = gen.bit_generator
+    head = -drawn % 4
+    if head:
+        head = min(head, skip)
+        bit_gen.random_raw(head)
+        skip -= head
+    if skip >= 4:
+        bit_gen.advance(skip // 4)
+    if skip % 4:
+        bit_gen.random_raw(skip % 4)
 
 
 def sample_batch(
@@ -169,9 +178,12 @@ def sample_batch(
         acc = np.zeros((len(region), m), dtype=np.uint8)
         u = np.empty(m)
         bits = np.empty(m, dtype=bool)
+        # Every mechanism before the current one took m values of the stream.
+        done = 0
         for p, rows, skipped in draws:
             if skipped:
-                _skip_draws(gen, m, skipped)
+                _skip_draws(gen, done * m, skipped * m)
+            done += skipped + 1
             np.less(gen.random(out=u), p, out=bits)
             for j in rows:
                 acc[j] ^= bits.view(np.uint8)

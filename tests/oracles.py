@@ -8,6 +8,7 @@ detector model can be checked against a second, unrelated construction.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +19,6 @@ from stmarkov.foliation import PauliOp, ResourceState
 from stmarkov.sampler import (
     SampleBatch,
     _chunk_generator,
-    _skip_draws,
     chunk_bounds,
     stream_key,
 )
@@ -145,6 +145,32 @@ def _plugin_entropy_bits(counts: np.ndarray, n: int, width: int, correction: boo
     return min(max(h, 0.0), float(width))
 
 
+def reference_table_entropies(table: np.ndarray, width: int, correction: bool) -> np.ndarray:
+    """``stmarkov.entropy._table_entropies`` as one plug-in entropy per row, kept as written.
+
+    The full sample, then the sample with each chunk left out, each counted
+    and summed on its own. The vectorised pass must give the same bits.
+    """
+
+    def entropy_counts(counts: np.ndarray, n: int) -> float:
+        if n == 0:
+            return 0.0
+        c = counts[counts > 0].astype(np.float64)
+        p = c / n
+        h = float(-(p * np.log2(p)).sum())
+        if correction:
+            h += (c.size - 1) / (2.0 * n * math.log(2.0))
+        return min(max(h, 0.0), float(width))
+
+    totals = table.sum(axis=1)
+    sizes = table.sum(axis=0)
+    n = int(sizes.sum())
+    return np.array(
+        [entropy_counts(totals, n)]
+        + [entropy_counts(totals - table[:, i], n - int(sizes[i])) for i in range(table.shape[1])]
+    )
+
+
 def four_histogram_cmi(batch, tri, correction: bool = True):
     """Sampled CMI of one tripartition from four separate histograms.
 
@@ -198,6 +224,12 @@ def four_histogram_cmi(batch, tri, correction: bool = True):
 # threaded sampler and the byte-table patterns must give the same arrays.
 
 
+def reference_skip_draws(gen: np.random.Generator, m: int, count: int) -> None:
+    """Move the stream past ``count`` mechanisms' draws of m values each, one call per mechanism."""
+    for _ in range(count):
+        gen.bit_generator.random_raw(m)
+
+
 def serial_sample_batch(
     model: DetectorModel,
     region: Sequence[int],
@@ -238,7 +270,7 @@ def serial_sample_batch(
         acc = np.zeros((len(region), m), dtype=np.uint8)
         for p, rows, skipped in draws:
             if skipped:
-                _skip_draws(gen, m, skipped)
+                reference_skip_draws(gen, m, skipped)
             bits = (gen.random(m) < p).astype(np.uint8)
             for j in rows:
                 acc[j] ^= bits

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     enumerate_region_distribution,
     entropy_of_dist,
     history_from_errors,
+    reference_table_entropies,
     repeat_chunk_table,
 )
 
@@ -17,7 +19,6 @@ from stmarkov.codes import repetition_code
 from stmarkov.entropy import (
     BruteForceCapExceeded,
     _chunk_table,
-    _entropy_counts,
     _jackknife_std,
     _table_entropies,
     entropy_decomposition_check,
@@ -74,21 +75,26 @@ def batch_of(chunks, width):
 # -- plug-in kernel ----------------------------------------------------------
 
 
+def plugin(counts, width, correction):
+    """Full-sample plug-in entropy of a one-chunk table of ``counts``."""
+    return _table_entropies(np.array(counts)[:, None], width, correction)[0]
+
+
 def test_plugin_simple_values():
-    assert _entropy_counts(np.array([5, 5]), 10, math.inf, False) == pytest.approx(1.0)
-    assert _entropy_counts(np.array([10]), 10, math.inf, False) == pytest.approx(0.0)
-    assert _entropy_counts(np.array([10]), 10, math.inf, True) == pytest.approx(0.0)
-    assert _entropy_counts(np.array([2, 2, 2, 2]), 8, math.inf, False) == pytest.approx(2.0)
+    assert plugin([5, 5], math.inf, False) == pytest.approx(1.0)
+    assert plugin([10], math.inf, False) == pytest.approx(0.0)
+    assert plugin([10], math.inf, True) == pytest.approx(0.0)
+    assert plugin([2, 2, 2, 2], math.inf, False) == pytest.approx(2.0)
 
 
 def test_plugin_miller_madow_correction():
-    h_none = _entropy_counts(np.array([6, 4]), 10, math.inf, False)
-    h_mm = _entropy_counts(np.array([6, 4]), 10, math.inf, True)
+    h_none = plugin([6, 4], math.inf, False)
+    h_mm = plugin([6, 4], math.inf, True)
     assert h_mm == pytest.approx(h_none + 1 / (20 * np.log(2)))
 
 
 def test_plugin_clamps_to_width():
-    assert _entropy_counts(np.array([1, 1]), 2, 1, True) == 1.0
+    assert plugin([1, 1], 1, True) == 1.0
 
 
 def test_plugin_jackknife_error_reasonable():
@@ -148,6 +154,68 @@ def test_entropy_from_batch_matches_recount(case, correction):
     assert len(chunks) > 1 or _jackknife_std(h[1:]) == 0.0
     assert table.sum() == sum(map(len, chunks))
     assert np.count_nonzero(table.sum(axis=1)) == len(set().union(*chunks))
+
+
+@st.composite
+def count_tables(draw):
+    """(table, width): a dense or compacted (pattern x chunk) count table.
+
+    Dense tables have 2^width rows, zero rows among them; compacted ones list
+    only observed patterns. Some chunks may be empty, one chunk may hold every
+    sample, and counts capped at 1 make near-uniform tables whose
+    Miller-Madow value passes the width.
+    """
+    n_chunks = draw(st.integers(1, 40))
+    dense = draw(st.booleans())
+    if dense:
+        width = draw(st.integers(1, 8))
+        n_rows = 1 << width
+    else:
+        n_rows = draw(st.integers(1, 300))
+        width = draw(st.integers(max(1, (n_rows - 1).bit_length()), 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.poisson(draw(st.sampled_from([0.05, 0.5, 2.0, 30.0])), (n_rows, n_chunks))
+    keep = int(rng.integers(n_chunks))
+    if draw(st.booleans()):
+        table[:, rng.random(n_chunks) < 0.3] = 0
+    if draw(st.booleans()):
+        table[:, np.arange(n_chunks) != keep] = 0
+    if draw(st.booleans()):
+        np.minimum(table, 1, out=table)
+    if not dense:
+        table[table.sum(axis=1) == 0, keep] = 1
+    return table, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_tables(), st.booleans())
+@example((np.array([[1], [1]]), 1), True)  # clamped to the width
+@example((np.zeros((4, 3), dtype=np.int64), 2), True)  # every row empty
+@example((np.array([[0, 5], [0, 0], [0, 2], [0, 0]]), 2), False)  # one chunk holds every sample
+def test_table_entropies_match_loop_bitwise(case, correction):
+    table, width = case
+    h = _table_entropies(table, width, correction)
+    ref = reference_table_entropies(table, width, correction)
+    assert np.array_equal(h, ref)
+    assert h.tobytes() == ref.tobytes()  # signed zeros too
+
+
+def test_entropy_pass_stays_below_table_bytes():
+    """One pass over a wide compacted table allocates less than the table holds."""
+    rng = np.random.default_rng(1)
+    observed = np.unique(rng.integers(0, 1 << 40, 20_200, dtype=np.uint64))[:20_000]
+    patterns = np.concatenate([observed, rng.choice(observed, 44_000)])
+    rng.shuffle(patterns)
+    bounds = [2_000 * i for i in range(33)]
+    table, values = _chunk_table(patterns, bounds, 40)
+    assert values is not None and table.shape == (20_000, 32)
+    tracemalloc.start()
+    try:
+        _table_entropies(table, 40, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes
 
 
 @pytest.mark.parametrize(
@@ -507,7 +575,7 @@ def test_tableau_syndrome_entropy_matches_decomposition():
         for j, (_, c, r) in enumerate(order):
             pat |= int(out[sites[(c, r)]]) << j
         counts[pat] = counts.get(pat, 0) + 1
-    h_s = _entropy_counts(np.array(list(counts.values())), n_shots, len(order), True)
+    h_s = _plugin_entropy_bits(np.array(list(counts.values())), n_shots, len(order), True)
     assert abs(h_s - report.h_s) < 0.1
 
 

@@ -309,7 +309,7 @@ def own_table_cmi(batch, tri, correction):
     table, values = _chunk_table(
         subset_patterns(batch, region), batch.chunk_bounds, len(region)
     )
-    return _table_cmi(table, values, region, tri, correction)
+    return _table_cmi(table, values, region, tri, correction, {})
 
 
 def count_pattern_calls(monkeypatch):
@@ -374,6 +374,31 @@ def test_anchor_table_counts_the_union_of_its_tripartitions(monkeypatch):
     # the one table counts its 8 detectors too.
     assert [len(args[1]) for args in calls] == [20]
     assert_anchor_table_matches_own_tables(batch, tris)
+
+
+@pytest.mark.parametrize(
+    "ladder, wC, calls",
+    [((1, 2, 3), 1, 8), ((1, 2, 3), 2, 10), ((2,), 1, 4)],
+    ids=["wC1", "wC2", "one-rung"],
+)
+def test_anchor_takes_each_distinct_marginal_once(monkeypatch, ladder, wC, calls):
+    """Strip rungs nest, so AB and B of one rung are often ABC and BC of an earlier one."""
+    model = model_for(8, 10, 0.1)
+    t0 = ladder_band_t0(10, 2 + max(ladder) + wC)
+    tris = [
+        build_tripartition(model, wA=2, wB=wB, wC=wC, anchor=(3, t0), mode="strip")
+        for wB in ladder
+    ]
+    batch = sample_batch(model, list(range(model.n_detectors)), 20_000, seed=4)
+    for correction in (True, False):
+        with mock.patch.object(markov, "_table_entropies", wraps=markov._table_entropies) as spy:
+            stats = _anchor_cmis(batch, tris, correction)
+        assert spy.call_count == calls
+        for tri, (value, loo, support) in zip(tris, stats):
+            ref_value, ref_loo, ref_support = four_histogram_cmi(batch, tri, correction)
+            assert value == ref_value
+            assert np.array_equal(loo, ref_loo)
+            assert support == ref_support
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import enumerate_region_distribution, per_bit_subset_patterns, serial_sample_batch
+from oracles import (
+    enumerate_region_distribution,
+    per_bit_subset_patterns,
+    reference_skip_draws,
+    serial_sample_batch,
+)
 
 from stmarkov.codes import repetition_code, toric_code
 from stmarkov.sampler import (
     SampleBatch,
+    _chunk_generator,
+    _skip_draws,
     sample_batch,
     stream_key,
     subset_patterns,
@@ -191,12 +198,29 @@ def test_threaded_sampler_matches_serial_oracle(code, n):
     sub = band[1::3]
     args = dict(seed=21, stream="band", draw_region=band)
     batch = sample_batch(model, sub, n, **args)
-    # n = 10,001 ends in a 313-sample chunk, so its skips go through random_raw.
+    # n = 10,001 ends in a 313-sample chunk: its skips start inside a Philox block.
     assert n != 10_001 or batch.chunk_bounds[-1] - batch.chunk_bounds[-2] == 313
     oracle = serial_sample_batch(model, sub, n, **args)
     assert np.array_equal(batch.rows, oracle.rows)
     assert batch.chunk_bounds == oracle.chunk_bounds
     assert np.array_equal(subset_patterns(batch, sub), per_bit_subset_patterns(oracle, sub))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 13, 3125, 3126, 3127, 3128])
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=8))
+def test_skip_draws_matches_one_call_per_mechanism(m, skips):
+    """Mechanisms of m draws each, some skipped: the O(1) skip reads the loop's values."""
+    key = stream_key(9, "skip")
+    fast, ref = _chunk_generator(key, 2), _chunk_generator(key, 2)
+    done = 0
+    for skipped in skips:
+        if skipped:
+            _skip_draws(fast, done * m, skipped * m)
+            reference_skip_draws(ref, m, skipped)
+        done += skipped + 1
+        assert np.array_equal(fast.random(m), ref.random(m))
+    assert np.array_equal(fast.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
 
 
 def test_sampler_leaves_no_thread_running():
