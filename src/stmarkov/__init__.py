@@ -18,7 +18,6 @@ from .spacetime import (
     build_detector_model,
     detector_flip_probability,
     detectors_from_errors,
-    syndromes_to_detectors,
 )
 from .foliation import ResourceState, detector_cells, foliate, lbl_stabilizers
 from .tableau import Tableau, evaluate_detectors, init_graph_state, measure_x_all

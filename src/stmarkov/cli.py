@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .codes import repetition_code, toric_code
 from .decoder import threshold_estimate, NoCrossingError
-from .entropy import entropy_decomposition_check, full_syndrome_region
+from .entropy import BruteForceCapExceeded, entropy_decomposition_check, full_syndrome_region
 from .foliation import detector_cells, foliate, lbl_stabilizers
 from .markov import (
     MarkovFit,
@@ -587,14 +587,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name, fn in checks:
         try:
             status, detail = fn()
-        except Exception as exc:  # cap refusals etc. degrade to SKIPPED
-            from .entropy import BruteForceCapExceeded
-            from .sampler import PatternWidthExceeded
-
-            if isinstance(exc, (BruteForceCapExceeded, PatternWidthExceeded)):
-                status, detail = "SKIPPED", str(exc)
-            else:
-                status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
+        except BruteForceCapExceeded as exc:  # verify --L beyond the brute-force cap
+            status, detail = "SKIPPED", str(exc)
+        except Exception as exc:
+            status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
         print(f"{status:7s} {name}: {detail}")
         failed = failed or status == "FAIL"
     return 1 if failed else 0

@@ -98,14 +98,12 @@ class _Graph:
         self.node_other = np.where(
             self.node_edges < n_edges, ends_sum[self.node_edges] - nodes, nodes
         )
-        pairs = [(l, k) for k, mech in enumerate(model.mechanisms) for l in mech.logical_flips]
-        logical, flipper = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        act = np.zeros((model.n_mechanisms, len(model.logicals)), dtype=np.uint8)
-        act[flipper, logical] = 1
-        self.edge_action = act[self.mech]
+        act = model.logical_action()
+        self.edge_action = act.T[self.mech]
         # Rows of mechanism indices whose XOR is a detector bit or a logical
         # bit; the pad indexes an error column that is always clear.
         self.node_mechs = np.append(self.mech, model.n_mechanisms)[self.node_edges]
+        logical, flipper = np.nonzero(act)
         self.logical_mechs = _padded(logical, flipper, len(model.logicals), model.n_mechanisms)
 
     def syndromes(self, errors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -298,11 +296,12 @@ def decode(
     return results[0] if bits.ndim == 1 else results
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         return (0.0, 1.0)
     p = k / n
+    z = 1.96  # two-sided 95% normal quantile
     z2 = z * z
     denom = 1 + z2 / n
     centre = (p + z2 / (2 * n)) / denom
@@ -323,19 +322,17 @@ class RatePoint:
     ci_high: float
 
 
-def logical_error_rate(
-    model: DetectorModel, shots: int, seed: int, stream: str = "decoder"
-) -> RatePoint:
+def logical_error_rate(model: DetectorModel, shots: int, seed: int) -> RatePoint:
     """Fraction of shots where the decoded correction mis-assigns a logical bit.
 
     Error patterns are drawn from the model's mechanism probabilities with the
-    named counter-based stream, decoded, and compared against ground truth.
+    counter-based stream "decoder", decoded, and compared against ground truth.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
     probs = model.mechanism_probs()
     graph = _graph_for(model)
-    key = stream_key(seed, stream)
+    key = stream_key(seed, "decoder")
     # One column past the mechanisms stays clear: the XOR tables' pad.
     errors = np.zeros((SLICE, probs.size + 1), dtype=bool)
     failures = 0
@@ -404,20 +401,27 @@ def threshold_estimate(curves: Dict[Size, List[Tuple[float, float]]]) -> Thresho
             if len(ps) < 2:
                 continue
             diffs = [a[p] - b[p] for p in ps]
-            # Rate differences vanish deep below threshold and at saturation,
-            # so noise can fabricate shallow sign changes there; the genuine
-            # crossing is the steepest one.
+            # A crossing is a sign change between consecutive nonzero rate
+            # differences: inside their segment when they are adjacent, else
+            # at the middle of the zero differences between them (so a tie at
+            # either end of the grid, or one both neighbours leave on the same
+            # side, is none). Rate differences vanish deep below threshold and
+            # at saturation, so noise can fabricate shallow sign changes
+            # there; the genuine crossing is the steepest one.
+            nonzero = [k for k, d in enumerate(diffs) if d != 0]
             best = None
-            for k in range(len(ps) - 1):
-                d0, d1 = diffs[k], diffs[k + 1]
-                if d0 == d1:
+            for k, m in zip(nonzero, nonzero[1:]):
+                d0, d1 = diffs[k], diffs[m]
+                if (d0 < 0) == (d1 < 0):
                     continue
-                if d0 <= 0 <= d1 or d1 <= 0 <= d0:
-                    frac = abs(d0) / abs(d1 - d0)
-                    cross = ps[k] + frac * (ps[k + 1] - ps[k])
+                if m == k + 1:
+                    cross = ps[k] + abs(d0) / abs(d1 - d0) * (ps[m] - ps[k])
                     slope = abs(d1 - d0)
-                    if best is None or slope > best[0]:
-                        best = (slope, cross)
+                else:
+                    cross = (ps[k + 1] + ps[m - 1]) / 2
+                    slope = max(abs(d0), abs(d1))
+                if best is None or slope > best[0]:
+                    best = (slope, cross)
             if best is not None:
                 crossings.append((l1, l2, best[1]))
     if not crossings:

@@ -321,7 +321,8 @@ def entropy_decomposition_check(
     measurement-based implementation, so only frame-free combinations are
     deterministic; these must be combinations of detectors. H(s) is computed
     from the frame structure plus the exact distribution of the deterministic
-    combinations, H(d) independently through the detector incidence matrix.
+    combinations over the mechanisms, H(d) independently from the exact
+    distribution of the detectors those combinations read.
     """
     model = build_detector_model(code, rounds, noise)
     if model.n_mechanisms > cap:
@@ -376,17 +377,18 @@ def entropy_decomposition_check(
         return _entropy_bits(table)
 
     h_labels_sigma = label_entropy(sigma_masks) if n_d else 0.0
-    if combos_ok and n_d:
-        m_route = []
-        for w in det_combos:
-            m = 0
-            for d in range(model.n_detectors):
+    h_d = 0.0 if combos_ok else float("nan")
+    read = sorted({d for w in det_combos for d in range(model.n_detectors) if (w >> d) & 1})
+    if combos_ok and read:
+        # The detector route: the exact distribution of the detectors the
+        # combinations read, each pattern mapped to its combination bits.
+        values, dist = exact_region_dist(model, read, cap=cap)
+        labels = np.zeros(values.size, dtype=np.uint64)
+        for j, w in enumerate(det_combos):
+            for i, d in enumerate(read):
                 if (w >> d) & 1:
-                    m ^= det_rows[d]
-            m_route.append(m)
-        h_d = label_entropy(m_route)
-    else:
-        h_d = float("nan") if not combos_ok else 0.0
+                    labels ^= ((values >> np.uint64(i)) & np.uint64(1)) << np.uint64(j)
+        h_d = marginal_entropy(labels, dist, range(n_d))
 
     h_s = (n_s - n_d) + h_labels_sigma
     residual = h_s - (h_d + n_s - n_d) if combos_ok else float("nan")

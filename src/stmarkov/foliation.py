@@ -171,14 +171,14 @@ class ResourceState:
             )
             self.lbl.append(LblStabilizer("x", j, l0, bulk, lm))
 
-    def graph_generators(self, frame: str = "x") -> List[PauliOp]:
+    def graph_generators(self) -> List[PauliOp]:
         """Stabilizer generators of the noiseless resource state.
 
         Bulk sites contribute graph generators K_v = X_v prod_{u~v} Z_u; the
         input layer contributes its code-state stabilizers conjugated through
         the CZ gates (Z-checks stay Z-type; X-type operators pick up Z on the
-        layer-1/2 copies). ``frame`` selects which logical eigenbasis fixes
-        the input state ("x" or "z").
+        layer-1/2 copies). The input state is the +1 eigenstate of the X
+        logicals, which are conjugated the same way.
         """
         gens: List[PauliOp] = []
         layer0 = {self.site_index[("d", i, 0)] for i in range(self.code.n_qubits)}
@@ -189,29 +189,18 @@ class ResourceState:
         for c in range(self.code.n_z_checks):
             sup = [self.site_index[("d", int(i), 0)] for i in self.code.check_support("z", c)]
             gens.append(PauliOp.z(sup))
-        for b in range(self.code.n_x_checks):
-            sup = [int(i) for i in self.code.check_support("x", b)]
+        x_type = [self.code.check_support("x", b) for b in range(self.code.n_x_checks)]
+        x_type += [np.flatnonzero(row) for row in self.code.x_logicals]
+        for sup in x_type:
             gens.append(
                 PauliOp(
-                    frozenset(self.site_index[("d", i, 0)] for i in sup),
-                    frozenset(self.site_index[("d", i, 1)] for i in sup),
+                    frozenset(self.site_index[("d", int(i), 0)] for i in sup),
+                    frozenset(self.site_index[("d", int(i), 1)] for i in sup),
                 )
             )
-        frame_logs = self.code.x_logicals if frame == "x" else self.code.z_logicals
-        for j in range(frame_logs.shape[0]):
-            sup = [int(i) for i in np.flatnonzero(frame_logs[j])]
-            if frame == "x":
-                gens.append(
-                    PauliOp(
-                        frozenset(self.site_index[("d", i, 0)] for i in sup),
-                        frozenset(self.site_index[("d", i, 1)] for i in sup),
-                    )
-                )
-            else:
-                gens.append(PauliOp.z([self.site_index[("d", i, 0)] for i in sup]))
         return gens
 
-    def map_circuit_error(self, kind: str, index: int, time: int) -> List[int]:
+    def map_mechanism(self, mech: Mechanism) -> List[int]:
         """Translate a circuit fault to resource-state Z-error sites.
 
         Circuit X between rounds t, t+1 lands at layer t + 1/2; circuit Z at
@@ -219,45 +208,23 @@ class ResourceState:
         measurement instance.
         """
         T = self.m_f - 1
-        if kind == "data_x":
+        kind, index, time = mech.kind, mech.index, mech.time
+        if kind in ("data_x", "data_z"):
             if not (0 <= time < T and 0 <= index < self.code.n_qubits):
-                raise ValueError(f"data_x event ({index},{time}) outside circuit extent")
-            return [self.site_index[("d", index, 2 * time + 1)]]
-        if kind == "data_z":
-            if not (0 <= time < T and 0 <= index < self.code.n_qubits):
-                raise ValueError(f"data_z event ({index},{time}) outside circuit extent")
-            return [self.site_index[("d", index, 2 * time + 2)]]
-        if kind in ("readout_z", "readout_x"):
-            sector = kind[-1]
-            n_checks = self.code.n_z_checks if sector == "z" else self.code.n_x_checks
-            if not (1 <= time <= T and 0 <= index < n_checks):
                 raise ValueError(f"{kind} event ({index},{time}) outside circuit extent")
-            if sector == "z":
+            tick = 2 * time + 1 if kind == "data_x" else 2 * time + 2
+            return [self.site_index[("d", index, tick)]]
+        if kind == "readout" and mech.sector in ("z", "x"):
+            z = mech.sector == "z"
+            n_checks = self.code.n_z_checks if z else self.code.n_x_checks
+            if not (1 <= time <= T and 0 <= index < n_checks):
+                raise ValueError(
+                    f"{kind} {mech.sector} event ({index},{time}) outside circuit extent"
+                )
+            if z:
                 return [self.site_index[("sz", index, 2 * time)]]
             return [self.site_index[("sx", index, 2 * time - 1)]]
-        raise ValueError(f"unknown event kind {kind!r}")
-
-    def map_mechanism(self, mech: Mechanism) -> List[int]:
-        kind = mech.kind if mech.kind != "readout" else f"readout_{mech.sector}"
-        return self.map_circuit_error(kind, mech.index, mech.time)
-
-    def to_text(self) -> str:
-        """Graph description plus stabilizer lists in Pauli-string lines."""
-        lines = [f"resource_state {self.code.name} m_f={self.m_f}"]
-        for idx, (kind, i, tick) in enumerate(self.sites):
-            lines.append(f"vertex {idx} {kind}{i} layer={tick / 2:g}")
-        for u, v in self.cz_edges:
-            lines.append(f"cz {u} {v}")
-        for key, cell in zip(self.detector_keys, self.cells):
-            sites = " ".join(f"X{s}" for s in cell)
-            lines.append(f"cell {key[0]}{key[1]},{key[2]} {sites}")
-        for lbl in self.lbl:
-            op = lbl.operator()
-            pauli = " ".join(
-                [f"X{s}" for s in sorted(op.x_sites)] + [f"Z{s}" for s in sorted(op.z_sites)]
-            )
-            lines.append(f"lbl {lbl.kind}{lbl.logical} {pauli}")
-        return "\n".join(lines) + "\n"
+        raise ValueError(f"unknown event kind {kind!r} (sector {mech.sector!r})")
 
 
 def foliate(code: CssCode, rounds: int) -> ResourceState:

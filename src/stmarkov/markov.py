@@ -64,6 +64,7 @@ from .spacetime import (
 )
 
 FLOOR_SIGMA = 3.0
+MIN_POINTS = 3
 
 
 class FitError(ValueError):
@@ -325,7 +326,6 @@ def cmi(
     method: str = "sampled",
     n: int = 10**6,
     seed: int = 0,
-    stream: str = "cmi",
     correction: bool = True,
     exact_cap: int = 24,
 ) -> CmiPoint:
@@ -346,7 +346,7 @@ def cmi(
         return CmiPoint(tri.dist_ac, value, 0.0, "exact", 0, dict(tri.descriptor))
     if method != "sampled":
         raise ValueError(f"unknown method {method!r}")
-    batch = sample_batch(model, region, n, seed, stream=stream)
+    batch = sample_batch(model, region, n, seed, stream="cmi")
     return ladder_from_batch(batch, [tri], correction)[0]
 
 
@@ -428,12 +428,6 @@ def averaged_cmi_ladder(
     if anchor_stride is None:
         anchor_stride = max(2, space[0] // 8)  # ~8 translates at any size
     anchors = [x for x in range(0, space[0], anchor_stride)]
-    lattice = model.sector_lattice("z")
-    band = sorted(
-        idx
-        for coords, idx in lattice.items()
-        if t0 <= coords[-1] <= t0 + extent - 1
-    )
     rest = tuple((space[d] - wA) // 2 for d in range(1, len(space))) + (t0,)
     rungs = [
         [
@@ -443,6 +437,11 @@ def averaged_cmi_ladder(
         for wB in wB_list
     ]
     used = sorted({d for tris in rungs for tri in tris for d in tri.all_detectors})
+    # The band is the extent-deep stack from t0, reaching down to the lowest
+    # row read: a ring's B reaches wB rows below its anchor.
+    lo = min(t0, min(model.detectors[d].t for d in used))
+    lattice = model.sector_lattice("z")
+    band = sorted(idx for coords, idx in lattice.items() if lo <= coords[-1] < t0 + extent)
     batch = sample_batch(model, used, n, seed, stream=stream, draw_region=band)
     method = f"sampled(n={n},seed={seed},anchors={len(anchors)})"
     return _ladder_points(batch, rungs, correction, method)
@@ -455,27 +454,23 @@ def cmi_rank_half(model: DetectorModel, tri: Tripartition) -> float:
     return _cmi_identity(tri, lambda sub: rank_entropy_half(model, sub))
 
 
-def markov_length(
-    points: Sequence[CmiPoint],
-    min_points: int = 3,
-    floor_sigma: float = FLOOR_SIGMA,
-) -> MarkovFit:
+def markov_length(points: Sequence[CmiPoint]) -> MarkovFit:
     """Weighted log-linear fit of CMI vs distance; xi is the e-folding length.
 
-    Points below the noise floor (cmi <= floor_sigma * stderr) are dropped;
-    fewer than ``min_points`` usable points is a fit failure.
+    Points below the noise floor (cmi <= FLOOR_SIGMA * stderr) are dropped;
+    fewer than MIN_POINTS usable points is a fit failure.
     """
     usable = [
         pt
         for pt in points
         if pt.reliable
         and pt.cmi > 0
-        and (pt.std_error == 0.0 or pt.cmi > floor_sigma * pt.std_error)
+        and (pt.std_error == 0.0 or pt.cmi > FLOOR_SIGMA * pt.std_error)
     ]
-    if len(usable) < min_points:
+    if len(usable) < MIN_POINTS:
         raise FitError(
             f"only {len(usable)} of {len(points)} points usable (above the noise "
-            f"floor and within histogram validity); need {min_points}"
+            f"floor and within histogram validity); need {MIN_POINTS}"
         )
     x = np.array([pt.dist for pt in usable], dtype=np.float64)
     y = np.array([math.log2(pt.cmi) for pt in usable])

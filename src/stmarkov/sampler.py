@@ -80,10 +80,6 @@ class SampleBatch:
     seed: int
     stream: str
 
-    @property
-    def n_chunks(self) -> int:
-        return len(self.chunk_bounds) - 1
-
     def row_bits(self, j: int) -> np.ndarray:
         """Unpacked 0/1 bits of one detector row."""
         return np.unpackbits(self.rows[j], bitorder="little", count=self.n_samples)

@@ -249,28 +249,6 @@ def detector_flip_probability(model: DetectorModel, detector: int) -> float:
     return (1.0 - prod) / 2.0
 
 
-def syndromes_to_detectors(model: DetectorModel, history: np.ndarray) -> np.ndarray:
-    """XOR consecutive syndromes (plus the round-1 reference) into detector bits.
-
-    ``history`` has shape (n_checks, T+1): rows follow Z-checks then X-checks
-    in index order; column j holds the measurement of round j+1, with the last
-    column the appended perfect round.
-    """
-    n_checks = model.code.n_z_checks + model.code.n_x_checks
-    T = model.rounds
-    history = np.asarray(history, dtype=np.uint8)
-    if history.shape != (n_checks, T + 1):
-        raise ValueError(f"history shape {history.shape} != {(n_checks, T + 1)}")
-    out = np.zeros(model.n_detectors, dtype=np.uint8)
-    for idx, det in enumerate(model.detectors):
-        row = det.check if det.sector == "z" else model.code.n_z_checks + det.check
-        if det.t == 0:
-            out[idx] = history[row, 0]
-        else:
-            out[idx] = history[row, det.t - 1] ^ history[row, det.t]
-    return out
-
-
 def detectors_from_errors(model: DetectorModel, error_bits: np.ndarray) -> np.ndarray:
     """Detector bits M . e mod 2 for a mechanism indicator vector."""
     e = np.asarray(error_bits, dtype=np.uint8)

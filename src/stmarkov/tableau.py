@@ -80,15 +80,12 @@ class Tableau:
         self.r ^= self.x[:, q] & self.z[:, q]
         self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
 
-    def cnot(self, a: int, b: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a] ^ 1)
-        self.x[:, b] ^= self.x[:, a]
-        self.z[:, a] ^= self.z[:, b]
-
     def cz(self, a: int, b: int) -> None:
-        self.h(b)
-        self.cnot(a, b)
-        self.h(b)
+        xa, xb = self.x[:, a], self.x[:, b]
+        za, zb = self.z[:, a], self.z[:, b]
+        self.r ^= xa & xb & (za ^ zb)
+        za ^= xb
+        zb ^= xa
 
     # -- Pauli errors ------------------------------------------------------
 
@@ -195,9 +192,6 @@ class Tableau:
         branch (used for deterministic state preparation). Deterministic
         outcomes ignore both.
         """
-        if len(op.x_sites) == 1 and not op.z_sites:
-            (q,) = op.x_sites
-            return self.measure_x(q, rng, force)
         n = self.n
         px, pz = self._masks(op)
         rows = np.flatnonzero(self._commutation(px, pz))
@@ -263,22 +257,15 @@ def init_graph_state(rs: ResourceState, frame: str = "x") -> Tableau:
     return tab
 
 
-def measure_x_all(
-    tab: Tableau,
-    rs: ResourceState,
-    rng: np.random.Generator,
-    sites: Optional[Sequence[int]] = None,
-) -> np.ndarray:
+def measure_x_all(tab: Tableau, rs: ResourceState, rng: np.random.Generator) -> np.ndarray:
     """Measure X on every bulk/bottom site in index order.
 
     Returns an int8 array over all sites: outcome bits for measured sites,
     -1 for the unmeasured final code layer.
     """
-    if sites is None:
-        sites = rs.measured_sites
     outcomes = np.full(rs.n_sites, -1, dtype=np.int8)
     measure = tab.measure_x
-    for q in sites:
+    for q in rs.measured_sites:
         outcomes[q] = measure(q, rng)
     return outcomes
 

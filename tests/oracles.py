@@ -179,7 +179,7 @@ def four_histogram_cmi(batch, tri, correction: bool = True):
     leave-one-chunk-out values and the ABC support.
     """
     n = batch.n_samples
-    n_chunks = batch.n_chunks
+    n_chunks = len(batch.chunk_bounds) - 1
     pos = {d: j for j, d in enumerate(batch.region)}
     region = sorted(set(tri.a) | set(tri.b) | set(tri.c))
     subsets = [
@@ -541,13 +541,23 @@ def all_mechanism_validate(model: DetectorModel, tri) -> None:
 
 
 class ReferenceTableau(Tableau):
-    """``stmarkov.tableau.Tableau`` with its measurement path as first written.
+    """``stmarkov.tableau.Tableau`` with its CZ gate and measurement path as first written.
 
-    Product phases come from a 16-entry lookup table of the exponent of i per
-    qubit (``_g``), deterministic outcomes from a Python loop over the
-    selected stabilizer rows, and every measurement builds its operator's
-    x/z masks.
+    CZ is the composition H(b) CNOT(a, b) H(b). Product phases come from a
+    16-entry lookup table of the exponent of i per qubit (``_g``),
+    deterministic outcomes from a Python loop over the selected stabilizer
+    rows, and every measurement builds its operator's x/z masks.
     """
+
+    def cnot(self, a: int, b: int) -> None:
+        self.r ^= self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a] ^ 1)
+        self.x[:, b] ^= self.x[:, a]
+        self.z[:, a] ^= self.z[:, b]
+
+    def cz(self, a: int, b: int) -> None:
+        self.h(b)
+        self.cnot(a, b)
+        self.h(b)
 
     # Exponent of i when multiplying X^x1 Z^z1 by X^x2 Z^z2, indexed by the
     # four bits (x1, z1, x2, z2).

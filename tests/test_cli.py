@@ -313,6 +313,15 @@ def test_run_with_fewer_samples_than_chunks(tmp_path):
     assert all(not pt["reliable"] for pt in json.loads(open(out).read())["points"])
 
 
+def test_run_ring_ladder_anchored_above_row_one(tmp_path):
+    out = str(tmp_path / "run.json")
+    assert run_cli(["run", "--code", "repetition", "--L", "8", "--rounds", "12", "--p", "0.11",
+                    "--mode", "ring", "--wA", "1", "--wC", "1", "--wB-max", "1",
+                    "--samples", "20000", "--seed", "7", "--out", out]) == 0
+    (point,) = json.loads(open(out).read())["points"]
+    assert point["wB"] == 1
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_cells_equal_markov_sweep(tmp_path, jobs):
     out = str(tmp_path / "sweep.json")

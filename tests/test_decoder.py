@@ -164,6 +164,26 @@ def test_threshold_requires_bracketing():
         threshold_estimate(curves)
 
 
+def test_threshold_tie_at_zero_is_no_crossing():
+    # Both curves read 0 at the lowest p, then L = 24 stays above L = 16.
+    ps = (0.05, 0.11, 0.15)
+    curves = {16: list(zip(ps, (0.0, 0.188, 0.418))), 24: list(zip(ps, (0.0, 0.246, 0.454)))}
+    with pytest.raises(NoCrossingError):
+        threshold_estimate(curves)
+    # An interior tie that both neighbours leave on the same side touches, not crosses.
+    ps = (0.05, 0.10, 0.15, 0.20)
+    curves = {8: list(zip(ps, (0.1, 0.2, 0.3, 0.4))), 16: list(zip(ps, (0.2, 0.2, 0.4, 0.5)))}
+    with pytest.raises(NoCrossingError):
+        threshold_estimate(curves)
+
+
+def test_threshold_run_of_ties_is_one_crossing():
+    ps = (0.05, 0.10, 0.15, 0.20)
+    curves = {8: list(zip(ps, (0.1, 0.2, 0.3, 0.4))), 16: list(zip(ps, (0.05, 0.2, 0.3, 0.5)))}
+    est = threshold_estimate(curves)
+    assert est.crossings == [(8, 16, 0.125)]
+
+
 def test_threshold_names_sizes_that_share_L():
     ps = (0.05, 0.10)
     curves = {(8, 6): [(p, 0.1 + p) for p in ps], (8, 12): [(p, 0.2 + p) for p in ps],

@@ -15,6 +15,8 @@ from oracles import (
     repeat_chunk_table,
 )
 
+from stmarkov import entropy
+from stmarkov.cli import main
 from stmarkov.codes import repetition_code
 from stmarkov.entropy import (
     BruteForceCapExceeded,
@@ -483,6 +485,26 @@ def test_decomposition_full_system_residual_zero():
         report = entropy_decomposition_check(code, T, noise, region, cap=24)
         assert abs(report.residual) < 1e-10
         assert report.deterministic_are_detector_combos
+
+
+def test_decomposition_residual_reads_the_detector_distribution(monkeypatch):
+    # H(d) comes from the detector distribution, so bending it shows in the residual.
+    exact = entropy.exact_region_dist
+
+    def bent(model, region, cap=22):
+        values, probs = exact(model, region, cap)
+        probs = probs.copy()
+        probs[0] += 1e-3
+        probs[-1] -= 1e-3
+        return values, probs
+
+    monkeypatch.setattr(entropy, "exact_region_dist", bent)
+    code, noise = repetition_code(3), NoiseModel.phenomenological(0.1)
+    region = full_syndrome_region(build_detector_model(code, 2, noise))
+    report = entropy_decomposition_check(code, 2, noise, region)
+    assert report.deterministic_are_detector_combos
+    assert abs(report.residual) > 1e-4
+    assert main(["verify"]) == 1
 
 
 def test_decomposition_p_zero_uniform_frames():

@@ -3,7 +3,7 @@ import pytest
 
 from stmarkov.codes import CssCode, repetition_code, toric_code
 from stmarkov.foliation import PauliOp, detector_cells, foliate, lbl_stabilizers
-from stmarkov.spacetime import NoiseModel, build_detector_model
+from stmarkov.spacetime import Mechanism, NoiseModel, build_detector_model
 
 
 def single_qubit_code():
@@ -83,7 +83,7 @@ def test_first_round_cell_is_one_sided():
 def test_cells_commute_with_graph_generators():
     for code, m_f in ((repetition_code(3), 2), (toric_code(2), 2)):
         rs = foliate(code, m_f)
-        gens = rs.graph_generators(frame="x")
+        gens = rs.graph_generators()
         for op in detector_cells(rs):
             for g in gens:
                 assert op.commutes(g)
@@ -92,7 +92,7 @@ def test_cells_commute_with_graph_generators():
 def test_lbl_commute_with_graph_generators_and_cells():
     for code, m_f in ((repetition_code(3), 2), (toric_code(2), 2)):
         rs = foliate(code, m_f)
-        gens = rs.graph_generators(frame="x")
+        gens = rs.graph_generators()
         cells = detector_cells(rs)
         for op in lbl_stabilizers(rs):
             for g in gens:
@@ -154,27 +154,33 @@ def test_flip_correspondence_every_mechanism(code, m_f, noise):
         assert fired_keys == expect_keys, f"mechanism {mech}"
 
 
+def _fault(kind: str, index: int, time: int, sector: str = "") -> Mechanism:
+    return Mechanism(kind, sector, index, time, 0.1, (), ())
+
+
 def test_map_circuit_error_rules():
     rs = foliate(repetition_code(4), 3)  # circuit rounds T = 2
     # Rule 1: X between rounds 1 and 2 -> Z at layer 1 1/2.
-    (site,) = rs.map_circuit_error("data_x", 2, 1)
+    (site,) = rs.map_mechanism(_fault("data_x", 2, 1))
     assert rs.sites[site] == ("d", 2, 3)
     # Rule 2: Z between rounds 0 and 1 -> Z at layer 1.
-    (site,) = rs.map_circuit_error("data_z", 0, 0)
+    (site,) = rs.map_mechanism(_fault("data_z", 0, 0))
     assert rs.sites[site] == ("d", 0, 2)
     # Rule 3: readout on check 0 at round 1 -> its syndrome qubit.
-    (site,) = rs.map_circuit_error("readout_z", 0, 1)
+    (site,) = rs.map_mechanism(_fault("readout", 0, 1, "z"))
     assert rs.sites[site] == ("sz", 0, 2)
 
 
 def test_map_circuit_error_range_checks():
     rs = foliate(repetition_code(3), 2)  # T = 1
     with pytest.raises(ValueError):
-        rs.map_circuit_error("data_x", 0, 1)
+        rs.map_mechanism(_fault("data_x", 0, 1))
     with pytest.raises(ValueError):
-        rs.map_circuit_error("readout_z", 0, 2)
+        rs.map_mechanism(_fault("readout", 0, 2, "z"))
     with pytest.raises(ValueError):
-        rs.map_circuit_error("bogus", 0, 0)
+        rs.map_mechanism(_fault("bogus", 0, 0))
+    with pytest.raises(ValueError):
+        rs.map_mechanism(_fault("readout", 0, 1, "y"))
 
 
 def test_wire_code_foliates():
@@ -182,9 +188,3 @@ def test_wire_code_foliates():
     assert rs.n_sites == 3
     assert len(rs.cells) == 0
     assert len(rs.lbl) == 2
-
-
-def test_export_text_mentions_structure():
-    rs = foliate(repetition_code(3), 1)
-    text = rs.to_text()
-    assert "vertex" in text and "cz" in text and "cell" in text and "lbl" in text

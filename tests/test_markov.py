@@ -172,6 +172,22 @@ def test_sampled_cmi_matches_exact():
     assert abs(sampled.cmi - exact_point.cmi) < 3 * sampled.std_error + 1e-3
 
 
+@pytest.mark.parametrize("L, T, seed", [(8, 12, 0), (12, 16, 1)])
+def test_ring_ladder_above_row_one_matches_exact(L, T, seed):
+    # The ring's B reaches a row below its anchor, so the draw band must too.
+    model = model_for(L, T, 0.11)
+    points = averaged_cmi_ladder(model, (1,), 150_000, seed, wA=1, wC=1, mode="ring")
+    assert points[0].descriptor["anchor"][-1] > 1
+    assert all(pt.reliable for pt in points)
+    for pt in points:
+        d = pt.descriptor
+        tri = build_tripartition(
+            model, wA=1, wB=d["wB"], wC=1, anchor=tuple(d["anchor"]), mode="ring"
+        )
+        exact = cmi(model, tri, method="exact", exact_cap=10**9).cmi
+        assert abs(pt.cmi - exact) <= 5 * pt.std_error
+
+
 def test_exact_cmi_nonnegative_and_decaying():
     model = model_for(8, 8, 0.12)
     vals = []

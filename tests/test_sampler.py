@@ -12,6 +12,7 @@ from oracles import (
 )
 
 from stmarkov.codes import repetition_code, toric_code
+from stmarkov.entropy import exact_region_dist
 from stmarkov.sampler import (
     SampleBatch,
     _chunk_generator,
@@ -249,3 +250,50 @@ def test_subset_patterns_match_per_bit_oracle(case):
     out = subset_patterns(batch, sub)
     assert out.dtype == np.uint64
     assert np.array_equal(out, per_bit_subset_patterns(batch, sub))
+
+
+# Upper 1e-6 quantile of the standard normal, for the chi-squared bound.
+_Z_1E6 = 4.753424308822899
+
+
+@st.composite
+def sampled_regions(draw):
+    """A small repetition or toric model, a region of 1-6 of its detectors and a seed."""
+    p, q = draw(st.floats(0.02, 0.3)), draw(st.floats(0.02, 0.3))
+    if draw(st.booleans()):
+        code, T = repetition_code(draw(st.integers(3, 6))), draw(st.integers(2, 4))
+        noise = NoiseModel(p_x=p, p_z=0.0, q=q)
+    else:
+        code, T = toric_code(draw(st.integers(2, 3))), draw(st.integers(1, 2))
+        noise = NoiseModel(p_x=p, p_z=p, q=q)
+    model = build_detector_model(code, T, noise)
+    region = draw(st.lists(st.integers(0, model.n_detectors - 1), min_size=1,
+                           max_size=min(6, model.n_detectors), unique=True))
+    return model, region, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sampled_regions())
+def test_sampled_marginal_matches_exact_distribution(case):
+    """Pattern counts of a sampled region pass a chi-squared test against the exact marginal.
+
+    Bins expected below 5 are pooled; the bound is the Wilson-Hilferty
+    approximation of the chi-squared quantile at 1e-6 (slightly above the
+    exact one), and a pattern outside the exact support fails outright.
+    """
+    model, region, seed = case
+    n = 20_000
+    values, probs = exact_region_dist(model, region, cap=10**9)
+    patterns = subset_patterns(sample_batch(model, region, n, seed), region)
+    counts = np.bincount(patterns.astype(np.int64), minlength=1 << len(region))
+    observed = counts[values.astype(np.int64)]
+    assert observed.sum() == n, "sampled a pattern the exact distribution cannot produce"
+    expected = n * probs
+    small = expected < 5
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    keep = expected > 0
+    stat = float((((observed - expected) ** 2)[keep] / expected[keep]).sum())
+    k = max(int(keep.sum()) - 1, 1)
+    bound = k * (1 - 2 / (9 * k) + _Z_1E6 * np.sqrt(2 / (9 * k))) ** 3
+    assert stat <= bound, f"chi2 {stat:.1f} > {bound:.1f} on {k} degrees of freedom"

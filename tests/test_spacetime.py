@@ -14,7 +14,6 @@ from stmarkov.spacetime import (
     detector_flip_probability,
     detectors_from_errors,
     build_detector_model as build,
-    syndromes_to_detectors,
 )
 
 
@@ -173,27 +172,6 @@ def test_flip_probability_edge_cases():
     assert detector_flip_probability(model, top) == pytest.approx(0.5)
     quiet = build_detector_model(repetition_code(3), 1, NoiseModel(p_x=0.0, p_z=0.0, q=0.0))
     assert quiet.n_mechanisms == 0
-
-
-def test_syndromes_to_detectors_xor_rules():
-    code = repetition_code(3)
-    model = build_detector_model(code, 3, NoiseModel.phenomenological(0.1))
-    hist = np.zeros((3, 4), dtype=np.uint8)
-    assert not np.any(syndromes_to_detectors(model, hist))
-    # Single flip fires the two detectors straddling it.
-    hist[1, 1] = 1  # round 2 of check 1
-    fired = np.flatnonzero(syndromes_to_detectors(model, hist))
-    assert set(fired) == {model.det_index[("z", 1, 1)], model.det_index[("z", 1, 2)]}
-    # Two consecutive flips telescope.
-    hist[1, 2] = 1
-    fired = np.flatnonzero(syndromes_to_detectors(model, hist))
-    assert set(fired) == {model.det_index[("z", 1, 1)], model.det_index[("z", 1, 3)]}
-
-
-def test_syndromes_to_detectors_shape_check():
-    model = build_detector_model(repetition_code(3), 2, NoiseModel.phenomenological(0.1))
-    with pytest.raises(ValueError):
-        syndromes_to_detectors(model, np.zeros((3, 2), dtype=np.uint8))
 
 
 def test_chebyshev_distance_wraps_space():

@@ -325,6 +325,23 @@ def test_phase_bit_rule_equals_lookup_table(n_rows, n_qubits, seed):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_cz_rule_equals_h_cnot_h(n, seed):
+    """CZ's conjugation rule gives H(b) CNOT(a, b) H(b)'s bits on arbitrary rows."""
+    rng = np.random.default_rng(seed)
+    x, z = rng.integers(0, 2, size=(2, 2 * n, n), dtype=np.uint8)
+    r = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
+    tab, ref = Tableau(n), ReferenceTableau(n)
+    for t in (tab, ref):
+        t.x, t.z, t.r = x.copy(), z.copy(), r.copy()
+    for _ in range(6):
+        a, b = rng.choice(n, size=2, replace=False).tolist()
+        tab.cz(a, b)
+        ref.cz(a, b)
+        assert_same_tableau(tab, ref)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=8), st.integers(0, 2**32 - 1))
 def test_evaluate_detectors_matches_cell_loop(cells, seed):
     """One gather and one prefix XOR give the per-cell loop's bits and error."""
