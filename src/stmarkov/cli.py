@@ -537,7 +537,8 @@ def _verify_decomposition(L: int = 3, T: int = 2) -> Tuple[str, str]:
     return "PASS", f"residual {report.residual:.1e}"
 
 
-def _verify_sampler_oracle(samples: int = 200_000) -> Tuple[str, str]:
+def _verify_sampler_oracle(samples: int = 400_000) -> Tuple[str, str]:
+    # 400,000 samples make 12,500-sample chunks: the sampler's raw-word branch.
     from .spacetime import detector_flip_probability
 
     model = build_detector_model(repetition_code(4), 3, NoiseModel.phenomenological(0.1))

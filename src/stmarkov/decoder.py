@@ -39,7 +39,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .sampler import stream_key, _chunk_generator
+from .sampler import stream_key, _chunk_generator, _word_threshold
 from .spacetime import DetectorModel
 
 # Shots decoded together by one kernel call; logical_error_rate draws and
@@ -327,10 +327,14 @@ def logical_error_rate(model: DetectorModel, shots: int, seed: int) -> RatePoint
 
     Error patterns are drawn from the model's mechanism probabilities with the
     counter-based stream "decoder", decoded, and compared against ground truth.
+    Mechanism k of a shot is in error when its uint64 word of the stream lies
+    below ``sampler._word_threshold(p_k)``: exactly when the word's double,
+    as ``Generator.random`` makes it, lies below p_k.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
     probs = model.mechanism_probs()
+    thresholds = _word_threshold(probs)
     graph = _graph_for(model)
     key = stream_key(seed, "decoder")
     # One column past the mechanisms stays clear: the XOR tables' pad.
@@ -339,12 +343,13 @@ def logical_error_rate(model: DetectorModel, shots: int, seed: int) -> RatePoint
     chunk = 4096
     for c, start in enumerate(range(0, shots, chunk)):
         m = min(chunk, shots - start)
-        gen = _chunk_generator(key, c)
+        bit_gen = _chunk_generator(key, c).bit_generator
         # Consecutive row blocks of one generator continue its stream, so the
         # draws equal those of one (m, mechanisms) block.
         for k in range(0, m, SLICE):
             rows = errors[: min(SLICE, m - k)]
-            np.less(gen.random((rows.shape[0], probs.size)), probs, out=rows[:, :-1])
+            np.less(bit_gen.random_raw((rows.shape[0], probs.size)), thresholds,
+                    out=rows[:, :-1])
             dets, truth = graph.syndromes(rows)
             flips = 0  # a slice with no fired detector predicts no flip
             if dets.any():

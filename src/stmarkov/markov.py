@@ -168,6 +168,8 @@ def lattice_tripartition(
     if anchor is None:
         a_sp = tuple((space[d] - wA) // 2 for d in range(D))
         t0 = ladder_t0(T, wA + wB + wC if mode == "strip" else wA, t_lo)
+    elif len(anchor) != D + 1:
+        raise ValueError(f"anchor {tuple(anchor)} needs {D + 1} coordinates: space, then t")
     else:
         a_sp, t0 = tuple(anchor[:-1]), anchor[-1]
     a = cells(a_sp, [wA] * D, t0, wA)

@@ -9,6 +9,12 @@ chunks are drawn concurrently, one thread per usable CPU; each writes only
 its own bytes of the packed rows, so the output does not depend on the
 number of threads.
 
+A mechanism bit e = [u < p] reads one uint64 word x of the chunk's stream,
+as ``Generator.random`` does (u = (x >> 11) 2^-53). In a chunk of at least
+``RAW_MIN`` samples the bits are taken as ``x < t(p)`` on the raw words
+(``_word_threshold``), which skips the conversion to doubles and gives the
+same bits; shorter chunks draw doubles.
+
 The random stream is laid out by the draw region (by default the requested
 region): every mechanism incident to it takes its n draws, in mechanism
 order. Mechanisms that touch no detector of the requested region have their
@@ -60,6 +66,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Chunks of at least this many samples draw raw words; shorter ones doubles.
+# Both give the same bits. A short chunk spends little time in each
+# GIL-free draw against the GIL-held work around it (skips, XORs), and raw
+# draws there made the threads trade the GIL more often and run slower.
+RAW_MIN = 8192
+
+
+def _word_threshold(p) -> np.ndarray:
+    """Integer thresholds t with ``x < t`` exactly when ``(x >> 11) * 2**-53 < p``.
+
+    ``Generator.random`` turns a uint64 word x into u = (x >> 11) 2^-53. As
+    p 2^53 is exact and x >> 11 is an integer, u < p holds exactly when
+    x >> 11 < ceil(p 2^53), that is when x < ceil(p 2^53) 2^11. Exact for
+    every p in [0, 1); for p >= 1 the threshold does not fit in 64 bits, so
+    such p (and negative or NaN p) are refused.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all((p >= 0.0) & (p < 1.0)):
+        raise ValueError("word thresholds need probabilities in [0, 1)")
+    return np.ceil(np.ldexp(p, 53)).astype(np.uint64) << np.uint64(11)
+
+
 def _chunk_generator(key: np.ndarray, chunk: int) -> np.random.Generator:
     # High counter words: each chunk owns a disjoint 2^128-block slice.
     return np.random.Generator(np.random.Philox(counter=chunk << 128, key=key))
@@ -103,8 +131,9 @@ def chunk_bounds(n: int, n_chunks: int = 32) -> Tuple[int, ...]:
 def _skip_draws(gen: np.random.Generator, drawn: int, skip: int) -> None:
     """Move the stream past ``skip`` values, ``drawn`` having been taken from it.
 
-    Generator.random takes one uint64 per double, and Philox4x64 makes four
-    uint64 per counter step, of which (-drawn) % 4 are still buffered. The
+    A draw takes one uint64 per value, as a double from ``Generator.random``
+    or as a raw word from ``random_raw``, and Philox4x64 makes four uint64
+    per counter step, of which (-drawn) % 4 are still buffered. The
     skip takes those, advances the counter by whole steps (advancing drops
     the buffer, empty by then) and takes the rest, so it moves the stream as
     ``random_raw(skip)`` would, in O(1). Each call holds the GIL that the
@@ -137,7 +166,8 @@ def sample_batch(
     mechanisms incident to ``draw_region`` (default: ``region``) and emits
     (M.e mod 2) restricted to ``region``, which must lie inside
     ``draw_region``. Only mechanisms that touch ``region`` are drawn; the
-    stream positions of the others are skipped.
+    stream positions of the others are skipped. Mechanism probabilities
+    must lie in [0, 1).
     """
     region = tuple(region)
     if not region:
@@ -161,6 +191,8 @@ def sample_batch(
             skipped = 0
         else:
             skipped += 1
+    # A list: its uint64 scalars are made once, not again in every chunk.
+    thresholds = list(_word_threshold([p for p, _, _ in draws]))
     key = stream_key(seed, stream)
     bounds = chunk_bounds(n, n_chunks)
     packed = np.zeros((len(region), (n + 7) // 8), dtype=np.uint8)
@@ -170,17 +202,22 @@ def sample_batch(
         # bounds are byte-aligned), so chunks need no lock between them.
         lo, hi = bounds[c], bounds[c + 1]
         gen = _chunk_generator(key, c)
+        bit_gen = gen.bit_generator
         m = hi - lo
+        raw = m >= RAW_MIN
         acc = np.zeros((len(region), m), dtype=np.uint8)
         u = np.empty(m)
         bits = np.empty(m, dtype=bool)
         # Every mechanism before the current one took m values of the stream.
         done = 0
-        for p, rows, skipped in draws:
+        for (p, rows, skipped), t in zip(draws, thresholds):
             if skipped:
                 _skip_draws(gen, done * m, skipped * m)
             done += skipped + 1
-            np.less(gen.random(out=u), p, out=bits)
+            if raw:
+                np.less(bit_gen.random_raw(m), t, out=bits)
+            else:
+                np.less(gen.random(out=u), p, out=bits)
             for j in rows:
                 acc[j] ^= bits.view(np.uint8)
         span = slice(lo // 8, lo // 8 + (m + 7) // 8)

@@ -266,7 +266,8 @@ def test_rate_points_pinned():
 
 def _rate_draws(model, shots, seed):
     """The error draws of ``logical_error_rate(model, shots, seed)``: one
-    Philox stream per 4,096-shot chunk."""
+    Philox stream per 4,096-shot chunk, drawn as doubles below p where the
+    rate path compares raw words with thresholds."""
     probs = model.mechanism_probs()
     key = stream_key(seed, "decoder")
     return np.concatenate([
@@ -298,6 +299,29 @@ def test_rate_failures_recount_from_decode_and_reference(family, L, T, p):
     for shots in (1, 63, 64, 65, 4097):
         point = logical_error_rate(model, shots, seed=5)
         assert point.logical_errors == int(np.count_nonzero(wrong[:shots])), shots
+
+
+@st.composite
+def rate_models(draw):
+    """A small model with mechanism probabilities anywhere in [0, 1/2]."""
+    p, q = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
+    T = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return build_detector_model(repetition_code(draw(st.integers(3, 7))), T, NoiseModel(p, 0.0, q))
+    return build_detector_model(toric_code(draw(st.integers(2, 3))), T,
+                                NoiseModel(p, draw(st.floats(0.0, 0.5)), q))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(model=rate_models(), shots=st.integers(1, 4200), seed=st.integers(0, 2**32 - 1))
+def test_rate_failures_recount_from_double_draws(model, shots, seed):
+    """The rate path's threshold draws fail the shots its double draws fail."""
+    errors = _rate_draws(model, shots, seed)
+    dets = (errors @ model.incidence().T) % 2
+    truth = (errors @ model.logical_action().T) % 2
+    flips = np.array([r.logical_flips for r in decode(model, dets)]).reshape(truth.shape)
+    want = int(np.count_nonzero((flips != truth).any(axis=1)))
+    assert logical_error_rate(model, shots, seed).logical_errors == want
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,59 @@ def test_validate_tripartition_matches_all_mechanism_scan(case):
     )
 
 
+@st.composite
+def tripartition_requests(draw, wide):
+    """A small model and build_tripartition arguments for it.
+
+    The narrow requests keep the widths, mode and sector in their documented
+    domain, so about one in ten builds a tripartition; the wide ones add
+    negative widths, an unknown mode, a sector the model may lack and
+    anchors of any length.
+    """
+    rates = st.floats(0.0, 0.5)
+    if draw(st.booleans()):
+        L, T = draw(st.integers(3, 8)), draw(st.integers(1, 8))
+        model = small_model("repetition", L, T, draw(rates), 0.0, draw(rates))
+    else:
+        L, T = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+        model = small_model("toric", L, T, draw(rates), draw(rates), draw(rates))
+    D = len(model.code.space_shape)
+    anchors = [st.none(), st.tuples(*[st.integers(-1, L)] * D, st.integers(-1, T + 1))]
+    if wide:
+        anchors.append(st.lists(st.integers(-1, L), max_size=D + 2).map(tuple))
+    lo = -1 if wide else 0
+    return model, dict(
+        wA=draw(st.integers(lo + 1, 3)),
+        wB=draw(st.integers(lo, 3)),
+        wC=draw(st.integers(lo + 1, 3)),
+        anchor=draw(st.one_of(*anchors)),
+        mode=draw(st.sampled_from(["ring", "strip", "disc"] if wide else ["ring", "strip"])),
+        sector=draw(st.sampled_from(["z", "x"] if wide or D == 2 else ["z"])),
+        cap=draw(st.integers(lo, 64)),
+        bulk_margin=draw(st.integers(0, 2)),
+    )
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_build_tripartition_is_separated_or_value_error(wide, data):
+    """build_tripartition returns a tripartition no mechanism spans, or raises ValueError."""
+    model, kwargs = data.draw(tripartition_requests(wide))
+    try:
+        tri = build_tripartition(model, **kwargs)
+    except ValueError:
+        return
+    all_mechanism_validate(model, tri)
+
+
+def test_anchor_of_wrong_length_refused():
+    model = small_model("toric", 4, 4, 0.1, 0.1, 0.1)
+    for anchor in [(), (1, 2), (1, 1, 2, 0)]:
+        with pytest.raises(ValueError, match="needs 3 coordinates"):
+            build_tripartition(model, wA=1, wB=0, wC=1, anchor=anchor, mode="strip")
+
+
 def test_tripartition_cap_refused():
     model = model_for(16, 16, 0.1)
     with pytest.raises(PatternWidthExceeded):

@@ -14,9 +14,11 @@ from oracles import (
 from stmarkov.codes import repetition_code, toric_code
 from stmarkov.entropy import exact_region_dist
 from stmarkov.sampler import (
+    RAW_MIN,
     SampleBatch,
     _chunk_generator,
     _skip_draws,
+    _word_threshold,
     sample_batch,
     stream_key,
     subset_patterns,
@@ -190,17 +192,27 @@ def test_draw_region_rows_match_whole_band(code):
         sample_batch(model, sub + [band[0] - 1], 10, seed=21, draw_region=band)
 
 
-@pytest.mark.parametrize("n", [7, 10_001, 50_003])
+@pytest.mark.parametrize("n", [7, 10_001, 50_003, 262_143, 300_007])
 @pytest.mark.parametrize("code", [repetition_code(8), toric_code(4)], ids=["repetition", "toric"])
 def test_threaded_sampler_matches_serial_oracle(code, n):
-    """Chunks drawn on threads give the rows of the serial chunk loop."""
-    model = build_detector_model(code, 6, NoiseModel.phenomenological(0.1))
+    """Chunks drawn on threads give the rows of the serial chunk loop.
+
+    Chunks of RAW_MIN samples or more compare raw words with thresholds; the
+    oracle draws doubles in every chunk. Three distinct rates make each
+    threshold differ from its neighbours'.
+    """
+    model = build_detector_model(code, 6, NoiseModel(p_x=0.1, p_z=0.07, q=0.05))
     band = [i for i, d in enumerate(model.detectors) if 2 <= d.t <= 4]
     sub = band[1::3]
     args = dict(seed=21, stream="band", draw_region=band)
     batch = sample_batch(model, sub, n, **args)
-    # n = 10,001 ends in a 313-sample chunk: its skips start inside a Philox block.
-    assert n != 10_001 or batch.chunk_bounds[-1] - batch.chunk_bounds[-2] == 313
+    sizes = np.diff(batch.chunk_bounds)
+    # The last chunk of n = 10,001, 262,143 and 300,007 is odd (313, 8,191
+    # and 9,375 samples): its skips start inside a Philox block. At 262,143
+    # every other chunk is 8,192 samples, so one batch takes both branches.
+    assert n not in (10_001, 262_143, 300_007) or sizes[-1] % 4 != 0
+    assert n != 262_143 or (sizes[-1] < RAW_MIN and sizes[:-1].min() == RAW_MIN)
+    assert n != 300_007 or sizes.min() >= RAW_MIN
     oracle = serial_sample_batch(model, sub, n, **args)
     assert np.array_equal(batch.rows, oracle.rows)
     assert batch.chunk_bounds == oracle.chunk_bounds
@@ -222,6 +234,56 @@ def test_skip_draws_matches_one_call_per_mechanism(m, skips):
         done += skipped + 1
         assert np.array_equal(fast.random(m), ref.random(m))
     assert np.array_equal(fast.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
+
+
+def _threshold_rule_holds(threshold, p, words) -> bool:
+    """Whether ``x < threshold(p)`` equals ``Generator.random``'s ``u < p`` on each word."""
+    t = int(threshold(p))
+    return all((x < t) == ((x >> 11) * 2.0**-53 < p) for x in words)
+
+
+def _floor_threshold(p):
+    """The threshold rule with floor in place of ceil: wrong when p 2^53 is fractional."""
+    return np.floor(np.ldexp(p, 53)).astype(np.uint64) << np.uint64(11)
+
+
+_EDGE_PROBS = [0.0, 2.0**-60, 0.5, 0.25, float(np.nextafter(0.1, 0.0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(_EDGE_PROBS), st.floats(0.0, 0.5)),
+    st.lists(st.integers(0, 2**64 - 1), max_size=8),
+)
+def test_word_threshold_matches_double_compare(p, random_words):
+    t = int(_word_threshold(p))
+    words = [w for w in (t - 1, t, t + 1, 0, 2**64 - 1) if 0 <= w < 2**64] + random_words
+    assert _threshold_rule_holds(_word_threshold, p, words)
+
+
+def test_floor_threshold_fails_the_rule():
+    """The property has teeth: rounding p 2^53 down misplaces the boundary word."""
+    for p in (0.1, float(np.nextafter(0.1, 0.0)), 0.3):
+        t = int(_floor_threshold(p))
+        assert not _threshold_rule_holds(_floor_threshold, p, [t - 1, t, t + 1])
+        assert _threshold_rule_holds(_word_threshold, p, [t - 1, t, t + 1])
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0**-60, 0.1, 0.25, 0.5, 1 - 2.0**-53])
+def test_word_threshold_matches_generator_stream(p):
+    """On one Philox stream, raw words under the threshold are the doubles under p."""
+    key = stream_key(4, "threshold")
+    words = _chunk_generator(key, 1).bit_generator.random_raw(50_000)
+    doubles = _chunk_generator(key, 1).random(50_000)
+    assert np.array_equal(words < _word_threshold(p), doubles < p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, -1e-300, float("nan")])
+def test_word_threshold_refuses_probabilities_outside_unit_interval(p):
+    with pytest.raises(ValueError):
+        _word_threshold(p)
+    with pytest.raises(ValueError):
+        _word_threshold([0.1, p])
 
 
 def test_sampler_leaves_no_thread_running():
