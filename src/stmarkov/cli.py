@@ -1,9 +1,11 @@
 """Command-line front end: runs, sweeps, verification, and ingestion.
 
 Configuration comes from flags or a JSON config file (flags override the
-file). Every output embeds the config, its hash, the code hash, the root
-seed, and the tool version; all randomness is derived from the root seed
-through named streams, so reruns with the same config are byte-identical.
+file). Every JSON output echoes the config fields its command reads (the
+root seed among them wherever one is read), their hash, the code hash and
+the tool version; the output paths and ``jobs`` change no byte. All
+randomness is derived from the root seed through named streams, so reruns
+with the same config are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
@@ -115,13 +117,20 @@ class ExperimentConfig:
             raise ConfigError(f"method={self.method!r} not in sampled|exact")
         if self.estimator not in ("miller_madow", "none"):
             raise ConfigError(f"estimator={self.estimator!r} not in miller_madow|none")
+        if self.jobs < 1:
+            raise ConfigError(
+                f"config key 'jobs': {self.jobs} < 1; a run needs at least one worker"
+            )
 
-    def as_dict(self) -> Dict:
-        return dataclasses.asdict(self)
 
-    def config_hash(self) -> str:
-        text = json.dumps(self.as_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+# The config fields each command reads: they alone identify its output. A
+# sweep's L, rounds and p reach each cell as its (L, T, p); out, csv and
+# jobs change no value.
+_RUN_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("out", "csv", "jobs")
+)
+_SWEEP_FIELDS = tuple(f for f in _RUN_FIELDS if f not in ("L", "rounds", "p"))
+_INGEST_FIELDS = ("wA", "wB_max", "wC", "mode", "method", "estimator")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -157,28 +166,16 @@ def _emit_json(path: Optional[str], payload: Dict) -> None:
         print(text)
 
 
-def _payload(cfg: ExperimentConfig, **results) -> Dict:
+def _provenance(cfg: ExperimentConfig, fields: Sequence[str]) -> Tuple[Dict, str]:
+    """The echoed config (the ``fields`` a command reads) and its 16-hex hash."""
+    echo = {f: getattr(cfg, f) for f in fields}
+    return echo, hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _payload(cfg: ExperimentConfig, fields: Sequence[str], **results) -> Dict:
     """An output document: the provenance header, then the command's results."""
-    return {
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        **results,
-    }
-
-
-def _progress_key(cfg: ExperimentConfig) -> str:
-    """Hash of the config fields that change a sweep cell's values.
-
-    ``L``, ``rounds`` and ``p`` reach a cell only as its (L, T, p) key, and
-    ``out``, ``csv`` and ``jobs`` change no value.
-    """
-    fields = {
-        k: v for k, v in cfg.as_dict().items()
-        if k not in ("out", "csv", "jobs", "L", "rounds", "p")
-    }
-    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
+    config, config_hash = _provenance(cfg, fields)
+    return {"version": __version__, "config": config, "config_hash": config_hash, **results}
 
 
 def _is_int(v) -> bool:
@@ -349,7 +346,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cell, = _compute_cells(cfg, [(cfg.L, cfg.rounds, cfg.p)])
     rec = _cell_record(cell)
     _emit_json(cfg.out, _payload(
-        cfg, code_hash=_code_hash(cfg, cfg.L), fit=rec["fit"], points=rec["points"]
+        cfg, _RUN_FIELDS, code_hash=_code_hash(cfg, cfg.L), fit=rec["fit"], points=rec["points"]
     ))
     if cfg.csv:
         _write_cmi_csv(cfg.csv, cfg, [rec])
@@ -386,7 +383,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--decoder-shots must be >= 0")
     out = cfg.out or "sweep.json"
     progress_path = out + ".cells.jsonl"
-    key = _progress_key(cfg)
+    _, key = _provenance(cfg, _SWEEP_FIELDS)
     resume = args.resume and os.path.exists(progress_path)
     done = _read_progress(progress_path, key) if resume else {}
 
@@ -426,8 +423,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             peaks[name] = {"note": "no interior maximum", "fits": len(series)}
 
     payload = _payload(
-        cfg, code_hashes={str(L): _code_hash(cfg, L) for (L, _) in sizes}, cells=cells,
-        peaks=peaks,
+        cfg, _SWEEP_FIELDS, code_hashes={str(L): _code_hash(cfg, L) for (L, _) in sizes},
+        cells=cells, peaks=peaks,
     )
 
     if args.decoder_shots:
@@ -472,7 +469,7 @@ def _parse_sizes(text: str) -> List[Tuple[int, int]]:
 # -- verify -------------------------------------------------------------------
 
 
-def _verify_correspondence(inject_fault: bool, n_random: int = 100) -> Tuple[str, str]:
+def _verify_correspondence(n_random: int = 100) -> Tuple[str, str]:
     code = repetition_code(4)
     m_f = 3
     noise = NoiseModel.phenomenological(0.1)
@@ -481,14 +478,6 @@ def _verify_correspondence(inject_fault: bool, n_random: int = 100) -> Tuple[str
     rows = [model.det_index[key] for key in rs.detector_keys]
     base = init_graph_state(rs)
     rng = np.random.default_rng(12345)
-
-    def map_sites(mech):
-        sites = rs.map_mechanism(mech)
-        if inject_fault and mech.kind == "data_x":
-            # Test hook: deliberately mis-map rule 1 to the integer layer.
-            kind, i, tick = rs.sites[sites[0]]
-            sites = [rs.site_index[(kind, i, tick + 1)]]
-        return sites
 
     configs = []
     for k in range(model.n_mechanisms):
@@ -501,7 +490,7 @@ def _verify_correspondence(inject_fault: bool, n_random: int = 100) -> Tuple[str
         circuit_bits = detectors_from_errors(model, e)[rows]
         sites: List[int] = []
         for k in np.flatnonzero(e):
-            sites.extend(map_sites(model.mechanisms[k]))
+            sites.extend(rs.map_mechanism(model.mechanisms[k]))
         tab = base.copy()
         tab.apply_z(sites)
         outcomes = measure_x_all(tab, rs, rng)
@@ -578,7 +567,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     L = args.L or 3
     T = args.rounds or 2
     checks = [
-        ("foliation_correspondence", lambda: _verify_correspondence(args.inject_fault)),
+        ("foliation_correspondence", _verify_correspondence),
         ("stabilizer_audit", _verify_audit),
         ("entropy_decomposition", lambda: _verify_decomposition(L, T)),
         ("sampler_vs_oracle", _verify_sampler_oracle),
@@ -773,7 +762,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "n_rows": header["n_rows"],
     }
     _emit_json(cfg.out, _payload(
-        cfg, source=source, fit=_fit_record(*ladder_fit(points)),
+        cfg, _INGEST_FIELDS, source=source, fit=_fit_record(*ladder_fit(points)),
         points=_point_records(points),
     ))
     return 0
@@ -819,8 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     verify_p = sub.add_parser("verify", help="run the correspondence and oracle suite")
-    verify_p.add_argument("--inject-fault", dest="inject_fault", action="store_true",
-                          help="test hook: mis-map circuit X errors")
     verify_p.add_argument("--L", type=int, help="size for the brute-force checks")
     verify_p.add_argument("--rounds", type=int)
     verify_p.set_defaults(func=cmd_verify)

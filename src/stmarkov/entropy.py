@@ -257,7 +257,6 @@ class DecompositionReport:
     n_deterministic: int
     residual: float
     deterministic_are_detector_combos: bool
-    rank_frame: int
 
 
 def _syndrome_structure(
@@ -342,7 +341,6 @@ def entropy_decomposition_check(
         col_rows.append(col)
     combo_basis = gf2_nullspace(col_rows, n_s)
     n_d = len(combo_basis)
-    rank_frame = n_s - n_d
 
     # Mechanism footprint of each deterministic combination (syndrome route).
     sigma_masks = []
@@ -399,7 +397,6 @@ def entropy_decomposition_check(
         n_deterministic=n_d,
         residual=residual,
         deterministic_are_detector_combos=combos_ok,
-        rank_frame=rank_frame,
     )
 
 

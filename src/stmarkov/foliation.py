@@ -150,7 +150,6 @@ class ResourceState:
                     sites.append(self.site_index[("sx", b, 2 * t - 1)])
                 self.detector_keys.append(("x", b, t))
                 self.cells.append(tuple(sorted(sites)))
-        self.cell_index: Dict[DetKey, int] = {k: i for i, k in enumerate(self.detector_keys)}
 
     def _build_lbl(self) -> None:
         code, m_f = self.code, self.m_f

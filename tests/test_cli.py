@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stmarkov import foliation
 from stmarkov.cli import (
     ConfigError,
     ExperimentConfig,
@@ -102,9 +103,10 @@ def test_unknown_config_key_rejected(tmp_path):
         ([{"L": 8}], "JSON config file is not an object"),
         ({"wB_max": 0}, "config key 'wB_max': 0 < 1; the ladder needs at least one rung"),
         ({"wB_max": 0, "method": "exact"}, "config key 'wB_max': 0 < 1"),
+        ({"jobs": 0}, "config key 'jobs': 0 < 1; a run needs at least one worker"),
     ],
     ids=["str-for-int", "str-for-float", "bool-for-int", "list-for-optional", "list-file",
-         "no-rung", "no-rung-exact"],
+         "no-rung", "no-rung-exact", "no-worker"],
 )
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
@@ -156,6 +158,9 @@ def test_sweep_resume_refuses_cells_of_another_config(tmp_path, capsys):
     assert run_cli(args + ["--seed", "3"]) == 0
     cells_file = out + ".cells.jsonl"
     seed3 = open(cells_file).read()
+    # The resume key is the sweep's config_hash.
+    config_hash = json.loads(open(out).read())["config_hash"]
+    assert all(json.loads(line)["key"] == config_hash for line in seed3.splitlines())
     capsys.readouterr()
     assert run_cli(args + ["--seed", "4", "--resume"]) == 2
     assert cells_file in capsys.readouterr().err
@@ -334,9 +339,22 @@ def test_sweep_cells_equal_markov_sweep(tmp_path, jobs):
     assert json.loads(open(out).read())["cells"] == expected
 
 
-def test_verify_passes_and_fault_hook_fails():
+def test_verify_passes_and_fault_hook_fails(monkeypatch, capsys):
     assert run_cli(["verify"]) == 0
-    assert run_cli(["verify", "--inject-fault"]) == 1
+    map_mechanism = foliation.ResourceState.map_mechanism
+
+    def mis_mapped(rs, mech):
+        # Rule 1 mis-mapped: a circuit X error lands one tick up.
+        sites = map_mechanism(rs, mech)
+        if mech.kind == "data_x":
+            kind, i, tick = rs.sites[sites[0]]
+            sites = [rs.site_index[(kind, i, tick + 1)]]
+        return sites
+
+    monkeypatch.setattr(foliation.ResourceState, "map_mechanism", mis_mapped)
+    capsys.readouterr()
+    assert run_cli(["verify"]) == 1
+    assert "FAIL    foliation_correspondence" in capsys.readouterr().out
 
 
 def ladder_anchor_t0(rounds, wB_max):
@@ -499,9 +517,8 @@ def test_sweep_jobs_numerically_deterministic(tmp_path):
             "--seed", "3"]
     assert run_cli(args + ["--out", a]) == 0
     assert run_cli(args + ["--out", b, "--jobs", "2"]) == 0
-    pa = json.loads(open(a).read())
-    pb = json.loads(open(b).read())
-    assert pa["cells"] == pb["cells"]
+    # Neither --jobs nor --out changes a byte.
+    assert open(a, "rb").read() == open(b, "rb").read()
 
 
 RUN_ARGS = ["run", "--code", "repetition", "--L", "8", "--rounds", "8", "--p", "0.09",
@@ -632,24 +649,27 @@ def test_read_interchange_rejects_bits_above_width(tmp_path):
     assert run_cli(["ingest", bad, "--L", "7", "--rounds", "4"]) == 2
 
 
-# sha256 of every file the commands below write, recorded before a ladder's
-# rungs at one anchor shared one count table (rep-exact.json and sweep-jobs.*
-# before a sweep cell took its settings by keyword). Outputs are written under
-# relative names in a fresh directory, so the paths in each config are fixed.
+# sha256 of every file the commands below write. The CSV and .cells.jsonl
+# digests were recorded before a ladder's rungs at one anchor shared one count
+# table; the JSON digests when each output came to echo only the config fields
+# its command reads, every result in them unchanged. The two sweeps differ
+# only in --jobs and their output paths, so sweep-jobs.* equal sweep.*.
 PINNED_OUTPUTS = {
-    "ingest-rep.json": "3edf5a7d674879f22687f6800ced7109f047363fe74a94e7899ba47b133d60b7",
-    "ingest-toric.json": "8d5d97d495359f06286df8473ba1c7fcae435525529998d0d1f74b5a05be3b69",
-    "rep-exact.json": "496008fb1f453059df56afc98b02ad75427a4edb74b47e18413ebbde552adb6a",
-    "rep-ring.json": "7dd92f072b1aa2b8ff4b28f8a81d6af5e4ff2451d478b13c383b8ccb8bd4006a",
+    "ingest-rep.json": "c4a85a832ffe4e5c2ffdb7200a26de52c6e1a5567674829226bef8f859eed7bd",
+    "ingest-toric.json": "5f474ebde09d9328f20f1ba9002fb92d592d723ae92d61d049a802b081404003",
+    "rep-exact.json": "010975fb819b5d75996eede4a7d92c0bd12b738a777715a7fe9e66a570f5df05",
+    "rep-ring.json": "cbf0f3dcd81ca73369afa4265b40fe60b8ad8acd0a650322ee28782f42490894",
     "rep.csv": "9e6dea689aca03f2d1661309b36dd6dfe62ecebdad1b61e3cee451bf7adcbdf2",
-    "rep.json": "9230d88d650e4e75576507a55886c8e17b89d3a267f1d6e41a8ab76fee87843c",
-    "sweep-jobs.json": "394b61b230124a16a394357b317deb12b5ad219123b1047e9ed3ba9ab08de8b0",
+    "rep.json": "36e31acdf79e4f9a1b53b660dd7d75176ed0e02ec57b34ae00db82734ed3bb12",
+    "sweep-jobs.csv": "c9ecc04464108c3e6cdaa615cde045c47c3270f79c12b1b6207d1a051b91e3af",
+    "sweep-jobs.json": "200d4fbd911c4f980f2e25f7d23588a01b4971c32e6e937a561ef3d3e754b583",
     "sweep-jobs.json.cells.jsonl": "f1ff3a106646032caa38ea67d57111c22fac17324d060993fd22858a20b4953b",
+    "sweep-jobs.json.decoder.csv": "a2438caf3881ccdd9de536481fc23462931c736e2905e08d2bd3e570aa0ce902",
     "sweep.csv": "c9ecc04464108c3e6cdaa615cde045c47c3270f79c12b1b6207d1a051b91e3af",
-    "sweep.json": "2e896fb799381d230c09612221ab7e70d99f70a370042743c5d4030b1e61f368",
+    "sweep.json": "200d4fbd911c4f980f2e25f7d23588a01b4971c32e6e937a561ef3d3e754b583",
     "sweep.json.cells.jsonl": "f1ff3a106646032caa38ea67d57111c22fac17324d060993fd22858a20b4953b",
     "sweep.json.decoder.csv": "a2438caf3881ccdd9de536481fc23462931c736e2905e08d2bd3e570aa0ce902",
-    "toric-ring.json": "624f1f4edbf8ca775b6d367d2935bbfea12447f57d6e94c6d5bbdf9a5db4ca5e",
+    "toric-ring.json": "74f7f1d530406058f0f774491547568740f7761e8430ca5b166f54c1f9629190",
 }
 
 PINNED_COMMANDS = [
@@ -670,8 +690,9 @@ PINNED_COMMANDS = [
     ["run", "--code", "repetition", "--L", "8", "--rounds", "8", "--p", "0.11",
      "--method", "exact", "--wB-max", "3", "--out", "rep-exact.json"],
     ["sweep", "--code", "repetition", "--sizes", "6x6,8x8", "--p-grid", "0.07,0.11",
-     "--wC", "1", "--wB-max", "2", "--samples", "10000", "--seed", "3", "--jobs", "2",
-     "--out", "sweep-jobs.json"],
+     "--wC", "1", "--wB-max", "2", "--samples", "10000", "--seed", "3",
+     "--decoder-shots", "200", "--jobs", "2", "--out", "sweep-jobs.json", "--csv",
+     "sweep-jobs.csv"],
 ]
 
 
@@ -691,7 +712,11 @@ def pinned_outputs(directory):
 
 def test_cli_outputs_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert pinned_outputs(tmp_path) == PINNED_OUTPUTS
+    outputs = pinned_outputs(tmp_path)
+    assert outputs == PINNED_OUTPUTS
+    # The two sweeps differ only in --jobs and their output paths: equal bytes.
+    for name in ("sweep.json", "sweep.json.cells.jsonl", "sweep.json.decoder.csv", "sweep.csv"):
+        assert outputs[name.replace("sweep", "sweep-jobs")] == outputs[name]
 
 
 def write_edited(tmp_path, path, edit):
@@ -767,7 +792,11 @@ def test_ingest_honours_estimator(tmp_path):
     for name, extra in (("none", ["--config", str(cfg)]), ("default", [])):
         out = str(tmp_path / f"{name}.json")
         assert run_cli(["ingest", path, "--wB-max", "3", "--out", out] + extra) == 0
-        points[name] = json.loads(open(out).read())["points"]
+        payload = json.loads(open(out).read())
+        assert sorted(payload["config"]) == sorted(
+            ["wA", "wB_max", "wC", "mode", "method", "estimator"]
+        )
+        points[name] = payload["points"]
     anchor = tuple((size - 2) // 2 for size in model.code.space_shape) + (
         ladder_anchor_t0(model.rounds, 3),
     )

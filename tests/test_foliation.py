@@ -64,7 +64,7 @@ def test_cz_edges_follow_construction():
 
 def test_bulk_cell_is_four_body_plaquette():
     rs = foliate(repetition_code(4), 3)
-    k = rs.cell_index[("z", 1, 1)]
+    k = rs.detector_keys.index(("z", 1, 1))
     cell = rs.cells[k]
     assert len(cell) == 4
     kinds = sorted(rs.sites[s][0] for s in cell)
@@ -73,7 +73,7 @@ def test_bulk_cell_is_four_body_plaquette():
 
 def test_first_round_cell_is_one_sided():
     rs = foliate(repetition_code(4), 3)
-    cell = rs.cells[rs.cell_index[("z", 2, 0)]]
+    cell = rs.cells[rs.detector_keys.index(("z", 2, 0))]
     assert len(cell) == 3
     assert sorted(rs.sites[s][0] for s in cell) == ["d", "d", "sz"]
     ticks = {rs.sites[s][2] for s in cell}
