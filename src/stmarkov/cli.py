@@ -564,8 +564,11 @@ def _verify_rank(size: int = 10) -> Tuple[str, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    L = args.L or 3
-    T = args.rounds or 2
+    L, T = args.L, args.rounds
+    if L < 3:
+        raise ConfigError(f"verify --L {L}: the repetition code needs L >= 3")
+    if T < 1:
+        raise ConfigError(f"verify --rounds {T}: need at least one round")
     checks = [
         ("foliation_correspondence", _verify_correspondence),
         ("stabilizer_audit", _verify_audit),
@@ -808,8 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     verify_p = sub.add_parser("verify", help="run the correspondence and oracle suite")
-    verify_p.add_argument("--L", type=int, help="size for the brute-force checks")
-    verify_p.add_argument("--rounds", type=int)
+    verify_p.add_argument("--L", type=int, default=3, help="size for the brute-force checks")
+    verify_p.add_argument("--rounds", type=int, default=2)
     verify_p.set_defaults(func=cmd_verify)
 
     ingest_p = sub.add_parser("ingest", help="analyze external detector samples")

@@ -6,18 +6,18 @@ enumerates region-incident mechanisms, and a GF(2)-rank oracle valid at
 p = 1/2 where the detector distribution is uniform over the image of the
 incidence matrix.
 
-Sampled patterns reach an entropy one way: ``_chunk_table`` counts them into
-one (pattern x chunk) table, ``_marginal_table`` sums it onto a sub-region,
-``_table_entropies`` gives its full-sample and leave-one-chunk-out plug-in
-entropies and ``_jackknife_std`` the one delete-one-chunk error. The sampled
-CMI of ``markov`` reads them.
+Sampled patterns reach an entropy one way: ``_chunk_table`` counts them,
+one chunk's patterns at a time, into one (pattern x chunk) table,
+``_marginal_table`` sums it onto a sub-region, ``_table_entropies`` gives its
+full-sample and leave-one-chunk-out plug-in entropies and ``_jackknife_std``
+the one delete-one-chunk error. The sampled CMI of ``markov`` reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,24 +57,30 @@ def repack_bits(values: np.ndarray, positions: Sequence[int]) -> np.ndarray:
 
 
 def _chunk_table(
-    patterns: np.ndarray, bounds: Sequence[int], width: int
+    read: Callable[[int, int], np.ndarray], bounds: Sequence[int], width: int
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """(pattern x chunk) counts of ``width``-bit sample patterns split at ``bounds``.
+    """(pattern x chunk) counts of ``width``-bit sample patterns, counted one chunk at a time.
 
-    Returns (table, values). The table is dense (values None, row index =
-    pattern) when it holds no more cells than samples; otherwise its rows are
-    the observed patterns, listed in ascending order in ``values``.
+    ``read(lo, hi)`` gives the patterns of samples lo..hi-1; it is called
+    once per chunk of ``bounds``, in order, so only one chunk's patterns
+    exist at a time. Returns (table, values). The table is dense (values
+    None, row index = pattern) when it holds no more cells than samples;
+    otherwise its rows are the observed patterns, listed in ascending order
+    in ``values``.
     """
-    n_chunks = len(bounds) - 1
-    if (1 << width) * n_chunks <= patterns.size:
-        values, row, n_rows = None, patterns.astype(np.int64), 1 << width
-    else:
-        # A dense table would outgrow the samples: index the observed patterns.
-        values, row = np.unique(patterns, return_inverse=True)
-        n_rows = values.size
-    table = np.empty((n_rows, n_chunks), dtype=np.int64)
-    for i in range(n_chunks):
-        table[:, i] = np.bincount(row[bounds[i]:bounds[i + 1]], minlength=n_rows)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    if (1 << width) * len(spans) <= bounds[-1]:
+        table = np.empty((1 << width, len(spans)), dtype=np.int64)
+        for i, (lo, hi) in enumerate(spans):
+            # Dense patterns lie below 2^width, so their int64 view is their value.
+            table[:, i] = np.bincount(read(lo, hi).view(np.int64), minlength=1 << width)
+        return table, None
+    # A dense table would outgrow the samples: index the observed patterns.
+    counted = [np.unique(read(lo, hi), return_counts=True) for lo, hi in spans]
+    values = np.unique(np.concatenate([v for v, _ in counted]))
+    table = np.zeros((values.size, len(spans)), dtype=np.int64)
+    for i, (v, k) in enumerate(counted):
+        table[np.searchsorted(values, v), i] = k
     return table, values
 
 

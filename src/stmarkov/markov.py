@@ -54,7 +54,7 @@ from .entropy import (
     exact_region_dist,
     marginal_entropy,
 )
-from .sampler import PatternWidthExceeded, sample_batch, subset_patterns
+from .sampler import PatternWidthExceeded, pattern_rows, sample_batch, subset_patterns
 from .spacetime import (
     DetectorModel,
     NoiseModel,
@@ -304,20 +304,30 @@ def _table_cmi(
     return float(stat[0]), stat[1:], entropies(tri.all_detectors)[1]
 
 
+def _region_table(batch, region: Sequence[int]):
+    """(pattern x chunk) count table of the batch's samples over ``region``, built chunk by chunk.
+
+    The region's rows are looked up and checked once; ``subset_patterns``
+    then packs one chunk's patterns per call, so no pattern array over the
+    whole batch is built.
+    """
+    rows = pattern_rows(batch, region)
+    return _chunk_table(partial(subset_patterns, batch, rows), batch.chunk_bounds, len(region))
+
+
 def _anchor_cmis(batch, tris: Sequence[Tripartition], correction: bool) -> List[tuple]:
     """``_table_cmi`` of the tripartitions at one anchor, all read from one count table.
 
     The table counts the batch's samples over the union of the
-    tripartitions' detectors. The rungs of a ladder nest at each anchor, so
-    there the union is the ABC of the deepest rung and no wider table is
-    counted than that rung alone needs. Each distinct marginal's entropies
-    are taken once per anchor: with w_C = 1, the AB and B of one strip rung
-    are the ABC and BC of the rung before it.
+    tripartitions' detectors, one chunk at a time (``_region_table``). The
+    rungs of a ladder nest at each anchor, so there the union is the ABC of
+    the deepest rung and no wider table is counted than that rung alone
+    needs. Each distinct marginal's entropies are taken once per anchor:
+    with w_C = 1, the AB and B of one strip rung are the ABC and BC of the
+    rung before it.
     """
     region = sorted({d for tri in tris for d in tri.all_detectors})
-    table, values = _chunk_table(
-        subset_patterns(batch, region), batch.chunk_bounds, len(region)
-    )
+    table, values = _region_table(batch, region)
     memo: Dict[Tuple[int, ...], tuple] = {}
     return [_table_cmi(table, values, region, tri, correction, memo) for tri in tris]
 

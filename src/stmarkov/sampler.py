@@ -23,8 +23,10 @@ the same rows of a batch over its whole draw region. Mechanisms incident to
 no detector of the draw region are left out; that leaves the marginal
 unchanged.
 
-``subset_patterns`` turns a batch's packed rows into one word per sample over
-a sub-region; ``entropy._chunk_table`` counts those words.
+``subset_patterns`` turns the packed bytes of a span of samples (a chunk)
+into one word per sample over a sub-region whose rows ``pattern_rows`` looked
+up; ``entropy._chunk_table`` counts those words chunk by chunk, so no word
+array over the whole batch is built.
 
 A batch lives in memory only. The one file format for detector samples is
 the interchange file of ``cli.export_interchange`` and ``cli.read_interchange``.
@@ -243,26 +245,42 @@ def sample_batch(
 _SPREAD = np.array(
     [sum(((b >> i) & 1) << (8 * i) for i in range(8)) for b in range(256)], dtype="<u8"
 )
+# Shift of the j-th detector of a group onto bit j of each pattern byte.
+_LANES = np.arange(8, dtype=np.uint64)[:, None]
 
 
-def subset_patterns(batch: SampleBatch, sub_region: Sequence[int]) -> np.ndarray:
-    """Repack each sample onto the bits of ``sub_region`` (subset of region)."""
+def pattern_rows(batch: SampleBatch, sub_region: Sequence[int]) -> List[int]:
+    """The row of ``batch.rows`` holding each detector of ``sub_region``, in its order.
+
+    Refuses a sub-region wider than a 64-bit pattern or holding a detector
+    outside the batch's region.
+    """
     if len(sub_region) > 64:
         raise PatternWidthExceeded(len(sub_region), 64)
     pos = {d: j for j, d in enumerate(batch.region)}
     for d in sub_region:
         if d not in pos:
             raise ValueError(f"detector {d} not in batch region")
-    n_bytes = batch.rows.shape[1]
+    return [pos[d] for d in sub_region]
+
+
+def subset_patterns(batch: SampleBatch, rows: Sequence[int], lo: int, hi: int) -> np.ndarray:
+    """One word per sample lo..hi-1, bit j from ``batch.rows[rows[j]]``.
+
+    ``rows`` comes from ``pattern_rows``. Only the packed bytes of the span
+    are read, so a chunk's patterns cost 8 bytes per sample of that chunk.
+    """
+    first = lo // 8
+    block = batch.rows[:, first:(hi + 7) // 8]
     # One row per sample (8 per packed byte), one column per pattern byte.
-    out = np.zeros((8 * n_bytes, 8), dtype=np.uint8)
-    word = np.empty(n_bytes, dtype="<u8")
-    spread = np.empty(n_bytes, dtype="<u8")
-    for g in range(0, len(sub_region), 8):
-        word[:] = 0
-        for j, d in enumerate(sub_region[g:g + 8]):
-            np.take(_SPREAD, batch.rows[pos[d]], out=spread)
-            spread <<= np.uint64(j)
-            word |= spread
-        out[:, g // 8] = word.view(np.uint8)
-    return out.view("<u8").reshape(-1)[: batch.n_samples].astype(np.uint64, copy=False)
+    out = np.zeros((8 * block.shape[1], 8), dtype=np.uint8)
+    for g in range(0, len(rows), 8):
+        # Up to 8 detectors fill one pattern byte, each spread, shifted onto
+        # its bit and ORed in, as whole arrays: a chunk is short, so each
+        # numpy call counts.
+        group = rows[g:g + 8]
+        spread = _SPREAD.take(block[group])
+        spread <<= _LANES[:len(group)]
+        out[:, g // 8] = np.bitwise_or.reduce(spread, axis=0).view(np.uint8)
+    words = out.view("<u8").reshape(-1)[lo - 8 * first:hi - 8 * first]
+    return words.astype(np.uint64, copy=False)

@@ -417,9 +417,9 @@ def test_criterion_9_reproducibility(tmp_path):
         "--out", out, "--csv", str(tmp_path / "run.csv"),
     ]
     assert cli_main(args) == 0
-    first = (open(out, "rb").read(), open(tmp_path / "run.csv", "rb").read())
+    first = ((tmp_path / "run.json").read_bytes(), (tmp_path / "run.csv").read_bytes())
     assert cli_main(args) == 0
-    second = (open(out, "rb").read(), open(tmp_path / "run.csv", "rb").read())
+    second = ((tmp_path / "run.json").read_bytes(), (tmp_path / "run.csv").read_bytes())
 
     sweep_out = str(tmp_path / "sweep.json")
     sweep_args = [
@@ -428,8 +428,8 @@ def test_criterion_9_reproducibility(tmp_path):
         "--decoder-shots", "500",
     ]
     assert cli_main(sweep_args) == 0
-    s1 = open(sweep_out, "rb").read()
+    s1 = (tmp_path / "sweep.json").read_bytes()
     assert cli_main(sweep_args) == 0
-    s2 = open(sweep_out, "rb").read()
+    s2 = (tmp_path / "sweep.json").read_bytes()
     ok = first == second and s1 == s2
     report(9, "byte-identical reruns", ok, "run + sweep outputs identical for fixed seed")

@@ -39,6 +39,12 @@ def run_cli(args):
     return main(args)
 
 
+def first_line(path):
+    """The first line of a text file, newline included."""
+    with open(path) as f:
+        return f.readline()
+
+
 def test_run_writes_json_and_csv(tmp_path):
     out = str(tmp_path / "run.json")
     csv_path = str(tmp_path / "run.csv")
@@ -50,11 +56,11 @@ def test_run_writes_json_and_csv(tmp_path):
         ]
     )
     assert code == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(pathlib.Path(out).read_text())
     assert payload["config"]["seed"] == 42
     assert "config_hash" in payload and "code_hash" in payload
     assert len(payload["points"]) == 2  # ladder wB = 1..wB_max
-    header = open(csv_path).readline().strip()
+    header = first_line(csv_path).strip()
     assert header == "code,L,T,p,q,wA,wB,dist,cmi_bits,cmi_stderr"
 
 
@@ -66,9 +72,9 @@ def test_run_byte_identical(tmp_path):
         "--out", out,
     ]
     assert run_cli(args) == 0
-    first = open(out, "rb").read()
+    first = pathlib.Path(out).read_bytes()
     assert run_cli(args) == 0
-    assert open(out, "rb").read() == first
+    assert pathlib.Path(out).read_bytes() == first
 
 
 def test_bad_probability_exit_code():
@@ -82,7 +88,7 @@ def test_config_file_with_flag_override(tmp_path):
     )
     out = str(tmp_path / "o.json")
     assert run_cli(["run", "--config", str(cfg), "--p", "0.11", "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(pathlib.Path(out).read_text())
     assert payload["config"]["p"] == 0.11
     assert payload["config"]["L"] == 8
 
@@ -123,16 +129,16 @@ def test_sweep_shape_and_resume(tmp_path):
         "--seed", "3", "--out", out,
     ]
     assert run_cli(args) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(pathlib.Path(out).read_text())
     assert len(payload["cells"]) == 2
     assert "peaks" in payload
     cells_file = out + ".cells.jsonl"
-    lines = open(cells_file).read().splitlines()
+    lines = pathlib.Path(cells_file).read_text().splitlines()
     assert len(lines) == 2
     # Drop one cell from the progress file; --resume recomputes only that one.
-    open(cells_file, "w").write(lines[0] + "\n")
+    pathlib.Path(cells_file).write_text(lines[0] + "\n")
     assert run_cli(args + ["--resume"]) == 0
-    payload2 = json.loads(open(out).read())
+    payload2 = json.loads(pathlib.Path(out).read_text())
     assert payload2["cells"] == payload["cells"]
 
 
@@ -142,13 +148,13 @@ def test_sweep_resume_keys_cells_by_rounds(tmp_path):
     args = ["sweep", "--code", "repetition", "--sizes", "8x6,8x10", "--p-grid", "0.09",
             "--wB-max", "1", "--samples", "5000", "--seed", "3", "--out", out]
     assert run_cli(args) == 0
-    cells = json.loads(open(out).read())["cells"]
+    cells = json.loads(pathlib.Path(out).read_text())["cells"]
     assert [c["T"] for c in cells] == [6, 10]
     cells_file = out + ".cells.jsonl"
-    first = open(cells_file).readline()
-    open(cells_file, "w").write(first)
+    first = first_line(cells_file)
+    pathlib.Path(cells_file).write_text(first)
     assert run_cli(args + ["--resume"]) == 0
-    assert json.loads(open(out).read())["cells"] == cells
+    assert json.loads(pathlib.Path(out).read_text())["cells"] == cells
 
 
 def test_sweep_resume_refuses_cells_of_another_config(tmp_path, capsys):
@@ -157,24 +163,24 @@ def test_sweep_resume_refuses_cells_of_another_config(tmp_path, capsys):
             "--wB-max", "1", "--samples", "5000", "--out", out]
     assert run_cli(args + ["--seed", "3"]) == 0
     cells_file = out + ".cells.jsonl"
-    seed3 = open(cells_file).read()
+    seed3 = pathlib.Path(cells_file).read_text()
     # The resume key is the sweep's config_hash.
-    config_hash = json.loads(open(out).read())["config_hash"]
+    config_hash = json.loads(pathlib.Path(out).read_text())["config_hash"]
     assert all(json.loads(line)["key"] == config_hash for line in seed3.splitlines())
     capsys.readouterr()
     assert run_cli(args + ["--seed", "4", "--resume"]) == 2
     assert cells_file in capsys.readouterr().err
-    assert open(cells_file).read() == seed3
+    assert pathlib.Path(cells_file).read_text() == seed3
     # A record without a key (or a changed one) is refused too.
     rec = json.loads(seed3)
     del rec["key"]
-    open(cells_file, "w").write(json.dumps(rec) + "\n")
+    pathlib.Path(cells_file).write_text(json.dumps(rec) + "\n")
     assert run_cli(args + ["--seed", "3", "--resume"]) == 2
     # Fields that change no value (jobs, csv) keep the key.
-    open(cells_file, "w").write(seed3)
+    pathlib.Path(cells_file).write_text(seed3)
     csv_path = str(tmp_path / "sweep.csv")
     assert run_cli(args + ["--seed", "3", "--jobs", "2", "--csv", csv_path, "--resume"]) == 0
-    assert open(cells_file).read() == seed3
+    assert pathlib.Path(cells_file).read_text() == seed3
 
 
 def _with(**fields):
@@ -242,9 +248,9 @@ def test_sweep_resume_refuses_malformed_record(tmp_path, capsys, edit, message):
             "--wB-max", "1", "--samples", "5000", "--seed", "3", "--out", out]
     assert run_cli(args) == 0
     cells_file = out + ".cells.jsonl"
-    first, second = open(cells_file).read().splitlines()
+    first, second = pathlib.Path(cells_file).read_text().splitlines()
     capsys.readouterr()
-    open(cells_file, "w").write(first + "\n" + edit(json.loads(second)) + "\n")
+    pathlib.Path(cells_file).write_text(first + "\n" + edit(json.loads(second)) + "\n")
     os.remove(out)
     assert run_cli(args + ["--resume", "--csv", str(tmp_path / "s.csv")]) == 2
     assert f"{cells_file} line 2: {message}" in capsys.readouterr().err
@@ -285,7 +291,7 @@ def test_sweep_decoder_curves_keyed_by_size(tmp_path):
     est = threshold_estimate(curves)
     # The 8x6 and 12x12 curves cross; keyed by L alone, 8x12 replaced 8x6.
     assert any({a, b} == {(8, 6), (12, 12)} for a, b, _ in est.crossings)
-    crossing = json.loads(open(out).read())["decoder_crossing"]
+    crossing = json.loads(pathlib.Path(out).read_text())["decoder_crossing"]
     assert crossing == {"p_cross": est.p_cross, "spread": est.spread}
 
 
@@ -299,7 +305,7 @@ def test_sweep_peaks_keyed_by_size(tmp_path, sizes, keys):
     assert run_cli(["sweep", "--code", "repetition", "--sizes", sizes, "--p-grid", "0.1,0.2,0.3",
                     "--method", "exact", "--wA", "1", "--wC", "1", "--wB-max", "3",
                     "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(pathlib.Path(out).read_text())
     assert sorted(payload["peaks"]) == sorted(keys)
     for key, size in zip(keys, sizes.split(",")):
         L, T = map(int, size.split("x"))
@@ -315,7 +321,7 @@ def test_run_with_fewer_samples_than_chunks(tmp_path):
     out = str(tmp_path / "run.json")
     assert run_cli(["run", "--code", "repetition", "--L", "8", "--rounds", "8",
                     "--wB-max", "2", "--samples", "7", "--out", out]) == 0
-    assert all(not pt["reliable"] for pt in json.loads(open(out).read())["points"])
+    assert all(not pt["reliable"] for pt in json.loads(pathlib.Path(out).read_text())["points"])
 
 
 def test_run_ring_ladder_anchored_above_row_one(tmp_path):
@@ -323,7 +329,7 @@ def test_run_ring_ladder_anchored_above_row_one(tmp_path):
     assert run_cli(["run", "--code", "repetition", "--L", "8", "--rounds", "12", "--p", "0.11",
                     "--mode", "ring", "--wA", "1", "--wC", "1", "--wB-max", "1",
                     "--samples", "20000", "--seed", "7", "--out", out]) == 0
-    (point,) = json.loads(open(out).read())["points"]
+    (point,) = json.loads(pathlib.Path(out).read_text())["points"]
     assert point["wB"] == 1
 
 
@@ -336,7 +342,7 @@ def test_sweep_cells_equal_markov_sweep(tmp_path, jobs):
     grid = [(L, T, p) for (L, T) in [(8, 8), (12, 12)] for p in [0.07, 0.11]]
     cells = sweep_cells("repetition", grid, ladder=(1, 2), n=10000, seed=3)
     expected = json.loads(json.dumps([_cell_record(c) for c in cells]))
-    assert json.loads(open(out).read())["cells"] == expected
+    assert json.loads(pathlib.Path(out).read_text())["cells"] == expected
 
 
 def test_verify_passes_and_fault_hook_fails(monkeypatch, capsys):
@@ -355,6 +361,23 @@ def test_verify_passes_and_fault_hook_fails(monkeypatch, capsys):
     capsys.readouterr()
     assert run_cli(["verify"]) == 1
     assert "FAIL    foliation_correspondence" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--L", "0"], "verify --L 0: the repetition code needs L >= 3"),
+        (["--L", "2"], "verify --L 2: the repetition code needs L >= 3"),
+        (["--L", "-4"], "verify --L -4: the repetition code needs L >= 3"),
+        (["--rounds", "0"], "verify --rounds 0: need at least one round"),
+        (["--rounds", "-1"], "verify --rounds -1: need at least one round"),
+    ],
+)
+def test_verify_refuses_sizes_before_any_check(capsys, flags, message):
+    assert run_cli(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
 
 
 def ladder_anchor_t0(rounds, wB_max):
@@ -383,7 +406,7 @@ def test_ingest_roundtrip_matches_in_process(tmp_path, family, wB_max):
     model, batch, band, path = make_band_batch(tmp_path, family=family, wB_max=wB_max)
     out = str(tmp_path / "ingest.json")
     assert run_cli(["ingest", path, "--wB-max", str(wB_max), "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(pathlib.Path(out).read_text())
     assert [rec["wB"] for rec in payload["points"]] == list(range(1, wB_max + 1))
     # In-process analysis over the same batch and geometry: every rung sits
     # at the anchor of the deepest one.
@@ -401,23 +424,23 @@ def test_ingest_roundtrip_matches_in_process(tmp_path, family, wB_max):
 
 def test_ingest_rejects_truncated_row(tmp_path):
     _, _, _, path = make_band_batch(tmp_path, n=50)
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     lines[3] = lines[3][:-1]  # truncate a data row
     bad = str(tmp_path / "bad.txt")
-    open(bad, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(bad).write_text("\n".join(lines) + "\n")
     assert run_cli(["ingest", bad, "--L", "8", "--rounds", "8"]) == 2
 
 
 def test_ingest_rejects_unknown_scheme(tmp_path):
     _, _, _, path = make_band_batch(tmp_path, n=10)
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     header = json.loads(lines[0])
     for rec in header["detectors"]:
         del rec["round"]
         rec["when"] = 0
     lines[0] = json.dumps(header)
     bad = str(tmp_path / "bad2.txt")
-    open(bad, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(bad).write_text("\n".join(lines) + "\n")
     assert run_cli(["ingest", bad, "--L", "8", "--rounds", "8"]) == 2
 
 
@@ -437,7 +460,7 @@ def test_interchange_export_pinned(tmp_path):
     batch = sample_batch(model, list(range(10)), 17_001, seed=9)
     path = str(tmp_path / "odd.txt")
     export_interchange(batch, model, path)
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    digest = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
     assert digest == "5985e57a0957ec04a6b0dc8452c04e050c260bdf0093154b0729ebe2c449ec47"
     _, again = read_interchange(path)
     assert np.array_equal(again.rows, batch.rows)
@@ -455,10 +478,10 @@ def test_interchange_export_pinned(tmp_path):
 )
 def test_read_interchange_names_bad_row(tmp_path, row, edit, message):
     _, _, _, path = make_band_batch(tmp_path, n=50)
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     lines[row] = edit(lines[row])  # line 0 is the header, line k is row k
     bad = str(tmp_path / "bad.txt")
-    open(bad, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(bad).write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=f"^row {row}: {message}"):
         read_interchange(bad)
     assert run_cli(["ingest", bad, "--L", "8", "--rounds", "8"]) == 2
@@ -470,11 +493,11 @@ def test_read_interchange_names_bad_row(tmp_path, row, edit, message):
 )
 def test_read_interchange_refuses_rows_beyond_n_rows(tmp_path, capsys, extra):
     _, _, _, path = make_band_batch(tmp_path, n=2000)
-    text = open(path).read()
+    text = pathlib.Path(path).read_text()
     out = str(tmp_path / "o.json")
     assert run_cli(["ingest", path, "--wB-max", "1", "--out", out]) == 0
     bad = str(tmp_path / "bad.txt")
-    open(bad, "w").write(text + "\n".join(extra) + "\n")
+    pathlib.Path(bad).write_text(text + "\n".join(extra) + "\n")
     row = 2000 + len(extra) - len([s for s in extra if s]) + 1  # the first nonblank one
     message = f"row {row}: beyond the header's 2000 rows: {extra[row - 2001]!r}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -482,7 +505,7 @@ def test_read_interchange_refuses_rows_beyond_n_rows(tmp_path, capsys, extra):
     assert run_cli(["ingest", bad, "--wB-max", "1", "--out", out + "2"]) == 2
     assert message in capsys.readouterr().err
     # Blank lines after the last row are not rows.
-    open(bad, "w").write(text + "\n\n")
+    pathlib.Path(bad).write_text(text + "\n\n")
     assert np.array_equal(read_interchange(bad)[1].rows, read_interchange(path)[1].rows)
 
 
@@ -497,16 +520,16 @@ def test_sweep_decoder_csv_and_peak_flag(tmp_path):
         ]
     )
     assert code == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(pathlib.Path(out).read_text())
     assert "decoder_crossing" in payload
-    header = open(out + ".decoder.csv").readline().strip()
+    header = first_line(out + ".decoder.csv").strip()
     assert header == "L,T,p,q,shots,logical_errors,rate,ci_low,ci_high"
     # A two-point grid cannot host an interior maximum.
     for key, peak in payload["peaks"].items():
         assert peak.get("interior") in (False, None) or "note" in peak
         if peak.get("interior") is False:
             assert peak["note"] == "no interior maximum"
-    assert open(csv_path).readline().startswith("code,L,T,p,q")
+    assert first_line(csv_path).startswith("code,L,T,p,q")
 
 
 def test_sweep_jobs_numerically_deterministic(tmp_path):
@@ -518,7 +541,7 @@ def test_sweep_jobs_numerically_deterministic(tmp_path):
     assert run_cli(args + ["--out", a]) == 0
     assert run_cli(args + ["--out", b, "--jobs", "2"]) == 0
     # Neither --jobs nor --out changes a byte.
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
 
 
 RUN_ARGS = ["run", "--code", "repetition", "--L", "8", "--rounds", "8", "--p", "0.09",
@@ -529,7 +552,7 @@ def _run_outputs(tmp_path, name, extra):
     out = str(tmp_path / f"{name}.json")
     csv_path = str(tmp_path / f"{name}.csv")
     assert run_cli(RUN_ARGS + extra + ["--out", out, "--csv", csv_path]) == 0
-    return json.loads(open(out).read()), open(csv_path, "rb").read()
+    return json.loads(pathlib.Path(out).read_text()), pathlib.Path(csv_path).read_bytes()
 
 
 def test_run_q_flag(tmp_path):
@@ -555,11 +578,11 @@ def test_sweep_q_flag(tmp_path):
         csv_path = str(tmp_path / f"{name}.csv")
         assert run_cli(SWEEP_ARGS + extra + ["--out", out, "--csv", csv_path,
                                              "--decoder-shots", "50"]) == 0
-        payloads[name] = json.loads(open(out).read())
+        payloads[name] = json.loads(pathlib.Path(out).read_text())
         expected_q = {"0.07", "0.11"} if name == "default" else {"0.0"}
-        rows = open(out + ".decoder.csv").read().splitlines()[1:]
+        rows = pathlib.Path(out + ".decoder.csv").read_text().splitlines()[1:]
         assert {row.split(",")[3] for row in rows} == expected_q
-        rows = open(csv_path).read().splitlines()[1:]
+        rows = pathlib.Path(csv_path).read_text().splitlines()[1:]
         assert {row.split(",")[4] for row in rows} == expected_q
     assert payloads["quiet"]["cells"] != payloads["default"]["cells"]
 
@@ -573,7 +596,7 @@ def test_interrupted_sweep_resumes_byte_identical(tmp_path, monkeypatch):
             "0.07,0.11", "--wB-max", "1", "--samples", "10000", "--seed", "3",
             "--out", out, "--csv", csv_path]
     assert run_cli(args) == 0
-    expected = {path: open(path, "rb").read() for path in (out, csv_path)}
+    expected = {path: pathlib.Path(path).read_bytes() for path in (out, csv_path)}
     for path in expected:
         os.remove(path)
 
@@ -589,11 +612,11 @@ def test_interrupted_sweep_resumes_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setattr(markov, "_sweep_cell", failing_cell)
     with pytest.raises(KeyboardInterrupt):
         run_cli(args)
-    assert len(open(out + ".cells.jsonl").read().splitlines()) == 2
+    assert len(pathlib.Path(out + ".cells.jsonl").read_text().splitlines()) == 2
     monkeypatch.setattr(markov, "_sweep_cell", real_cell)
     assert run_cli(args + ["--resume"]) == 0
     for path, content in expected.items():
-        assert open(path, "rb").read() == content
+        assert pathlib.Path(path).read_bytes() == content
 
 
 def test_p_zero_with_readout_noise_is_computed(tmp_path):
@@ -603,18 +626,18 @@ def test_p_zero_with_readout_noise_is_computed(tmp_path):
     args = ["--L", "8", "--rounds", "8", "--p", "0", "--q", "0.1", "--wB-max", "2",
             "--method", "exact"]
     assert run_cli(["run"] + args + ["--out", out]) == 0
-    points = json.loads(open(out).read())["points"]
+    points = json.loads(pathlib.Path(out).read_text())["points"]
     assert [pt["wB"] for pt in points] == [1, 2]
     assert points[0]["cmi_bits"] == 0.2532422086215318
     assert run_cli(["sweep"] + args + ["--sizes", "8x8", "--p-grid", "0.0", "--out", out]) == 0
-    cell, = json.loads(open(out).read())["cells"]
+    cell, = json.loads(pathlib.Path(out).read_text())["cells"]
     assert cell["points"] == points
 
 
 @pytest.mark.parametrize("key", ["rounds", "space_shape", "n_rows", "detectors", None])
 def test_ingest_names_missing_header_key(tmp_path, key):
     _, _, _, path = make_band_batch(tmp_path, n=20)
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     header = json.loads(lines[0])
     if key is None:
         header = [header]
@@ -622,7 +645,7 @@ def test_ingest_names_missing_header_key(tmp_path, key):
         del header[key]
     lines[0] = json.dumps(header)
     bad = str(tmp_path / "bad.txt")
-    open(bad, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(bad).write_text("\n".join(lines) + "\n")
     message = "not a JSON object" if key is None else f"no '{key}' key"
     with pytest.raises(ConfigError, match=message):
         read_interchange(bad)
@@ -635,15 +658,15 @@ def test_read_interchange_rejects_bits_above_width(tmp_path):
     batch = sample_batch(model, list(range(13)), 40, seed=3)
     path = str(tmp_path / "wide.txt")
     export_interchange(batch, model, path)
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     lines[5] = "1" + lines[5][1:]  # bit 12 is detector 12: still a valid row
     ok = str(tmp_path / "ok.txt")
-    open(ok, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(ok).write_text("\n".join(lines) + "\n")
     _, again = read_interchange(ok)
     assert again.row_bits(12)[4] == 1
     lines[9] = "f" + lines[9][1:]
     bad = str(tmp_path / "bad.txt")
-    open(bad, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(bad).write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="^row 9: bits set above the header's 13 detectors"):
         read_interchange(bad)
     assert run_cli(["ingest", bad, "--L", "7", "--rounds", "4"]) == 2
@@ -721,12 +744,12 @@ def test_cli_outputs_pinned(tmp_path, monkeypatch):
 
 def write_edited(tmp_path, path, edit):
     """Copy the interchange file ``path`` with ``edit`` applied to its header; the copy's path."""
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     header = json.loads(lines[0])
     edit(header)
     lines[0] = json.dumps(header)
     bad = str(tmp_path / "edited.txt")
-    open(bad, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(bad).write_text("\n".join(lines) + "\n")
     return bad
 
 
@@ -792,7 +815,7 @@ def test_ingest_honours_estimator(tmp_path):
     for name, extra in (("none", ["--config", str(cfg)]), ("default", [])):
         out = str(tmp_path / f"{name}.json")
         assert run_cli(["ingest", path, "--wB-max", "3", "--out", out] + extra) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(pathlib.Path(out).read_text())
         assert sorted(payload["config"]) == sorted(
             ["wA", "wB_max", "wC", "mode", "method", "estimator"]
         )
@@ -823,7 +846,7 @@ def test_ingest_honours_estimator(tmp_path):
 def test_ingest_refuses_settings_it_cannot_honour(tmp_path, capsys, flags, config, message):
     _, _, _, path = make_band_batch(tmp_path, n=50)
     cfg = str(tmp_path / "cfg.json")
-    open(cfg, "w").write(json.dumps(config))
+    pathlib.Path(cfg).write_text(json.dumps(config))
     out = str(tmp_path / "o.json")
     assert exit_code_in(tmp_path, ["ingest", path, "--config", cfg, "--out", out] + flags,
                         {}) == 2
@@ -850,7 +873,7 @@ def test_ingest_all_zero_ladder_is_a_gap_like_a_sweep_cell(tmp_path):
     export_interchange(sample_batch(model, band, 500, seed=1), model, path)
     out = str(tmp_path / "o.json")
     assert run_cli(["ingest", path, "--wB-max", "3", "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(pathlib.Path(out).read_text())
     assert [pt["cmi_bits"] for pt in payload["points"]] == [0.0, 0.0, 0.0]
     cell, = sweep_cells("repetition", [(8, 8, 0.0)], q=0.0, ladder=(1, 2, 3), n=500)
     assert payload["fit"] == {"error": "all CMI at zero"} == _cell_record(cell)["fit"]
@@ -882,7 +905,7 @@ CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["bogus"]
 def small_interchange_text():
     with tempfile.TemporaryDirectory() as d:
         _, _, _, path = make_band_batch(pathlib.Path(d), n=40, wB_max=2)
-        return open(path).read()
+        return pathlib.Path(path).read_text()
 
 
 @st.composite
@@ -938,7 +961,7 @@ def exit_code_in(directory, argv, files):
     os.chdir(directory)
     try:
         for name, text in files.items():
-            open(name, "w", encoding="utf-8").write(text)
+            pathlib.Path(name).write_text(text, encoding="utf-8")
         return main(argv)
     finally:
         os.chdir(cwd)
@@ -990,7 +1013,7 @@ def small_progress_lines():
     with tempfile.TemporaryDirectory() as d:
         code = exit_code_in(d, SWEEP_FLAGS + ["--sizes", "6x6", "--p-grid", "0.05,0.07,0.1"], {})
         assert code == 0
-        return tuple(open(os.path.join(d, "sweep.json.cells.jsonl")).read().splitlines())
+        return tuple(pathlib.Path(d, "sweep.json.cells.jsonl").read_text().splitlines())
 
 
 @st.composite

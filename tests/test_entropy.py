@@ -11,6 +11,7 @@ from oracles import (
     enumerate_region_distribution,
     entropy_of_dist,
     history_from_errors,
+    per_bit_subset_patterns,
     reference_table_entropies,
     repeat_chunk_table,
 )
@@ -31,7 +32,8 @@ from stmarkov.entropy import (
     rank_entropy_half,
 )
 from stmarkov.foliation import foliate
-from stmarkov.sampler import SampleBatch, sample_batch, subset_patterns
+from stmarkov.markov import _region_table
+from stmarkov.sampler import SampleBatch, chunk_bounds, sample_batch
 from stmarkov.spacetime import (
     Detector,
     DetectorModel,
@@ -103,7 +105,7 @@ def test_plugin_jackknife_error_reasonable():
     rng = np.random.default_rng(0)
     bits = rng.random(40_000) < 0.3
     batch = batch_of(np.array_split(bits, 20), 1)
-    table, _ = _chunk_table(subset_patterns(batch, [0]), batch.chunk_bounds, 1)
+    table, _ = _region_table(batch, [0])
     h = _table_entropies(table, 1, True)
     std = _jackknife_std(h[1:])
     assert abs(h[0] - binary_entropy(0.3)) < 4 * std
@@ -148,7 +150,7 @@ def hand_batches(draw):
 def test_entropy_from_batch_matches_recount(case, correction):
     width, chunks = case
     batch = batch_of(chunks, width)
-    table, _ = _chunk_table(subset_patterns(batch, list(range(width))), batch.chunk_bounds, width)
+    table, _ = _region_table(batch, list(range(width)))
     h = _table_entropies(table, width, correction == "miller_madow")
     value, std = recount_entropy(chunks, width, correction == "miller_madow")
     assert h[0] == pytest.approx(value, rel=1e-12, abs=1e-15)
@@ -209,7 +211,7 @@ def test_entropy_pass_stays_below_table_bytes():
     patterns = np.concatenate([observed, rng.choice(observed, 44_000)])
     rng.shuffle(patterns)
     bounds = [2_000 * i for i in range(33)]
-    table, values = _chunk_table(patterns, bounds, 40)
+    table, values = _chunk_table(lambda lo, hi: patterns[lo:hi], bounds, 40)
     assert values is not None and table.shape == (20_000, 32)
     tracemalloc.start()
     try:
@@ -232,12 +234,56 @@ def test_entropy_pass_stays_below_table_bytes():
 def test_chunk_table_matches_repeat_formulation(width, bounds):
     rng = np.random.default_rng(width)
     patterns = rng.integers(0, 1 << width, bounds[-1]).astype(np.uint64)
-    table, values = _chunk_table(patterns, bounds, width)
+    table, values = _chunk_table(lambda lo, hi: patterns[lo:hi], bounds, width)
     expect, expect_values = repeat_chunk_table(patterns, bounds, width)
     assert table.dtype == expect.dtype and np.array_equal(table, expect)
     dense = (1 << width) * (len(bounds) - 1) <= bounds[-1]
     assert (values is None) == (expect_values is None) == dense
     assert dense or np.array_equal(values, expect_values)
+
+
+@st.composite
+def chunked_batches(draw):
+    """A batch of random packed rows (padding bits set too) in ``chunk_bounds`` chunks, and a region.
+
+    Under 256 samples some of 32 chunks are empty; a sample count off a
+    multiple of 8 ends the last chunk mid-byte. Widths from 1 to 16 put the
+    table on both sides of the dense rule 2^width * n_chunks <= n.
+    """
+    n = draw(st.integers(1, 3_000))
+    bounds = chunk_bounds(n, draw(st.sampled_from([1, 3, 32])))
+    width = draw(st.integers(1, 16))
+    region = tuple(range(50, 50 + width + draw(st.integers(0, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Skewed bits keep wide regions' supports well below their 2^width patterns.
+    bias = draw(st.sampled_from([0.5, 0.1]))
+    bits = rng.random((len(region), 8 * ((n + 7) // 8))) < bias
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    sub = draw(st.permutations(region))[:width]
+    return SampleBatch(region, n, rows, bounds, 0, "hand"), sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunked_batches())
+@example(
+    (SampleBatch((0, 1), 100, np.full((2, 13), 0x5A, dtype=np.uint8), chunk_bounds(100), 0, "hand"),
+     [1, 0])
+)  # empty chunks, the last one ending mid-byte, compacted: 4 patterns x 32 chunks > 100
+@example(
+    (SampleBatch((0, 1), 1_001, np.full((2, 126), 0xC3, dtype=np.uint8), chunk_bounds(1_001), 0,
+                 "hand"), [0, 1])
+)  # dense: 4 x 32 <= 1,001, the last chunk ending mid-byte
+def test_chunk_built_table_matches_repeat_formulation(case):
+    """The table counted chunk by chunk equals one count over the whole pattern array."""
+    batch, sub = case
+    table, values = _region_table(batch, sub)
+    expect, expect_values = repeat_chunk_table(
+        per_bit_subset_patterns(batch, sub), batch.chunk_bounds, len(sub)
+    )
+    assert table.dtype == expect.dtype and np.array_equal(table, expect)
+    assert (values is None) == (expect_values is None)
+    assert values is None or (values.dtype == expect_values.dtype
+                              and np.array_equal(values, expect_values))
 
 
 # Recorded with a plug-in estimator that clamped only the full-sample value:
@@ -266,7 +312,7 @@ def test_plugin_entropy_pinned():
     got = {}
 
     def record(name, batch, region, correction=True):
-        table, _ = _chunk_table(subset_patterns(batch, region), batch.chunk_bounds, len(region))
+        table, _ = _region_table(batch, region)
         h = _table_entropies(table, len(region), correction)
         got[name] = (repr(float(h[0])), repr(_jackknife_std(h[1:])))
 
@@ -396,7 +442,7 @@ def test_sampled_entropy_tracks_exact():
     model = build_detector_model(repetition_code(4), 3, NoiseModel.phenomenological(0.1))
     region = [model.det_index[("z", c, t)] for c in range(3) for t in (1, 2)]
     batch = sample_batch(model, region, 300_000, seed=23)
-    table, _ = _chunk_table(subset_patterns(batch, region), batch.chunk_bounds, len(region))
+    table, _ = _region_table(batch, region)
     h = _table_entropies(table, len(region), True)
     exact = exact_entropy(model, region, cap=24)
     assert abs(h[0] - exact) < 3 * _jackknife_std(h[1:]) + 1e-3

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from stmarkov.markov import (
     CmiPoint,
     FitError,
     _anchor_cmis,
+    _region_table,
     _table_cmi,
     averaged_cmi_ladder,
     build_tripartition,
@@ -25,8 +27,7 @@ from stmarkov.markov import (
     sweep_cells,
     validate_tripartition,
 )
-from stmarkov.entropy import _chunk_table
-from stmarkov.sampler import PatternWidthExceeded, sample_batch, subset_patterns
+from stmarkov.sampler import PatternWidthExceeded, pattern_rows, sample_batch, subset_patterns
 from stmarkov.spacetime import NoiseModel, Tripartition, build_detector_model
 
 
@@ -375,14 +376,12 @@ def test_histogram_kernel_matches_four_histograms(n, wB):
 def own_table_cmi(batch, tri, correction):
     """``_table_cmi`` of one tripartition read from a count table over its own ABC."""
     region = tri.all_detectors
-    table, values = _chunk_table(
-        subset_patterns(batch, region), batch.chunk_bounds, len(region)
-    )
+    table, values = _region_table(batch, region)
     return _table_cmi(table, values, region, tri, correction, {})
 
 
 def count_pattern_calls(monkeypatch):
-    """Record each call of ``markov.subset_patterns``: one per count table built."""
+    """Record each call of ``markov.subset_patterns``: one per chunk of each count table built."""
     calls = []
     original = markov.subset_patterns
 
@@ -392,6 +391,23 @@ def count_pattern_calls(monkeypatch):
 
     monkeypatch.setattr(markov, "subset_patterns", counted)
     return calls
+
+
+def assert_one_table_per_region(calls, batch, regions):
+    """``calls`` (the arguments of each pattern read) build one table per region
+    of ``regions``, in order: the region's rows read once per chunk of the batch."""
+    bounds = batch.chunk_bounds
+    expect = [
+        (pattern_rows(batch, region), lo, hi)
+        for region in regions
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    assert all(args[0] is batch for args in calls)
+    assert [(list(args[1]), *args[2:]) for args in calls] == expect
+
+
+def union_region(tris):
+    return sorted({d for tri in tris for d in tri.all_detectors})
 
 
 def assert_anchor_table_matches_own_tables(batch, tris):
@@ -426,7 +442,9 @@ def test_anchor_table_matches_own_tables(monkeypatch, mode, wA, T, ladder, cap, 
     batch = sample_batch(model, list(range(model.n_detectors)), n, seed=4)
     calls = count_pattern_calls(monkeypatch)
     _anchor_cmis(batch, tris, True)
-    assert len(calls) == 1  # the rungs nest: one table serves them all
+    # The rungs nest: one table, over the deepest rung's ABC, serves them all.
+    assert union_region(tris) == list(tris[-1].all_detectors)
+    assert_one_table_per_region(calls, batch, [tris[-1].all_detectors])
     assert_anchor_table_matches_own_tables(batch, tris)
 
 
@@ -441,7 +459,8 @@ def test_anchor_table_counts_the_union_of_its_tripartitions(monkeypatch):
     _anchor_cmis(batch, tris, True)
     # The x = 4 rung lies outside the widest ABC (x = 0, wB = 3, 12 detectors):
     # the one table counts its 8 detectors too.
-    assert [len(args[1]) for args in calls] == [20]
+    assert len(union_region(tris)) == 20
+    assert_one_table_per_region(calls, batch, [union_region(tris)])
     assert_anchor_table_matches_own_tables(batch, tris)
 
 
@@ -468,6 +487,40 @@ def test_anchor_takes_each_distinct_marginal_once(monkeypatch, ladder, wC, calls
             assert value == ref_value
             assert np.array_equal(loo, ref_loo)
             assert support == ref_support
+
+
+@pytest.mark.parametrize(
+    "p, wB_max, dense", [(0.1, 2, True), (0.01, 4, False)], ids=["dense", "compacted"]
+)
+def test_anchor_peak_stays_below_table_plus_four_bytes_per_sample(p, wB_max, dense):
+    """Counting an anchor's table chunk by chunk builds no pattern array over the batch.
+
+    A pattern word per sample and its int64 copy (or ``np.unique``'s inverse)
+    cost at least 16 bytes per sample. Counted chunk by chunk, the anchor
+    needs its table plus under 4 bytes per sample: one chunk's patterns and
+    the entropy pass's fixed-size blocks.
+    """
+    n = 200_000
+    model = model_for(8, 10, p)
+    t0 = ladder_band_t0(10, 2 + wB_max + 1)
+    tris = [
+        build_tripartition(model, wA=2, wB=wB, wC=1, anchor=(3, t0), mode="strip")
+        for wB in range(1, wB_max + 1)
+    ]
+    region = union_region(tris)
+    batch = sample_batch(model, region, n, seed=7)
+    table, values = _region_table(batch, region)
+    assert (values is None) == dense
+    table_bytes = table.nbytes + (0 if values is None else values.nbytes)
+    del table, values
+    _anchor_cmis(batch, tris, True)  # first-call allocations (lazy imports) are not the route's
+    tracemalloc.start()
+    try:
+        _anchor_cmis(batch, tris, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes + 4 * n
 
 
 @functools.lru_cache(maxsize=None)
@@ -520,7 +573,9 @@ def test_anchor_table_matches_own_tables_on_random_sets(case):
     batch, tris = case
     with mock.patch.object(markov, "subset_patterns", wraps=subset_patterns) as spy:
         _anchor_cmis(batch, tris, True)
-    assert spy.call_count == 1
+    assert_one_table_per_region(
+        [c.args for c in spy.call_args_list], batch, [union_region(tris)]
+    )
     assert_anchor_table_matches_own_tables(batch, tris)
 
 
@@ -587,7 +642,10 @@ def test_cross_module_calls_go_through_module_globals(monkeypatch):
     markov.averaged_cmi_ladder(model, (1, 2), 2_000, 1, wA=2, wC=1)
     decoder.logical_error_rate(model, 20, 1)
     n_anchors = 3  # x = 0, 2, 4
-    # Each rung at each anchor is built; the patterns are read once per anchor.
+    n_chunks = 32
+    # Each rung at each anchor is built; each anchor's table reads its
+    # patterns once per chunk.
     assert calls == {
-        "build_tripartition": 2 * n_anchors, "subset_patterns": n_anchors, "sample_batch": 1,
+        "build_tripartition": 2 * n_anchors, "subset_patterns": n_anchors * n_chunks,
+        "sample_batch": 1,
     }

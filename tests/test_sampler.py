@@ -15,15 +15,22 @@ from stmarkov.codes import repetition_code, toric_code
 from stmarkov.entropy import exact_region_dist
 from stmarkov.sampler import (
     RAW_MIN,
+    PatternWidthExceeded,
     SampleBatch,
     _chunk_generator,
     _skip_draws,
     _word_threshold,
+    pattern_rows,
     sample_batch,
     stream_key,
     subset_patterns,
 )
 from stmarkov.spacetime import NoiseModel, build_detector_model
+
+
+def patterns(batch, sub_region):
+    """Every sample's word over ``sub_region``."""
+    return subset_patterns(batch, pattern_rows(batch, sub_region), 0, batch.n_samples)
 
 
 def small_model(p=0.1, q=None, L=4, T=3):
@@ -41,7 +48,7 @@ def test_zero_noise_all_zero():
     )
     assert quiet_model.n_mechanisms == 0
     quiet = sample_batch(quiet_model, region, 500, seed=1)
-    assert not np.any(subset_patterns(quiet, region))
+    assert not np.any(patterns(quiet, region))
     assert batch.n_samples == 500
 
 
@@ -52,7 +59,7 @@ def test_single_detector_half_probability():
     det = model.det_index[("z", 0, 1)]  # only the round-1 readout touches it
     n = 100_000
     batch = sample_batch(model, [det], n, seed=3)
-    freq = subset_patterns(batch, [det]).astype(bool).mean()
+    freq = patterns(batch, [det]).astype(bool).mean()
     sigma = 0.5 / np.sqrt(n)
     assert abs(freq - 0.5) < 3 * sigma
 
@@ -62,7 +69,7 @@ def test_bulk_flip_rate_matches_parity_formula():
     det = model.det_index[("z", 1, 1)]
     n = 200_000
     batch = sample_batch(model, [det], n, seed=11)
-    freq = subset_patterns(batch, [det]).astype(bool).mean()
+    freq = patterns(batch, [det]).astype(bool).mean()
     expect = 0.2952  # (1 - 0.8^4) / 2, four incident mechanisms at p = 0.1
     sigma = np.sqrt(expect * (1 - expect) / n)
     assert abs(freq - expect) < 3 * sigma
@@ -73,11 +80,11 @@ def test_reproducibility_bit_identical():
     region = [model.det_index[("z", c, t)] for c in range(3) for t in (1, 2)]
     a = sample_batch(model, region, 10_001, seed=42)
     b = sample_batch(model, region, 10_001, seed=42)
-    assert np.array_equal(subset_patterns(a, region), subset_patterns(b, region))
+    assert np.array_equal(patterns(a, region), patterns(b, region))
     c = sample_batch(model, region, 10_001, seed=43)
-    assert not np.array_equal(subset_patterns(a, region), subset_patterns(c, region))
+    assert not np.array_equal(patterns(a, region), patterns(c, region))
     d = sample_batch(model, region, 10_001, seed=42, stream="other")
-    assert not np.array_equal(subset_patterns(a, region), subset_patterns(d, region))
+    assert not np.array_equal(patterns(a, region), patterns(d, region))
 
 
 def test_stream_keys_distinct():
@@ -97,7 +104,7 @@ def test_locality_restriction_matches_full_enumeration():
         )
     n = 200_000
     batch = sample_batch(model, region, n, seed=5)
-    counts = np.bincount(subset_patterns(batch, region).astype(np.int64), minlength=4)
+    counts = np.bincount(patterns(batch, region).astype(np.int64), minlength=4)
     for pattern, pr in exact_all.items():
         freq = counts[pattern] / n
         sigma = np.sqrt(pr * (1 - pr) / n) + 1e-9
@@ -109,17 +116,22 @@ def test_marginalize_totals_and_subsets():
     region = [model.det_index[("z", c, 1)] for c in range(4)]
     batch = sample_batch(model, region, 5000, seed=9)
     for sub in (region, region[:2]):
-        values, counts = np.unique(subset_patterns(batch, sub), return_counts=True)
+        values, counts = np.unique(patterns(batch, sub), return_counts=True)
         assert counts.sum() == 5000
         assert values.max() < 1 << len(sub)
 
 
 def test_subset_patterns_requires_subset():
+    """A pattern's rows are looked up (``pattern_rows``) for at most 64 detectors of the batch."""
     model = small_model()
     region = [model.det_index[("z", c, 1)] for c in range(3)]
     batch = sample_batch(model, region, 100, seed=2)
+    assert pattern_rows(batch, region[::-1]) == [2, 1, 0]
     with pytest.raises(ValueError):
-        subset_patterns(batch, [model.det_index[("z", 3, 1)]])
+        pattern_rows(batch, [model.det_index[("z", 3, 1)]])
+    wide = SampleBatch(tuple(range(65)), 8, np.zeros((65, 1), dtype=np.uint8), (0, 8), 0, "hand")
+    with pytest.raises(PatternWidthExceeded):
+        pattern_rows(wide, list(range(65)))
 
 
 def test_two_independent_half_detectors_uniform():
@@ -129,7 +141,7 @@ def test_two_independent_half_detectors_uniform():
     region = [model.det_index[("z", 0, 1)], model.det_index[("z", 2, 1)]]
     n = 80_000
     batch = sample_batch(model, region, n, seed=17)
-    counts = np.bincount(subset_patterns(batch, region).astype(np.int64), minlength=4)
+    counts = np.bincount(patterns(batch, region).astype(np.int64), minlength=4)
     sigma = np.sqrt(0.25 * 0.75 * n)
     for pattern in range(4):
         assert abs(counts[pattern] - n / 4) < 3 * sigma
@@ -150,7 +162,7 @@ def test_packed_rows_consistent_with_patterns():
     assert batch.rows.shape == (3, 13)
     bits = batch.row_bits(1)
     assert np.array_equal(
-        bits, ((subset_patterns(batch, region) >> np.uint64(1)) & np.uint64(1)).astype(np.uint8)
+        bits, ((patterns(batch, region) >> np.uint64(1)) & np.uint64(1)).astype(np.uint8)
     )
 
 
@@ -165,9 +177,9 @@ def test_wide_region_sampling():
     assert batch.rows.shape[0] == len(region)
     # A narrow marginal of the wide batch matches a direct narrow batch's law.
     sub = region[:3]
-    freq_wide = np.bincount(subset_patterns(batch, sub).astype(np.int64), minlength=8)
+    freq_wide = np.bincount(patterns(batch, sub).astype(np.int64), minlength=8)
     narrow = sample_batch(model, sub, 2000, seed=13)
-    freq_narrow = np.bincount(subset_patterns(narrow, sub).astype(np.int64), minlength=8)
+    freq_narrow = np.bincount(patterns(narrow, sub).astype(np.int64), minlength=8)
     n = 2000
     for pattern in range(8):
         a = freq_wide[pattern] / n
@@ -216,7 +228,7 @@ def test_threaded_sampler_matches_serial_oracle(code, n):
     oracle = serial_sample_batch(model, sub, n, **args)
     assert np.array_equal(batch.rows, oracle.rows)
     assert batch.chunk_bounds == oracle.chunk_bounds
-    assert np.array_equal(subset_patterns(batch, sub), per_bit_subset_patterns(oracle, sub))
+    assert np.array_equal(patterns(batch, sub), per_bit_subset_patterns(oracle, sub))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 13, 3125, 3126, 3127, 3128])
@@ -294,7 +306,7 @@ def test_sampler_leaves_no_thread_running():
 
 @st.composite
 def packed_batches(draw):
-    """A batch of random packed rows (padding bits set too) and a sub-region of it."""
+    """A batch of random packed rows (padding bits set too), a sub-region of it and a span."""
     width = draw(st.integers(1, 70))
     n = draw(st.integers(1, 300))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -302,16 +314,22 @@ def packed_batches(draw):
     region = tuple(draw(st.permutations(range(100, 100 + width))))
     sub = draw(st.lists(st.sampled_from(region), min_size=1, max_size=min(64, width), unique=True))
     batch = SampleBatch(region, n, rows, (0, n), seed, "hand")
-    return batch, sub
+    lo = draw(st.integers(0, n))
+    return batch, sub, (lo, draw(st.integers(lo, n)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(packed_batches())
 def test_subset_patterns_match_per_bit_oracle(case):
-    batch, sub = case
-    out = subset_patterns(batch, sub)
+    batch, sub, (lo, hi) = case
+    rows = pattern_rows(batch, sub)
+    out = subset_patterns(batch, rows, 0, batch.n_samples)
     assert out.dtype == np.uint64
-    assert np.array_equal(out, per_bit_subset_patterns(batch, sub))
+    expect = per_bit_subset_patterns(batch, sub)
+    assert np.array_equal(out, expect)
+    span = subset_patterns(batch, rows, lo, hi)
+    assert span.dtype == np.uint64
+    assert np.array_equal(span, expect[lo:hi])
 
 
 # Upper 1e-6 quantile of the standard normal, for the chi-squared bound.
@@ -346,8 +364,8 @@ def test_sampled_marginal_matches_exact_distribution(case):
     model, region, seed = case
     n = 20_000
     values, probs = exact_region_dist(model, region, cap=10**9)
-    patterns = subset_patterns(sample_batch(model, region, n, seed), region)
-    counts = np.bincount(patterns.astype(np.int64), minlength=1 << len(region))
+    words = patterns(sample_batch(model, region, n, seed), region)
+    counts = np.bincount(words.astype(np.int64), minlength=1 << len(region))
     observed = counts[values.astype(np.int64)]
     assert observed.sum() == n, "sampled a pattern the exact distribution cannot produce"
     expected = n * probs
