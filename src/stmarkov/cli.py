@@ -187,58 +187,85 @@ def _is_count(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    """A number that converts to a float (JSON integers have no size limit)."""
+    """A finite number that converts to a float (JSON integers have no size limit)."""
     if isinstance(v, float):
-        return True
+        return math.isfinite(v)
     return _is_int(v) and abs(v) <= sys.float_info.max
 
 
-# The fields of a progress record that a resumed sweep reads, and what each must be.
-_RECORD_TYPES = {
-    "L": (_is_int, "an integer"),
-    "T": (_is_int, "an integer"),
-    "p": (_is_number, "a number"),
-    "points": (lambda v: isinstance(v, list), "a list"),
-    "fit": (lambda v: isinstance(v, dict), "an object"),
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+# The fields of each progress record: how each is read off what a sweep
+# computed, the test a value read back must pass, and what it must be.
+_POINT_FIELDS = {  # of a CmiPoint
+    "wB": (lambda pt: pt.descriptor.get("wB"), _is_int, "an integer"),
+    "dist": (lambda pt: pt.dist, _is_int, "an integer"),
+    "cmi_bits": (lambda pt: pt.cmi, _is_number, "a number"),
+    "cmi_stderr": (lambda pt: pt.std_error, _is_number, "a number"),
+    "support_abc": (lambda pt: pt.support_abc, _is_int, "an integer"),
+    "reliable": (lambda pt: pt.reliable, lambda v: isinstance(v, bool), "a boolean"),
+    "method": (lambda pt: pt.method, _is_str, "a string"),
 }
-# The fields of each CMI point of a progress record, and what each must be.
-_POINT_TYPES = {
-    "wB": (_is_int, "an integer"),
-    "dist": (_is_int, "an integer"),
-    "cmi_bits": (_is_number, "a number"),
-    "cmi_stderr": (_is_number, "a number"),
-    "support_abc": (_is_int, "an integer"),
-    "reliable": (lambda v: isinstance(v, bool), "a boolean"),
-    "method": (lambda v: isinstance(v, str), "a string"),
-}
-# The fields of a fit record (``_fit_record``), and what each must be; a
-# failed fit holds only its reason.
-_FIT_TYPES = {
-    "xi": (_is_number, "a number"),
-    "xi_stderr": (_is_number, "a number"),
-    "slope_log2": (_is_number, "a number"),
-    "slope_stderr": (_is_number, "a number"),
-    "r_squared": (_is_number, "a number"),
-    "window": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+_FIT_FIELDS = {  # of a MarkovFit
+    "xi": (lambda fit: fit.xi, _is_number, "a number"),
+    "xi_stderr": (lambda fit: fit.xi_stderr, _is_number, "a number"),
+    "slope_log2": (lambda fit: fit.slope_log2, _is_number, "a number"),
+    "slope_stderr": (lambda fit: fit.slope_stderr, _is_number, "a number"),
+    "r_squared": (lambda fit: fit.r_squared, _is_number, "a number"),
+    "window": (lambda fit: list(fit.window),
+               lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
                "a list of two integers"),
-    "n_used": (_is_int, "an integer"),
+    "n_used": (lambda fit: fit.n_used, _is_int, "an integer"),
 }
-_FIT_ERROR_TYPES = {"error": (lambda v: isinstance(v, str), "a string")}
+_FIT_ERROR_FIELDS = {"error": (lambda reason: reason or "fit failed", _is_str, "a string")}
+_CELL_FIELDS = {  # of a SweepCell; its points and fit are checked by their own tables
+    "L": (lambda cell: cell.L, _is_int, "an integer"),
+    "T": (lambda cell: cell.T, _is_int, "an integer"),
+    "p": (lambda cell: cell.p, _is_number, "a number"),
+    "points": (lambda cell: _point_records(cell.points),
+               lambda v: isinstance(v, list), "a list"),
+    "fit": (lambda cell: _fit_record(cell.fit, cell.fit_error),
+            lambda v: isinstance(v, dict), "an object"),
+}
 
 
-def _check_fields(what: str, rec: Dict, types: Dict) -> None:
-    for field, (ok, kind) in types.items():
-        if not ok(rec.get(field)):
-            raise ConfigError(f"{what} field {field!r} is not {kind}")
+def _record(obj, fields: Dict) -> Dict:
+    return {name: get(obj) for name, (get, _, _) in fields.items()}
+
+
+def _fit_record(fit: Optional[MarkovFit], error: Optional[str]) -> Dict:
+    return _record(error, _FIT_ERROR_FIELDS) if fit is None else _record(fit, _FIT_FIELDS)
+
+
+def _point_records(points) -> List[Dict]:
+    return [_record(pt, _POINT_FIELDS) for pt in points]
+
+
+def _cell_record(cell: SweepCell) -> Dict:
+    return _record(cell, _CELL_FIELDS)
+
+
+def _check_record(what: str, rec, fields: Dict) -> None:
+    """Refuse ``rec`` unless it is an object of exactly ``fields``, each passing its test."""
+    if not isinstance(rec, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    for name, (_, ok, kind) in fields.items():
+        if not ok(rec.get(name)):
+            raise ConfigError(f"{what} field {name!r} is not {kind}")
+    extra = sorted(set(rec) - set(fields))
+    if extra:
+        raise ConfigError(f"{what} has a field {extra[0]!r} it cannot hold")
 
 
 def _read_progress(path: str, key: str) -> Dict[Tuple[int, int, float], Dict]:
     """The finished cells of a sweep progress file, by (L, T, p).
 
-    Refuses a line that is not a JSON object, a record written under another
-    config and a record missing a field (or holding one of the wrong type),
-    down to the fields of each CMI point and of the fit, which must hold
-    exactly the fields of ``_fit_record``.
+    Refuses a line that is not a JSON object and a record written under
+    another config. The record, each of its CMI points and its fit (a failed
+    fit's reason or a MarkovFit) must hold exactly the fields that
+    ``_cell_record`` writes, each of its type and each number finite.
     """
     done = {}
     with open(path) as f:
@@ -255,65 +282,17 @@ def _read_progress(path: str, key: str) -> Dict[Tuple[int, int, float], Dict]:
                     f"{where}: cell written under another config "
                     f"(seed, samples, ladder or noise differ); rerun without --resume"
                 )
-            _check_fields(f"{where}: cell record", rec, _RECORD_TYPES)
+            _check_record(f"{where}: cell record", rec, _CELL_FIELDS)
             for j, pt in enumerate(rec["points"]):
-                if not isinstance(pt, dict):
-                    raise ConfigError(f"{where}: cell record point {j} is not a JSON object")
-                _check_fields(f"{where}: cell record point {j}", pt, _POINT_TYPES)
-            fit_types = _FIT_ERROR_TYPES if "error" in rec["fit"] else _FIT_TYPES
-            _check_fields(f"{where}: cell record fit", rec["fit"], fit_types)
-            extra = sorted(set(rec["fit"]) - set(fit_types))
-            if extra:
-                raise ConfigError(
-                    f"{where}: cell record fit has a field {extra[0]!r} it cannot hold"
-                )
+                _check_record(f"{where}: cell record point {j}", pt, _POINT_FIELDS)
+            fit_fields = _FIT_ERROR_FIELDS if "error" in rec["fit"] else _FIT_FIELDS
+            _check_record(f"{where}: cell record fit", rec["fit"], fit_fields)
             done[(rec["L"], rec["T"], rec["p"])] = rec
     return done
 
 
 def _code_hash(cfg: ExperimentConfig, L: int) -> str:
     return hashlib.sha256(make_code(cfg.code, L).to_json().encode()).hexdigest()[:16]
-
-
-def _fit_record(fit: Optional[MarkovFit], error: Optional[str]) -> Dict:
-    if fit is None:
-        return {"error": error or "fit failed"}
-    return {
-        "xi": fit.xi,
-        "xi_stderr": fit.xi_stderr,
-        "slope_log2": fit.slope_log2,
-        "slope_stderr": fit.slope_stderr,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-        "n_used": fit.n_used,
-    }
-
-
-def _point_records(points) -> List[Dict]:
-    out = []
-    for pt in points:
-        out.append(
-            {
-                "wB": pt.descriptor.get("wB"),
-                "dist": pt.dist,
-                "cmi_bits": pt.cmi,
-                "cmi_stderr": pt.std_error,
-                "support_abc": pt.support_abc,
-                "reliable": pt.reliable,
-                "method": pt.method,
-            }
-        )
-    return out
-
-
-def _cell_record(cell: SweepCell) -> Dict:
-    return {
-        "L": cell.L,
-        "T": cell.T,
-        "p": cell.p,
-        "points": _point_records(cell.points),
-        "fit": _fit_record(cell.fit, cell.fit_error),
-    }
 
 
 def _compute_cells(cfg: ExperimentConfig, grid: Sequence[Tuple[int, int, float]]):
@@ -459,10 +438,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _parse_sizes(text: str) -> List[Tuple[int, int]]:
     sizes = []
     for part in text.split(","):
-        if "x" not in part:
-            raise ConfigError(f"size {part!r} not of the form LxT")
-        l, t = part.split("x")
-        sizes.append((int(l), int(t)))
+        try:
+            l, t = part.split("x")
+            sizes.append((int(l), int(t)))
+        except ValueError:
+            raise ConfigError(f"size {part!r} not of the form LxT") from None
     return sizes
 
 
@@ -649,8 +629,8 @@ _HEADER_TYPES = {
     "space_shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
                     "a list of integers >= 1"),
     "seed": (_is_int, "an integer"),
-    "stream": (lambda v: isinstance(v, str), "a string"),
-    "model_hash": (lambda v: isinstance(v, str), "a string"),
+    "stream": (_is_str, "a string"),
+    "model_hash": (_is_str, "a string"),
 }
 
 

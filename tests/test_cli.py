@@ -18,12 +18,16 @@ from stmarkov.cli import (
     ExperimentConfig,
     _cell_record,
     _point_records,
+    _read_progress,
     export_interchange,
     main,
     read_interchange,
 )
 from stmarkov.decoder import threshold_estimate
 from stmarkov.markov import (
+    CmiPoint,
+    MarkovFit,
+    SweepCell,
     build_tripartition,
     interpolate_peak,
     ladder_from_batch,
@@ -235,12 +239,19 @@ def _with_fit(**fields):
         (_with_fit(bogus=[1]), "cell record fit has a field 'bogus' it cannot hold"),
         (_with(fit={"error": 3}), "cell record fit field 'error' is not a string"),
         (_with(fit={"error": "x", "xi": 1.5}), "cell record fit has a field 'xi' it cannot hold"),
+        (_with_point(cmi_bits=math.inf),
+         "cell record point 0 field 'cmi_bits' is not a number"),
+        (_with_fit(xi=math.nan), "cell record fit field 'xi' is not a number"),
+        (_with(p=-math.inf), "cell record field 'p' is not a number"),
+        (_with(bogus=1), "cell record has a field 'bogus' it cannot hold"),
+        (_with_point(junk="x"), "cell record point 0 has a field 'junk' it cannot hold"),
     ],
     ids=["list", "key-only", "truncated", "T-float", "p-str", "points-object", "fit-null",
          "point-int", "wB-float", "dist-missing", "cmi-str", "stderr-list", "support-bool",
          "reliable-int", "method-int", "xi-str", "xi-beyond-float", "fit-empty",
          "fit-mixed", "window-float", "window-long", "n_used-missing", "fit-extra",
-         "error-int", "error-and-xi"],
+         "error-int", "error-and-xi", "cmi-infinite", "xi-nan", "p-minus-infinity",
+         "record-extra", "point-extra"],
 )
 def test_sweep_resume_refuses_malformed_record(tmp_path, capsys, edit, message):
     out = str(tmp_path / "sweep.json")
@@ -255,6 +266,16 @@ def test_sweep_resume_refuses_malformed_record(tmp_path, capsys, edit, message):
     assert run_cli(args + ["--resume", "--csv", str(tmp_path / "s.csv")]) == 2
     assert f"{cells_file} line 2: {message}" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("size", ["8x8x8", "x8", "8x", "axb"])
+def test_sweep_refuses_size_not_of_form_LxT(tmp_path, capsys, size):
+    out = str(tmp_path / "sweep.json")
+    args = ["sweep", "--code", "repetition", "--sizes", f"8x8,{size}", "--p-grid", "0.1",
+            "--wB-max", "1", "--samples", "2000", "--out", out]
+    assert run_cli(args) == 2
+    assert f"configuration error: size {size!r} not of the form LxT\n" == capsys.readouterr().err
+    assert not os.path.exists(out + ".cells.jsonl")
 
 
 @pytest.mark.parametrize(
@@ -1027,7 +1048,7 @@ def progress_files(draw):
     lines = list(small_progress_lines())
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1)) if lines else 0
-        action = draw(st.sampled_from(["field", "point", "xi", "line", "cut", "copy"]))
+        action = draw(st.sampled_from(["field", "point", "add", "xi", "line", "cut", "copy"]))
         if action == "cut" or not lines:
             lines = lines[:i]
             continue
@@ -1049,6 +1070,12 @@ def progress_files(draw):
                 rec.pop(key, None)
             else:
                 rec[key] = draw(ANY_JSON)
+        elif action == "add":
+            # A key no fresh record holds, on the record, its fit or one of its points.
+            points = rec["points"] if isinstance(rec.get("points"), list) else []
+            targets = [t for t in [rec, rec.get("fit"), *points] if isinstance(t, dict)]
+            target = draw(st.sampled_from(targets))
+            target[draw(st.sampled_from(["bogus", "junk"]))] = draw(ANY_JSON)
         elif action == "xi":
             # Every record gets a fitted xi, so that the peaks are interpolated.
             for k, line in enumerate(lines):
@@ -1067,6 +1094,73 @@ def progress_files(draw):
                 point[key] = draw(ANY_JSON)
         lines[i] = json.dumps(rec)
     return "\n".join(lines) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CMI_POINTS = st.builds(
+    CmiPoint, dist=st.integers(), cmi=FINITE, std_error=FINITE, method=st.text(max_size=8),
+    n_samples=st.integers(1, 10**6), descriptor=st.fixed_dictionaries({"wB": st.integers()}),
+    support_abc=st.integers(), reliable=st.booleans(),
+)
+MARKOV_FITS = st.builds(
+    MarkovFit, xi=FINITE, xi_stderr=FINITE, slope_log2=FINITE, slope_stderr=FINITE,
+    r_squared=FINITE, window=st.tuples(st.integers(), st.integers()), n_used=st.integers(),
+    points=st.just([]),
+)
+
+
+@st.composite
+def computed_cells(draw):
+    """A SweepCell of 0-4 CMI points with a fit, or with the reason it has none."""
+    fit = draw(st.one_of(st.none(), MARKOV_FITS))
+    return SweepCell(
+        L=draw(st.integers()), T=draw(st.integers()), p=draw(FINITE),
+        points=draw(st.lists(CMI_POINTS, max_size=4)), fit=fit,
+        fit_error=None if fit else draw(st.text(max_size=12)),
+    )
+
+
+# Every field a fresh progress record, its points or its fit can hold.
+RECORD_FIELDS = {"key", "L", "T", "p", "points", "fit", "wB", "dist", "cmi_bits", "cmi_stderr",
+                 "support_abc", "reliable", "method", "xi", "xi_stderr", "slope_log2",
+                 "slope_stderr", "r_squared", "window", "n_used", "error"}
+
+
+def read_back(rec):
+    """``rec``, written under a key as a sweep writes it, read back by ``_read_progress``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "sweep.json.cells.jsonl")
+        pathlib.Path(path).write_text(json.dumps({**rec, "key": "k"}, sort_keys=True) + "\n")
+        return _read_progress(path, "k")
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell=computed_cells(), data=st.data())
+def test_progress_record_reads_back_and_refuses_each_mutation(cell, data):
+    rec = json.loads(json.dumps(_cell_record(cell)))
+    assert read_back(_cell_record(cell)) == {(cell.L, cell.T, cell.p): rec}
+    # One mutation of the record, one of its points or its fit names the field.
+    parts = [("cell record", rec), ("cell record fit", rec["fit"])]
+    parts += [(f"cell record point {j}", pt) for j, pt in enumerate(rec["points"])]
+    what, target = data.draw(st.sampled_from(parts))
+    action = data.draw(st.sampled_from(["drop", "retype", "add"]))
+    if action == "add":
+        name = data.draw(st.text(max_size=6).filter(lambda k: k not in RECORD_FIELDS))
+        target[name] = data.draw(ANY_JSON)
+        message = f"{what} has a field {name!r} it cannot hold"
+    else:
+        name = data.draw(st.sampled_from(sorted(target)))
+        if action == "drop":
+            del target[name]
+        else:
+            target[name] = data.draw(st.sampled_from(
+                [v for v in (None, True, "x", [], {}) if type(v) is not type(target[name])]))
+        # A failed fit without its reason reads as a fit without its first field.
+        refused = "xi" if (what, name, action) == ("cell record fit", "error", "drop") else name
+        message = f"{what} field {refused!r} is not"
+    with pytest.raises(ConfigError) as exc:
+        read_back(rec)
+    assert f"line 1: {message}" in str(exc.value)
 
 
 @settings(max_examples=150, deadline=None)
