@@ -64,6 +64,15 @@ class ConfigError(ValueError):
     pass
 
 
+# The values a string config field may take; ``validate`` and the flags both read it.
+_CHOICES = {
+    "code": ("repetition", "toric"),
+    "mode": ("ring", "strip"),
+    "method": ("sampled", "exact"),
+    "estimator": ("miller_madow", "none"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     code: str = "repetition"
@@ -85,24 +94,26 @@ class ExperimentConfig:
     csv: Optional[str] = None
 
     def validate(self) -> None:
-        hints = typing.get_type_hints(ExperimentConfig)
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-            if float in kinds:
-                kinds += (int,)
+            kinds = _KINDS[f.name]
+            if float in kinds and type(v) is int and abs(v) <= sys.float_info.max:
+                v = float(v)  # a float field given as an integer holds its float
+                setattr(self, f.name, v)
             if isinstance(v, bool) or not isinstance(v, kinds):
                 raise ConfigError(f"config key {f.name!r}: {v!r} is not of type {f.type}")
-        for name in ("p", "p_z"):
+            if f.name in _CHOICES and v not in _CHOICES[f.name]:
+                raise ConfigError(
+                    f"config key {f.name!r}: {v!r} not in {'|'.join(_CHOICES[f.name])}"
+                )
+        for name in ("p", "p_z", "q"):
             v = getattr(self, name)
-            if not (0.0 <= v <= 0.5):
+            if v is not None and not (0.0 <= v <= 0.5):
                 raise ConfigError(f"{name}={v}: probability out of [0, 0.5]")
-        if self.q is not None and not (0.0 <= self.q <= 0.5):
-            raise ConfigError(f"q={self.q}: probability out of [0, 0.5]")
-        if self.code not in ("repetition", "toric"):
-            raise ConfigError(f"code={self.code!r}: unknown family")
-        if self.L < 3 and self.code == "repetition":
-            raise ConfigError("L < 3 for repetition code")
+        try:
+            make_code(self.code, self.L)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'L': {exc}") from None
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if self.samples < 1:
@@ -113,14 +124,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"config key 'wB_max': {self.wB_max} < 1; the ladder needs at least one rung"
             )
-        if self.method not in ("sampled", "exact"):
-            raise ConfigError(f"method={self.method!r} not in sampled|exact")
-        if self.estimator not in ("miller_madow", "none"):
-            raise ConfigError(f"estimator={self.estimator!r} not in miller_madow|none")
         if self.jobs < 1:
             raise ConfigError(
                 f"config key 'jobs': {self.jobs} < 1; a run needs at least one worker"
             )
+
+
+# The types each config field may hold (NoneType among them for an Optional).
+_KINDS = {
+    name: typing.get_args(hint) or (hint,)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
 
 
 # The config fields each command reads: they alone identify its output. A
@@ -186,11 +200,9 @@ def _is_count(v) -> bool:
     return _is_int(v) and v >= 1
 
 
-def _is_number(v) -> bool:
-    """A finite number that converts to a float (JSON integers have no size limit)."""
-    if isinstance(v, float):
-        return math.isfinite(v)
-    return _is_int(v) and abs(v) <= sys.float_info.max
+def _is_float(v) -> bool:
+    """A finite float: every non-count number a sweep computes is one."""
+    return isinstance(v, float) and math.isfinite(v)
 
 
 def _is_str(v) -> bool:
@@ -202,18 +214,18 @@ def _is_str(v) -> bool:
 _POINT_FIELDS = {  # of a CmiPoint
     "wB": (lambda pt: pt.descriptor.get("wB"), _is_int, "an integer"),
     "dist": (lambda pt: pt.dist, _is_int, "an integer"),
-    "cmi_bits": (lambda pt: pt.cmi, _is_number, "a number"),
-    "cmi_stderr": (lambda pt: pt.std_error, _is_number, "a number"),
+    "cmi_bits": (lambda pt: pt.cmi, _is_float, "a float"),
+    "cmi_stderr": (lambda pt: pt.std_error, _is_float, "a float"),
     "support_abc": (lambda pt: pt.support_abc, _is_int, "an integer"),
     "reliable": (lambda pt: pt.reliable, lambda v: isinstance(v, bool), "a boolean"),
     "method": (lambda pt: pt.method, _is_str, "a string"),
 }
 _FIT_FIELDS = {  # of a MarkovFit
-    "xi": (lambda fit: fit.xi, _is_number, "a number"),
-    "xi_stderr": (lambda fit: fit.xi_stderr, _is_number, "a number"),
-    "slope_log2": (lambda fit: fit.slope_log2, _is_number, "a number"),
-    "slope_stderr": (lambda fit: fit.slope_stderr, _is_number, "a number"),
-    "r_squared": (lambda fit: fit.r_squared, _is_number, "a number"),
+    "xi": (lambda fit: fit.xi, _is_float, "a float"),
+    "xi_stderr": (lambda fit: fit.xi_stderr, _is_float, "a float"),
+    "slope_log2": (lambda fit: fit.slope_log2, _is_float, "a float"),
+    "slope_stderr": (lambda fit: fit.slope_stderr, _is_float, "a float"),
+    "r_squared": (lambda fit: fit.r_squared, _is_float, "a float"),
     "window": (lambda fit: list(fit.window),
                lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
                "a list of two integers"),
@@ -223,7 +235,7 @@ _FIT_ERROR_FIELDS = {"error": (lambda reason: reason or "fit failed", _is_str, "
 _CELL_FIELDS = {  # of a SweepCell; its points and fit are checked by their own tables
     "L": (lambda cell: cell.L, _is_int, "an integer"),
     "T": (lambda cell: cell.T, _is_int, "an integer"),
-    "p": (lambda cell: cell.p, _is_number, "a number"),
+    "p": (lambda cell: cell.p, _is_float, "a float"),
     "points": (lambda cell: _point_records(cell.points),
                lambda v: isinstance(v, list), "a list"),
     "fit": (lambda cell: _fit_record(cell.fit, cell.fit_error),
@@ -340,22 +352,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.p_grid
         else [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.17]
     )
-    for p in p_grid:
-        if not (0.0 <= p <= 0.5):
-            raise ConfigError(f"p={p}: probability out of [0, 0.5]")
-    for (L, T) in sizes:
+    grid = [(L, T, p) for (L, T) in sizes for p in p_grid]
+    for (L, T, p) in grid:
+        # Each cell is a run's config at its (L, T, p).
         try:
-            make_code(cfg.code, L)
-        except ValueError as exc:
-            raise ConfigError(f"size {L}x{T}: {exc}") from None
-        if T < 1:
-            raise ConfigError(f"size {L}x{T}: rounds must be >= 1")
-        if cfg.method == "sampled" or cfg.mode == "strip":
-            # Such a ladder's rungs stack within one wA + wB_max + wC deep band.
-            try:
+            dataclasses.replace(cfg, L=L, rounds=T, p=p).validate()
+            if cfg.method == "sampled" or cfg.mode == "strip":
+                # Such a ladder's rungs stack within one wA + wB_max + wC deep band.
                 ladder_band_t0(T, cfg.wA + cfg.wB_max + cfg.wC)
-            except ValueError as exc:
-                raise ConfigError(f"size {L}x{T}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"size {L}x{T} at p={p}: {exc}") from None
     if len(set(sizes)) < len(sizes) or len(set(p_grid)) < len(p_grid):
         raise ConfigError("--sizes and --p-grid must not repeat a value")
     if args.decoder_shots < 0:
@@ -366,7 +372,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     resume = args.resume and os.path.exists(progress_path)
     done = _read_progress(progress_path, key) if resume else {}
 
-    grid = [(L, T, p) for (L, T) in sizes for p in p_grid]
     # Each cell is appended to the progress file as soon as it is computed,
     # so an interrupted sweep can be picked up with --resume.
     with open(progress_path, "a" if args.resume else "w") as progress:
@@ -761,22 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--code", choices=["repetition", "toric"])
-        sp.add_argument("--L", type=int)
-        sp.add_argument("--rounds", type=int)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--q", type=float)
-        sp.add_argument("--p-z", dest="p_z", type=float)
-        sp.add_argument("--wA", type=int)
-        sp.add_argument("--wB-max", dest="wB_max", type=int)
-        sp.add_argument("--wC", type=int)
-        sp.add_argument("--mode", choices=["ring", "strip"])
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--method", choices=["sampled", "exact"])
-        sp.add_argument("--jobs", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--csv")
+        for f in dataclasses.fields(ExperimentConfig):
+            sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=_KINDS[f.name][0], choices=_CHOICES.get(f.name))
 
     run_p = sub.add_parser("run", help="one (L, p) CMI ladder -> JSON/CSV")
     add_common(run_p)

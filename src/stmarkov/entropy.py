@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .codes import CssCode
-from .gf2 import gf2_nullspace, gf2_rank, gf2_solve
+from .gf2 import gf2_dependencies, gf2_rank, gf2_solve
 from .spacetime import DetectorModel, NoiseModel, build_detector_model
 
 LN2 = math.log(2.0)
@@ -235,6 +235,17 @@ def exact_entropy(model: DetectorModel, region: Sequence[int], cap: int = 22) ->
     return _entropy_bits(probs)
 
 
+def _detector_rows(model: DetectorModel, detectors: Iterable[int]) -> List[int]:
+    """Each detector's row of the incidence matrix as an int bitset (bit k = mechanism k)."""
+    rows = []
+    for d in detectors:
+        row = 0
+        for k in model.incident_mechanisms(d):
+            row |= 1 << k
+        rows.append(row)
+    return rows
+
+
 def rank_entropy_half(model: DetectorModel, region: Sequence[int]) -> float:
     """H(d_region) at p = 1/2 everywhere: GF(2) rank of the region rows of M.
 
@@ -244,13 +255,7 @@ def rank_entropy_half(model: DetectorModel, region: Sequence[int]) -> float:
     for mech in model.mechanisms:
         if mech.p != 0.5:
             raise ValueError("rank oracle requires every mechanism at p = 1/2")
-    rows = []
-    for d in region:
-        row = 0
-        for k in model.incident_mechanisms(d):
-            row |= 1 << k
-        rows.append(row)
-    return float(gf2_rank(rows))
+    return float(gf2_rank(_detector_rows(model, region)))
 
 
 @dataclass
@@ -267,7 +272,7 @@ class DecompositionReport:
 
 def _syndrome_structure(
     model: DetectorModel, region: Sequence[Tuple[str, int, int]]
-) -> Tuple[List[int], List[int], int]:
+) -> Tuple[List[int], List[int]]:
     """Mechanism masks and teleportation-frame masks per region syndrome bit.
 
     Frame columns are the X-measurement outcomes of code-qubit copies whose
@@ -278,14 +283,7 @@ def _syndrome_structure(
     T = model.rounds
     mech_masks: List[int] = []
     frame_masks: List[int] = []
-    ucols: Dict[Tuple[int, int], int] = {}
-
-    def ucol(i: int, tick: int) -> int:
-        key = (i, tick)
-        if key not in ucols:
-            ucols[key] = len(ucols)
-        return ucols[key]
-
+    ucols: Dict[Tuple[int, int], int] = {}  # frame column of each (qubit, tick)
     for sector, c, r in region:
         n_checks = code.n_z_checks if sector == "z" else code.n_x_checks
         if not (0 <= c < n_checks and 1 <= r <= T + 1):
@@ -307,10 +305,10 @@ def _syndrome_structure(
         for i in sup:
             for t in range(r):
                 tick = 2 * t + 1 if sector == "z" else 2 * t
-                fm |= 1 << ucol(i, tick)
+                fm |= 1 << ucols.setdefault((i, tick), len(ucols))
         mech_masks.append(mm)
         frame_masks.append(fm)
-    return mech_masks, frame_masks, len(ucols)
+    return mech_masks, frame_masks
 
 
 def entropy_decomposition_check(
@@ -333,37 +331,17 @@ def entropy_decomposition_check(
     if model.n_mechanisms > cap:
         raise BruteForceCapExceeded(model.n_mechanisms, cap)
     region = list(region)
-    mech_masks, frame_masks, n_ucols = _syndrome_structure(model, region)
+    mech_masks, frame_masks = _syndrome_structure(model, region)
     n_s = len(region)
 
-    # Combinations of region syndromes whose frames cancel: the left
-    # nullspace of the frame matrix.
-    col_rows = []
-    for u in range(n_ucols):
-        col = 0
-        for i, fm in enumerate(frame_masks):
-            if (fm >> u) & 1:
-                col |= 1 << i
-        col_rows.append(col)
-    combo_basis = gf2_nullspace(col_rows, n_s)
-    n_d = len(combo_basis)
-
-    # Mechanism footprint of each deterministic combination (syndrome route).
-    sigma_masks = []
-    for combo in combo_basis:
-        m = 0
-        for i in range(n_s):
-            if (combo >> i) & 1:
-                m ^= mech_masks[i]
-        sigma_masks.append(m)
+    # The mechanism footprint (syndrome route) of each combination in a basis
+    # of the region syndromes whose frames cancel: eliminating the frame masks
+    # with the mechanism masks as tags.
+    sigma_masks = gf2_dependencies(frame_masks, mech_masks)
+    n_d = len(sigma_masks)
 
     # Each deterministic combination must be a combination of detector rows.
-    det_rows = []
-    for d in range(model.n_detectors):
-        row = 0
-        for k in model.incident_mechanisms(d):
-            row |= 1 << k
-        det_rows.append(row)
+    det_rows = _detector_rows(model, range(model.n_detectors))
     det_combos = [gf2_solve(det_rows, m) for m in sigma_masks]
     combos_ok = all(w is not None for w in det_combos)
 

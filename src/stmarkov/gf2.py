@@ -20,18 +20,21 @@ def pack_row(bits: Sequence[int] | np.ndarray) -> int:
     return value
 
 
-def _eliminate(rows: Iterable[int]) -> Tuple[List[Tuple[int, int]], List[int]]:
+def _eliminate(
+    rows: Iterable[int], tags: Optional[Sequence[int]] = None
+) -> Tuple[List[Tuple[int, int]], List[int]]:
     """Gaussian elimination of ``rows`` in order, tagging what each result is made of.
 
-    Returns (pivots, dependencies). A pivot is (reduced row, tag) and a
-    dependency is the tag of an input row that reduced to zero; bit i of a
-    tag marks rows[i], and the tagged rows XOR to the reduced row (to zero
-    for a dependency).
+    Row i starts with tag ``tags[i]`` (by default bit i, marking rows[i]),
+    and every XOR of two rows XORs their tags. Returns (pivots,
+    dependencies): a pivot is (reduced row, tag) and a dependency is the tag
+    of an input row that reduced to zero. A result's tag is the XOR of the
+    start tags of the rows that XOR to it (to zero for a dependency).
     """
     pivots: List[Tuple[int, int]] = []
     dependencies: List[int] = []
     for i, row in enumerate(rows):
-        row, tag = _reduce(row, 1 << i, pivots)
+        row, tag = _reduce(row, 1 << i if tags is None else tags[i], pivots)
         if row:
             pivots.append((row, tag))
         else:
@@ -66,21 +69,14 @@ def gf2_solve(rows: Sequence[int], target: int) -> Optional[int]:
     return mask if residual == 0 else None
 
 
-def gf2_nullspace(rows: Sequence[int], n_cols: int) -> List[int]:
-    """Basis of {v : rows · v = 0} as int bitsets over n_cols columns.
+def gf2_dependencies(rows: Sequence[int], tags: Optional[Sequence[int]] = None) -> List[int]:
+    """Tags of a basis of the combinations of ``rows`` that XOR to zero.
 
-    ``rows`` are the matrix rows; the nullspace lives in column space.
+    A combination's tag is the XOR of ``tags`` over the rows it selects; by
+    default tags[i] is bit i, so each result is the mask of its rows. The
+    basis has len(rows) - rank elements.
     """
-    # Transpose into column bitsets over len(rows) bits: a combination of
-    # columns that eliminates to zero is a nullspace vector.
-    cols = []
-    for j in range(n_cols):
-        col = 0
-        for i, row in enumerate(rows):
-            if (row >> j) & 1:
-                col |= 1 << i
-        cols.append(col)
-    return _eliminate(cols)[1]
+    return _eliminate(rows, tags)[1]
 
 
 def matrix_to_rows(mat: np.ndarray) -> List[int]:

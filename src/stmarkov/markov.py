@@ -160,10 +160,7 @@ def lattice_tripartition(
             raise ValueError(
                 f"time extent {times} leaves the bulk band [{t_lo},{t_hi}]"
             )
-        out = [(*pos, t) for pos in iproduct(*axes) for t in times]
-        if len(set(out)) != len(out):
-            raise ValueError("region wraps onto itself; reduce widths")
-        return out
+        return [(*pos, t) for pos in iproduct(*axes) for t in times]
 
     if anchor is None:
         a_sp = tuple((space[d] - wA) // 2 for d in range(D))

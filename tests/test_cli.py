@@ -19,6 +19,7 @@ from stmarkov.cli import (
     _cell_record,
     _point_records,
     _read_progress,
+    build_parser,
     export_interchange,
     main,
     read_interchange,
@@ -114,15 +115,89 @@ def test_unknown_config_key_rejected(tmp_path):
         ({"wB_max": 0}, "config key 'wB_max': 0 < 1; the ladder needs at least one rung"),
         ({"wB_max": 0, "method": "exact"}, "config key 'wB_max': 0 < 1"),
         ({"jobs": 0}, "config key 'jobs': 0 < 1; a run needs at least one worker"),
+        ({"p": 10**400}, f"config key 'p': {10**400!r} is not of type float"),
+        ({"q": 0.6}, "q=0.6: probability out of [0, 0.5]"),
+        ({"code": "surface"}, "config key 'code': 'surface' not in repetition|toric"),
+        ({"L": 2}, "config key 'L': repetition code needs L >= 3, got 2"),
+        ({"code": "toric", "L": 1}, "config key 'L': toric code needs L >= 2, got 1"),
+        ({"rounds": 0}, "rounds must be >= 1"),
+        ({"samples": 0}, "samples must be >= 1"),
+        ({"wA": 0}, "tripartition widths must be positive"),
+        ({"wC": 0}, "tripartition widths must be positive"),
+        ({"method": "fast"}, "config key 'method': 'fast' not in sampled|exact"),
+        ({"estimator": "jackknife"},
+         "config key 'estimator': 'jackknife' not in miller_madow|none"),
+        ({"mode": "rings"}, "config key 'mode': 'rings' not in ring|strip"),
     ],
     ids=["str-for-int", "str-for-float", "bool-for-int", "list-for-optional", "list-file",
-         "no-rung", "no-rung-exact", "no-worker"],
+         "no-rung", "no-rung-exact", "no-worker", "int-beyond-float", "q-range", "code",
+         "L-repetition", "L-toric", "rounds", "samples", "wA", "wC", "method", "estimator",
+         "mode"],
 )
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(content))
     assert run_cli(["run", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+def _subparsers():
+    """The run, sweep and ingest subcommand parsers, by name."""
+    (action,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return {name: action.choices[name] for name in ("run", "sweep", "ingest")}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "ingest"])
+def test_each_config_field_has_one_flag(command):
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    dests = [a.dest for a in _subparsers()[command]._actions if a.option_strings]
+    assert sorted(d for d in dests if d in fields) == sorted(fields)
+
+
+def test_run_estimator_flag_matches_config_key(tmp_path):
+    args = ["run", "--L", "6", "--rounds", "6", "--wA", "1", "--wC", "1", "--wB-max", "1",
+            "--samples", "2000", "--seed", "3"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimator": "none"}))
+    outs = [str(tmp_path / name) for name in ("flag.json", "config.json")]
+    assert run_cli(args + ["--estimator", "none", "--out", outs[0]]) == 0
+    assert run_cli(args + ["--config", str(cfg), "--out", outs[1]]) == 0
+    flag, config = (pathlib.Path(out).read_bytes() for out in outs)
+    assert flag == config
+    assert json.loads(flag)["config"]["estimator"] == "none"
+
+
+def test_sweep_refuses_unknown_mode_before_any_cell(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "rings"}))
+    out = str(tmp_path / "sweep.json")
+    assert run_cli(["sweep", "--config", str(cfg), "--sizes", "6x6", "--p-grid", "0.1",
+                    "--samples", "200", "--out", out]) == 2
+    assert "config key 'mode': 'rings' not in ring|strip" in capsys.readouterr().err
+    assert not os.path.exists(out + ".cells.jsonl")
+
+
+def test_float_field_given_as_integer_is_its_float(tmp_path):
+    flags = ["--L", "6", "--rounds", "6", "--q", "0.1", "--wA", "1", "--wC", "1",
+             "--wB-max", "1", "--samples", "2000", "--seed", "3"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 0, "p_z": 0}))
+    runs = [str(tmp_path / name) for name in ("config.json", "flags.json")]
+    assert run_cli(["run", *flags, "--config", str(cfg), "--out", runs[0]]) == 0
+    assert run_cli(["run", *flags, "--p", "0", "--p-z", "0", "--out", runs[1]]) == 0
+    config, flagged = (pathlib.Path(out).read_bytes() for out in runs)
+    assert config == flagged
+    assert json.loads(config)["config"]["p_z"] == 0.0
+    # A sweep started with the integer resumes under the flag.
+    out = str(tmp_path / "sweep.json")
+    sweep = ["sweep", *flags, "--sizes", "6x6", "--p-grid", "0.05,0.1", "--out", out]
+    assert run_cli(sweep + ["--config", str(cfg)]) == 0
+    fresh = pathlib.Path(out).read_bytes()
+    cells_file = out + ".cells.jsonl"
+    pathlib.Path(cells_file).write_text(first_line(cells_file))
+    os.remove(out)
+    assert run_cli(sweep + ["--p-z", "0", "--resume"]) == 0
+    assert pathlib.Path(out).read_bytes() == fresh
 
 
 def test_sweep_shape_and_resume(tmp_path):
@@ -214,23 +289,23 @@ def _with_fit(**fields):
         (lambda rec: json.dumps({"key": rec["key"]}), "cell record field 'L' is not an integer"),
         (lambda rec: '{"L": 8, "T"', "not a JSON record"),
         (_with(T=8.0), "cell record field 'T' is not an integer"),
-        (_with(p="0.11"), "cell record field 'p' is not a number"),
+        (_with(p="0.11"), "cell record field 'p' is not a float"),
         (_with(points={}), "cell record field 'points' is not a list"),
         (_with(fit=None), "cell record field 'fit' is not an object"),
         (_with(points=[1]), "cell record point 0 is not a JSON object"),
         (_with_point(wB=1.0), "cell record point 0 field 'wB' is not an integer"),
         (_with_point(dist=None), "cell record point 0 field 'dist' is not an integer"),
-        (_with_point(cmi_bits="0.1"), "cell record point 0 field 'cmi_bits' is not a number"),
-        (_with_point(cmi_stderr=[0]), "cell record point 0 field 'cmi_stderr' is not a number"),
+        (_with_point(cmi_bits="0.1"), "cell record point 0 field 'cmi_bits' is not a float"),
+        (_with_point(cmi_stderr=[0]), "cell record point 0 field 'cmi_stderr' is not a float"),
         (_with_point(support_abc=True),
          "cell record point 0 field 'support_abc' is not an integer"),
         (_with_point(reliable=1), "cell record point 0 field 'reliable' is not a boolean"),
         (_with_point(method=0), "cell record point 0 field 'method' is not a string"),
-        (_with(fit={"xi": "x"}), "cell record fit field 'xi' is not a number"),
-        (_with(fit={"xi": 10**400}), "cell record fit field 'xi' is not a number"),
-        (_with(fit={}), "cell record fit field 'xi' is not a number"),
+        (_with(fit={"xi": "x"}), "cell record fit field 'xi' is not a float"),
+        (_with(fit={"xi": 10**400}), "cell record fit field 'xi' is not a float"),
+        (_with(fit={}), "cell record fit field 'xi' is not a float"),
         (_with(fit={"xi": 1.5, "xi_stderr": "x", "window": 7, "bogus": [1]}),
-         "cell record fit field 'xi_stderr' is not a number"),
+         "cell record fit field 'xi_stderr' is not a float"),
         (_with_fit(window=[1, 2.0]),
          "cell record fit field 'window' is not a list of two integers"),
         (_with_fit(window=[1, 2, 3]),
@@ -240,18 +315,22 @@ def _with_fit(**fields):
         (_with(fit={"error": 3}), "cell record fit field 'error' is not a string"),
         (_with(fit={"error": "x", "xi": 1.5}), "cell record fit has a field 'xi' it cannot hold"),
         (_with_point(cmi_bits=math.inf),
-         "cell record point 0 field 'cmi_bits' is not a number"),
-        (_with_fit(xi=math.nan), "cell record fit field 'xi' is not a number"),
-        (_with(p=-math.inf), "cell record field 'p' is not a number"),
+         "cell record point 0 field 'cmi_bits' is not a float"),
+        (_with_fit(xi=math.nan), "cell record fit field 'xi' is not a float"),
+        (_with(p=-math.inf), "cell record field 'p' is not a float"),
         (_with(bogus=1), "cell record has a field 'bogus' it cannot hold"),
         (_with_point(junk="x"), "cell record point 0 has a field 'junk' it cannot hold"),
+        (_with_point(cmi_bits=0), "cell record point 0 field 'cmi_bits' is not a float"),
+        (_with_point(cmi_stderr=0), "cell record point 0 field 'cmi_stderr' is not a float"),
+        (_with(p=0), "cell record field 'p' is not a float"),
+        (_with_fit(xi=2), "cell record fit field 'xi' is not a float"),
     ],
     ids=["list", "key-only", "truncated", "T-float", "p-str", "points-object", "fit-null",
          "point-int", "wB-float", "dist-missing", "cmi-str", "stderr-list", "support-bool",
          "reliable-int", "method-int", "xi-str", "xi-beyond-float", "fit-empty",
          "fit-mixed", "window-float", "window-long", "n_used-missing", "fit-extra",
          "error-int", "error-and-xi", "cmi-infinite", "xi-nan", "p-minus-infinity",
-         "record-extra", "point-extra"],
+         "record-extra", "point-extra", "cmi-int", "stderr-int", "p-int", "xi-int"],
 )
 def test_sweep_resume_refuses_malformed_record(tmp_path, capsys, edit, message):
     out = str(tmp_path / "sweep.json")
@@ -382,6 +461,12 @@ def test_verify_passes_and_fault_hook_fails(monkeypatch, capsys):
     capsys.readouterr()
     assert run_cli(["verify"]) == 1
     assert "FAIL    foliation_correspondence" in capsys.readouterr().out
+
+
+def test_verify_skips_decomposition_beyond_cap(capsys):
+    assert run_cli(["verify", "--L", "7"]) == 0
+    assert ("SKIPPED entropy_decomposition: 28 mechanisms exceed brute-force cap 24\n"
+            in capsys.readouterr().out)
 
 
 @pytest.mark.parametrize(
@@ -798,10 +883,12 @@ def set_key(key, value):
         (lambda h: h["detectors"].__setitem__(2, 7), "detector 2: unknown coordinate scheme 7"),
         (lambda h: h["detectors"][3].__setitem__("coords", [0, 3]),
          "detectors 1 and 3 are both at z-sector coordinates [0, 3]"),
+        (set_key("version", 2), "unsupported interchange version 2"),
     ],
     ids=["n_rows-str", "n_rows-float", "n_rows-negative", "n_rows-zero", "detectors-int",
          "detectors-empty", "space_shape-int", "space_shape-zero", "rounds-str", "rounds-zero",
-         "seed-str", "model_hash-int", "coords-int", "detector-int", "coords-repeated"],
+         "seed-str", "model_hash-int", "coords-int", "detector-int", "coords-repeated",
+         "version-2"],
 )
 def test_ingest_refuses_malformed_header(tmp_path, capsys, edit, message):
     _, _, _, path = make_band_batch(tmp_path, n=20)

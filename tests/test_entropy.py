@@ -18,7 +18,7 @@ from oracles import (
 
 from stmarkov import entropy
 from stmarkov.cli import main
-from stmarkov.codes import repetition_code
+from stmarkov.codes import repetition_code, toric_code
 from stmarkov.entropy import (
     BruteForceCapExceeded,
     _chunk_table,
@@ -368,6 +368,17 @@ def test_exact_matches_itertools_oracle():
     assert exact_entropy(model, region) == pytest.approx(entropy_of_dist(oracle), abs=1e-10)
 
 
+def test_exact_sparse_route_matches_itertools_oracle():
+    # 26 detectors exceed the dense table's 24 bits: the pattern-list route.
+    model = build_detector_model(repetition_code(13), 1, NoiseModel(p_x=0.0, p_z=0.0, q=0.1))
+    region = list(range(model.n_detectors))
+    assert (model.n_mechanisms, len(region)) == (13, 26)
+    values, probs = exact_region_dist(model, region)
+    oracle = enumerate_region_distribution(model, region)
+    assert sorted(oracle) == values.tolist()
+    assert max(abs(oracle[int(v)] - p) for v, p in zip(values, probs)) == 0.0
+
+
 def test_exact_cap_refusal_reports_count():
     model = build_detector_model(repetition_code(4), 3, NoiseModel.phenomenological(0.1))
     region = list(range(model.n_detectors))
@@ -522,10 +533,10 @@ def test_decomposition_against_honest_enumeration():
 
 
 def test_decomposition_full_system_residual_zero():
-    for L, T in ((3, 2), (4, 2)):
-        model_region = None
-        noise = NoiseModel.phenomenological(0.1)
-        code = repetition_code(L)
+    cases = [(repetition_code(L), 2, NoiseModel.phenomenological(0.1)) for L in (3, 4)]
+    # Toric X-check syndromes carry data Z errors and integer-layer frames.
+    cases.append((toric_code(2), 1, NoiseModel(p_x=0.1, p_z=0.1, q=0.1)))
+    for code, T, noise in cases:
         model = build_detector_model(code, T, noise)
         region = full_syndrome_region(model)
         report = entropy_decomposition_check(code, T, noise, region, cap=24)

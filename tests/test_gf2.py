@@ -2,7 +2,7 @@ from functools import reduce
 
 from hypothesis import given, settings, strategies as st
 
-from stmarkov.gf2 import gf2_in_rowspan, gf2_nullspace, gf2_rank, gf2_solve
+from stmarkov.gf2 import gf2_dependencies, gf2_in_rowspan, gf2_rank, gf2_solve
 
 
 @st.composite
@@ -17,13 +17,9 @@ def combination(rows, mask):
     return reduce(lambda acc, i: acc ^ rows[i], [i for i in range(len(rows)) if mask >> i & 1], 0)
 
 
-def parity(x):
-    return bin(x).count("1") & 1
-
-
 @settings(max_examples=300, deadline=None)
-@given(matrices())
-def test_gf2_routines_match_enumeration(matrix):
+@given(matrices(), st.lists(st.integers(0, (1 << 16) - 1), min_size=8, max_size=8))
+def test_gf2_routines_match_enumeration(matrix, tags):
     rows, n_cols = matrix
     span = {combination(rows, mask) for mask in range(1 << len(rows))}
     rank = gf2_rank(rows)
@@ -35,8 +31,11 @@ def test_gf2_routines_match_enumeration(matrix):
             assert mask is not None and combination(rows, mask) == vec
         else:
             assert mask is None
-    null = {v for v in range(1 << n_cols) if all(parity(row & v) == 0 for row in rows)}
-    basis = gf2_nullspace(rows, n_cols)
-    assert set(basis) <= null
-    assert gf2_rank(basis) == len(basis) == n_cols - rank
-    assert 1 << len(basis) == len(null)
+    # Bit tags: each dependency selects rows that XOR to zero, and they span
+    # all len(rows) - rank such combinations.
+    deps = gf2_dependencies(rows)
+    assert all(combination(rows, mask) == 0 for mask in deps)
+    assert gf2_rank(deps) == len(deps) == len(rows) - rank
+    # Arbitrary tags: the XOR of the tags over the same combinations.
+    tags = tags[:len(rows)]
+    assert gf2_dependencies(rows, tags) == [combination(tags, mask) for mask in deps]

@@ -292,6 +292,11 @@ def test_interpolate_peak_quadratic():
     assert peak.p_peak == pytest.approx(0.10, abs=1e-9)
     edge = interpolate_peak(ps, [1, 2, 3, 4, 5])
     assert not edge.interior
+    # A curvature that rounds to exactly 0.0 gives the grid maximum, undivided.
+    flat = [1 - 2**-53, 1.0, 1.0]
+    assert flat[0] - 2 * flat[1] + flat[2] == 0.0
+    top = interpolate_peak([0.1, 0.2, 0.3], flat)
+    assert (top.p_peak, top.xi_peak, top.interior) == (0.2, 1.0, True)
 
 
 def test_sweep_smoke():
