@@ -22,6 +22,7 @@ import os
 import sys
 import typing
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,10 +40,9 @@ from .markov import (
     cmi,
     cmi_rank_half,
     interpolate_peak,
-    ladder_band_t0,
     ladder_fit,
     ladder_from_batch,
-    ladder_t0,
+    ladder_rungs,
     lattice_tripartition,
     make_code,
     rate_points,
@@ -354,12 +354,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     grid = [(L, T, p) for (L, T) in sizes for p in p_grid]
     for (L, T, p) in grid:
-        # Each cell is a run's config at its (L, T, p).
+        # Each cell is a run's config at its (L, T, p), and its ladder fits its model.
         try:
             dataclasses.replace(cfg, L=L, rounds=T, p=p).validate()
-            if cfg.method == "sampled" or cfg.mode == "strip":
-                # Such a ladder's rungs stack within one wA + wB_max + wC deep band.
-                ladder_band_t0(T, cfg.wA + cfg.wB_max + cfg.wC)
+            model = build_detector_model(make_code(cfg.code, L), T, cell_noise(p, cfg.p_z, cfg.q))
+            ladder_rungs(partial(build_tripartition, model, mode=cfg.mode), model.code.space_shape,
+                         T, range(1, cfg.wB_max + 1), cfg.wA, cfg.wC, [(L - cfg.wA) // 2])
         except ValueError as exc:
             raise ConfigError(f"size {L}x{T} at p={p}: {exc}") from None
     if len(set(sizes)) < len(sizes) or len(set(p_grid)) < len(p_grid):
@@ -631,8 +631,8 @@ _HEADER_TYPES = {
     "detectors": (lambda v: isinstance(v, list) and len(v) >= 1, "a nonempty list"),
     "n_rows": (_is_count, "an integer >= 1"),
     "rounds": (_is_count, "an integer >= 1"),
-    "space_shape": (lambda v: isinstance(v, list) and all(map(_is_count, v)),
-                    "a list of integers >= 1"),
+    "space_shape": (lambda v: isinstance(v, list) and len(v) >= 1 and all(map(_is_count, v)),
+                    "a list of integers >= 1 (at least one)"),
     "seed": (_is_int, "an integer"),
     "stream": (_is_str, "a string"),
     "model_hash": (_is_str, "a string"),
@@ -728,21 +728,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                if rec["sector"] == "z"}
     space = tuple(header["space_shape"])
     rounds = header["rounds"]
-    # Every rung shares the anchor of the deepest one, as in averaged_cmi_ladder.
-    t0 = ladder_t0(rounds, cfg.wA + cfg.wB_max + cfg.wC)
-    anchor = tuple((size - cfg.wA) // 2 for size in space) + (t0,)
-    tris, refused = [], []
-    for wB in range(1, cfg.wB_max + 1):
-        try:
-            tris.append(lattice_tripartition(
-                lattice, space, rounds, wA=cfg.wA, wB=wB, wC=cfg.wC, anchor=anchor,
-                mode="strip", cap=64, bulk_margin=0,
-            ))
-        except ValueError as exc:
-            refused.append(f"wB={wB}: {exc}")
-            print(f"skipping {refused[-1]}", file=sys.stderr)
-    if not tris:
-        raise ConfigError(f"no rung of the ladder fits the samples; {refused[0]}")
+    # The centred anchor; a ladder that does not fit the samples is refused.
+    rungs = ladder_rungs(
+        partial(lattice_tripartition, lattice, space, rounds, mode="strip", cap=64), space,
+        rounds, range(1, cfg.wB_max + 1), cfg.wA, cfg.wC, [(space[0] - cfg.wA) // 2],
+    )
+    tris = [tri for tri, in rungs]
     points = ladder_from_batch(batch, tris, correction=cfg.estimator == "miller_madow")
     source = {
         "path": os.path.basename(args.path),

@@ -173,13 +173,10 @@ def _xor_dp_table(masks: Sequence[int], probs: Sequence[float], width: int) -> n
 
 
 def _xor_dp_sparse(masks: Sequence[int], probs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Pattern-list variant for wide regions with few mechanisms."""
+    """Pattern-list variant for wide regions with few mechanisms, each mask nonzero."""
     patterns = np.zeros(1, dtype=np.uint64)
     weight = np.ones(1, dtype=np.float64)
     for mask, p in zip(masks, probs):
-        if mask == 0:
-            weight = weight * (1.0 - p) + weight * p
-            continue
         patterns = np.concatenate([patterns, patterns ^ np.uint64(mask)])
         weight = np.concatenate([weight * (1.0 - p), weight * p])
     values, inverse = np.unique(patterns, return_inverse=True)

@@ -1,10 +1,10 @@
 """Tripartition geometry, CMI estimation, and Markov-length extraction.
 
 Tripartitions are built by ``lattice_tripartition`` over a coordinate
-lattice {(*space, t): detector index} (space wraps, time is open).
-``build_tripartition`` passes it one sector of a detector model and then
-checks that no mechanism touches both A and C; ``stmarkov ingest`` passes it
-the detectors of an interchange header. Two layouts:
+lattice {(*space, t): detector index} (space wraps, time is open): a sector
+of a detector model (``build_tripartition``, which also checks that no
+mechanism touches both A and C) or an interchange header's detectors.
+``ladder_rungs`` places the rungs of every ladder. Two layouts:
 
 * ``ring``: A is a (w_A)^D block, B the full Chebyshev annulus of width w_B
   around it, C a (w_C)^D probe block at distance w_B + 1 along the first
@@ -115,8 +115,27 @@ def ladder_band_t0(rounds: int, extent: int) -> int:
     """
     t0 = ladder_t0(rounds, extent)
     if t0 + extent - 1 > rounds - 1:
-        raise ValueError(f"ladder extent {extent} does not fit the time bulk")
+        raise ValueError(f"ladder extent {extent} does not fit the time bulk 1..{rounds - 1}")
     return t0
+
+
+def ladder_rungs(
+    tripartition, space: Sequence[int], rounds: int, wB_list: Sequence[int], wA: int,
+    wC: int, xs: Sequence[int],
+) -> List[List[Tripartition]]:
+    """The rungs of a w_B ladder: per w_B in ``wB_list``, one tripartition per anchor x in ``xs``.
+
+    The one rule for where a ladder's rungs sit: A starts at the band anchor
+    row ``ladder_band_t0(rounds, wA + max(wB_list) + wC)``, at x on the first
+    space axis, centred on the others. ``tripartition(wA=, wB=, wC=, anchor=)``
+    builds one rung at one anchor (``build_tripartition`` of a model, or
+    ``lattice_tripartition`` of an interchange header, the rest bound).
+    """
+    t0 = ladder_band_t0(rounds, wA + max(wB_list) + wC)
+    rest = tuple((size - wA) // 2 for size in space[1:]) + (t0,)
+    return [
+        [tripartition(wA=wA, wB=wB, wC=wC, anchor=(x,) + rest) for x in xs] for wB in wB_list
+    ]
 
 
 def lattice_tripartition(
@@ -191,6 +210,10 @@ def lattice_tripartition(
         return tuple(sorted(lattice[xy] for xy in coords))
 
     dist = min(chebyshev_distance(x, y, space) for x in a for y in c)
+    if dist != wB + 1:  # before the regions are checked: a short lattice makes them overlap
+        raise ValueError(
+            f"A-C separation {dist} != wB+1 = {wB + 1}; lattice too small for this ladder"
+        )
     tri = Tripartition(
         a=to_idx(a),
         b=to_idx(b),
@@ -205,10 +228,6 @@ def lattice_tripartition(
             "anchor": tuple(a_sp) + (t0,),
         },
     )
-    if dist != wB + 1:
-        raise ValueError(
-            f"A-C separation {dist} != wB+1 = {wB + 1}; lattice too small for this ladder"
-        )
     width = len(tri.all_detectors)
     if width > cap:
         raise PatternWidthExceeded(width, cap)
@@ -430,29 +449,20 @@ def averaged_cmi_ladder(
     patterns are counted once, over the ABC of its deepest rung.
     """
     space = model.code.space_shape
-    T = model.rounds
-    wB_max = max(wB_list)
-    extent = wA + wB_max + wC
-    t0 = ladder_band_t0(T, extent)
     if anchor_stride is None:
         anchor_stride = max(2, space[0] // 8)  # ~8 translates at any size
-    anchors = [x for x in range(0, space[0], anchor_stride)]
-    rest = tuple((space[d] - wA) // 2 for d in range(1, len(space))) + (t0,)
-    rungs = [
-        [
-            build_tripartition(model, wA=wA, wB=wB, wC=wC, anchor=(x,) + rest, mode=mode)
-            for x in anchors
-        ]
-        for wB in wB_list
-    ]
+    xs = range(0, space[0], anchor_stride)
+    rungs = ladder_rungs(
+        partial(build_tripartition, model, mode=mode), space, model.rounds, wB_list, wA, wC, xs
+    )
     used = sorted({d for tris in rungs for tri in tris for d in tri.all_detectors})
-    # The band is the extent-deep stack from t0, reaching down to the lowest
-    # row read: a ring's B reaches wB rows below its anchor.
-    lo = min(t0, min(model.detectors[d].t for d in used))
-    lattice = model.sector_lattice("z")
-    band = sorted(idx for coords, idx in lattice.items() if lo <= coords[-1] < t0 + extent)
+    # The band is the ladder's stack from its anchor row t0, reaching down to
+    # the lowest row read: a ring's B reaches wB rows below its anchor.
+    lo = min(model.detectors[d].t for d in used)
+    top = rungs[0][0].descriptor["anchor"][-1] + wA + max(wB_list) + wC
+    band = sorted(i for coords, i in model.sector_lattice("z").items() if lo <= coords[-1] < top)
     batch = sample_batch(model, used, n, seed, stream=stream, draw_region=band)
-    method = f"sampled(n={n},seed={seed},anchors={len(anchors)})"
+    method = f"sampled(n={n},seed={seed},anchors={len(xs)})"
     return _ladder_points(batch, rungs, correction, method)
 
 
@@ -595,11 +605,12 @@ def _sweep_cell(
     model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
     if model.n_mechanisms == 0:
         points = []
-    elif method == "exact":
-        points = []
-        for wB in ladder:
-            tri = build_tripartition(model, wA=wA, wB=wB, wC=wC, mode=mode)
-            points.append(cmi(model, tri, method="exact", exact_cap=10**9))
+    elif method == "exact":  # one anchor, the centred x, at the sampled ladder's row
+        rungs = ladder_rungs(
+            partial(build_tripartition, model, mode=mode), model.code.space_shape, T, ladder,
+            wA, wC, [(L - wA) // 2],
+        )
+        points = [cmi(model, tri, method="exact", exact_cap=10**9) for tri, in rungs]
     elif method == "sampled":
         stream = f"cmi/L{L}/T{T}/p{p:.6g}"
         points = averaged_cmi_ladder(

@@ -416,6 +416,26 @@ def test_sweep_peaks_keyed_by_size(tmp_path, sizes, keys):
         assert payload["peaks"][key]["xi_peak"] == peak.xi_peak
 
 
+@pytest.mark.parametrize("L, wA, wB_max, wC, dist", [
+    (6, 2, 2, 2, 1), (5, 1, 2, 1, 2), (3, 1, 1, 1, 1),
+])
+def test_ring_too_wide_for_L_is_refused_by_its_separation(tmp_path, capsys, L, wA, wB_max, wC,
+                                                         dist):
+    """C wraps round to A before the ring's deepest rung: both commands name the separation."""
+    ladder = ["--code", "repetition", "--mode", "ring", "--wA", str(wA), "--wB-max", str(wB_max),
+              "--wC", str(wC), "--samples", "2000"]
+    out = str(tmp_path / "sweep.json")
+    assert run_cli(["run", "--L", str(L), "--rounds", "8"] + ladder) == 2
+    assert run_cli(["sweep", "--sizes", f"{L}x8", "--p-grid", "0.1", "--out", out] + ladder) == 2
+    message = (f"A-C separation {dist} != wB+1 = {wB_max + 1}; lattice too small for this "
+               "ladder\n")
+    assert capsys.readouterr().err == (
+        f"configuration error: {message}configuration error: size {L}x8 at p=0.1: {message}"
+    )
+    assert not os.path.exists(out + ".cells.jsonl")
+    assert not os.path.exists(out)
+
+
 def test_run_with_fewer_samples_than_chunks(tmp_path):
     # At n = 7 one chunk holds every sample, so leaving it out leaves none.
     out = str(tmp_path / "run.json")
@@ -874,6 +894,7 @@ def set_key(key, value):
         (set_key("detectors", []), "'detectors': [] is not a nonempty list"),
         (set_key("space_shape", 8), "'space_shape': 8 is not a list of integers >= 1"),
         (set_key("space_shape", [0]), "'space_shape': [0] is not a list of integers >= 1"),
+        (set_key("space_shape", []), "'space_shape': [] is not a list of integers >= 1"),
         (set_key("rounds", "8"), "'rounds': '8' is not an integer >= 1"),
         (set_key("rounds", 0), "'rounds': 0 is not an integer >= 1"),
         (set_key("seed", "5"), "'seed': '5' is not an integer"),
@@ -886,9 +907,9 @@ def set_key(key, value):
         (set_key("version", 2), "unsupported interchange version 2"),
     ],
     ids=["n_rows-str", "n_rows-float", "n_rows-negative", "n_rows-zero", "detectors-int",
-         "detectors-empty", "space_shape-int", "space_shape-zero", "rounds-str", "rounds-zero",
-         "seed-str", "model_hash-int", "coords-int", "detector-int", "coords-repeated",
-         "version-2"],
+         "detectors-empty", "space_shape-int", "space_shape-zero", "space_shape-empty",
+         "rounds-str", "rounds-zero", "seed-str", "model_hash-int", "coords-int", "detector-int",
+         "coords-repeated", "version-2"],
 )
 def test_ingest_refuses_malformed_header(tmp_path, capsys, edit, message):
     _, _, _, path = make_band_batch(tmp_path, n=20)
@@ -967,8 +988,8 @@ def test_ingest_with_no_rung_exits_2(tmp_path, capsys):
     _, _, _, path = make_band_batch(tmp_path, n=50)
     out = str(tmp_path / "o.json")
     assert run_cli(["ingest", path, "--wA", "9", "--out", out]) == 2
-    assert ("no rung of the ladder fits the samples; wB=1: block width 9 exceeds lattice "
-            "extent 8") in capsys.readouterr().err
+    # The wA + wB_max + wC = 16 deep ladder is refused whole, as sweep refuses one.
+    assert "ladder extent 16 does not fit the time bulk 1..7" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

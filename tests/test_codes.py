@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -99,6 +100,36 @@ def test_validate_flags_bad_overlap():
     assert "css_commutation" in kinds
     detail = dict(report.failures)["css_commutation"]
     assert "z_check 0" in detail and "x_check 0" in detail
+
+
+def test_validate_flags_x_logical_anticommuting_with_z_check():
+    code = repetition_code(4)
+    lone = np.zeros((1, 4), dtype=np.uint8)
+    lone[0, 0] = 1  # X_0 overlaps Z_0 Z_1 on one site; it still pairs with Z_0
+    report = validate_code(dataclasses.replace(code, x_logicals=lone))
+    assert report.failures == [("x_logical_commutes_z_checks", "x_logical 0 vs z_check 0")]
+
+
+def test_validate_flags_broken_logical_pairing():
+    code = toric_code(3)
+    swapped = dataclasses.replace(code, x_logicals=code.x_logicals[::-1])
+    assert validate_code(swapped).failures == [
+        ("paired_logicals_anticommute", "z_logical 0 vs x_logical 0"),
+        ("unpaired_logicals_commute", "z_logical 0 vs x_logical 1"),
+        ("unpaired_logicals_commute", "z_logical 1 vs x_logical 0"),
+        ("paired_logicals_anticommute", "z_logical 1 vs x_logical 1"),
+    ]
+
+
+@pytest.mark.parametrize("code", [repetition_code(4), toric_code(3)], ids=["repetition", "toric"])
+def test_validate_flags_logical_inside_check_rowspan(code):
+    # A check is no logical: it lies in the rowspan and commutes with every X logical.
+    stand_in = code.z_logicals.copy()
+    stand_in[0] = code.z_checks[0]
+    report = validate_code(dataclasses.replace(code, z_logicals=stand_in))
+    assert ("z_logical_not_in_z_rowspan", "logical 0") in report.failures
+    assert ("paired_logicals_anticommute", "z_logical 0 vs x_logical 0") in report.failures
+    assert not report.ok
 
 
 def test_css_commutation_matrix_identity():

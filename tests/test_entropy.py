@@ -585,6 +585,18 @@ def test_decomposition_no_detector_region_fully_random():
     assert report2.h_s == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize(
+    "syndrome", [("z", 0, 0), ("z", 0, 4), ("z", 3, 1), ("z", -1, 1), ("x", 0, 1)],
+    ids=["round-0", "round-past-end", "check-past-end", "check-negative", "no-x-checks"],
+)
+def test_decomposition_refuses_syndrome_outside_the_run(syndrome):
+    # Repetition(3) over 2 rounds measures z checks 0..2 in rounds 1..3 and has no x checks.
+    noise = NoiseModel.phenomenological(0.1)
+    sector, c, r = syndrome
+    with pytest.raises(ValueError, match=rf"syndrome \({sector},{c},{r}\) outside the run"):
+        entropy_decomposition_check(repetition_code(3), 2, noise, [("z", 0, 1), syndrome])
+
+
 def test_decomposition_cap():
     with pytest.raises(BruteForceCapExceeded):
         entropy_decomposition_check(

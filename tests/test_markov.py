@@ -284,6 +284,29 @@ def test_markov_length_rejects_growth():
         markov_length(points)
 
 
+def test_markov_length_gives_an_exact_point_the_smallest_sampled_error():
+    """An exact point among sampled ones weighs as much as the surest of them."""
+    values = [0.4, 0.1, 0.05, 0.01]
+    errors = [0.0, 0.004, 0.001, 0.0005]
+    log_errors = [e / (v * math.log(2)) for v, e in zip(values, errors) if e]
+    # The same fit with the exact point's error set to the smallest log-space error.
+    stand_in = [min(log_errors) * values[0] * math.log(2)] + errors[1:]
+    mixed, uniform = (
+        markov_length([CmiPoint(d, v, e, "m", 0) for d, v, e in zip(range(1, 5), values, es)])
+        for es in (errors, stand_in)
+    )
+    assert mixed.xi == pytest.approx(uniform.xi, rel=1e-12)
+    assert mixed.xi_stderr == pytest.approx(uniform.xi_stderr, rel=1e-12)
+    assert mixed.r_squared == pytest.approx(uniform.r_squared, rel=1e-12)
+    assert mixed.r_squared < 1.0  # the points are not collinear, so the weights count
+
+
+def test_markov_length_refuses_degenerate_abscissas():
+    points = [CmiPoint(2, v, 0.0, "exact", 0) for v in (0.3, 0.2, 0.1)]
+    with pytest.raises(FitError, match="degenerate abscissas"):
+        markov_length(points)
+
+
 def test_interpolate_peak_quadratic():
     ps = [0.05, 0.07, 0.09, 0.11, 0.13]
     xis = [-((p - 0.10) ** 2) + 1.0 for p in ps]
@@ -582,6 +605,52 @@ def test_anchor_table_matches_own_tables_on_random_sets(case):
         [c.args for c in spy.call_args_list], batch, [union_region(tris)]
     )
     assert_anchor_table_matches_own_tables(batch, tris)
+
+
+@st.composite
+def fitting_ladders(draw):
+    """A small sweep cell and a w_B ladder deep enough in time to fit its band.
+
+    The lattice is drawn around the width a ring needs, so a few ladders do
+    not fit in space; T stays within four rows of the band, where a ring's B
+    reaches the bulk margin.
+    """
+    family = draw(st.sampled_from(["repetition", "toric"]))
+    mode = draw(st.sampled_from(["strip", "ring"]))
+    small = family == "toric" and mode == "ring"  # wider toric rings exceed the histogram cap
+    wA, wC = draw(st.integers(1, 1 if small else 2)), draw(st.integers(1, 1 if small else 2))
+    ladder = tuple(range(1, draw(st.integers(1, 1 if small else 3)) + 1))
+    need = wA + 2 * ladder[-1] + wC if mode == "ring" else wA + 1
+    if family == "repetition":
+        L = draw(st.integers(max(3, need - 1), max(3, need - 1) + 3))
+    else:
+        L = draw(st.integers(3, 4))
+    T = wA + ladder[-1] + wC + draw(st.integers(1, 4))
+    return family, L, T, draw(st.sampled_from([0.05, 0.11, 0.2])), mode, wA, wC, ladder
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fitting_ladders())
+def test_exact_cells_read_the_sampled_ladders_tripartitions(case):
+    """Each exact rung is the oracle of the sampled rung at its w_B, as the benchmark reads it."""
+    family, L, T, p, mode, wA, wC, ladder = case
+    model = small_model(family, L, T, p, 0.0, p)
+    try:
+        sampled = averaged_cmi_ladder(model, ladder, 64, 0, wA=wA, wC=wC, mode=mode)
+    except ValueError:  # too wide for L, or for the histogram cap
+        assume(False)
+    tris = [
+        build_tripartition(model, wA=wA, wB=d["wB"], wC=wC, anchor=tuple(d["anchor"]),
+                           mode=d["mode"], sector=d["sector"])
+        for d in (pt.descriptor for pt in sampled)
+    ]
+    assume(len(tris[-1].all_detectors) <= 20)  # the exact table has 2^width entries
+    cell, = sweep_cells(family, [(L, T, p)], ladder=ladder, wA=wA, wC=wC, mode=mode,
+                        method="exact")
+    assert [pt.descriptor["wB"] for pt in cell.points] == list(ladder)
+    for pt, tri in zip(cell.points, tris):
+        oracle = cmi(model, tri, method="exact", exact_cap=10**9).cmi
+        assert pt.cmi == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
 # Recorded before the ladder sampled only the tripartitions' detectors: the
