@@ -413,7 +413,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.decoder_shots:
         points = list(rate_points(
-            cfg.code, sizes, p_grid, args.decoder_shots, cfg.seed, p_z=cfg.p_z, q=cfg.q
+            cfg.code, sizes, p_grid, args.decoder_shots, cfg.seed, p_z=cfg.p_z, q=cfg.q,
+            jobs=cfg.jobs,
         ))
         curves = {
             size: [(rp.p, rp.rate) for rp in points if (rp.L, rp.T) == size] for size in sizes

@@ -32,7 +32,6 @@ actions per shot.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
@@ -74,8 +73,8 @@ class _Graph:
     """Edge arrays of the decoding graph and the XOR tables of one detector model."""
 
     def __init__(self, model: DetectorModel):
-        dets = [mech.detectors for mech in model.mechanisms]
-        sizes = np.fromiter(map(len, dets), dtype=np.intp, count=len(dets))
+        offsets, dets = model.footprints()
+        sizes = np.diff(offsets)
         bad = np.flatnonzero((sizes != 0) & (sizes != 2))
         if bad.size:
             k = int(bad[0])
@@ -87,7 +86,7 @@ class _Graph:
             )
         self.mech = np.flatnonzero(sizes == 2)  # edge -> mechanism
         n_edges = self.mech.size
-        ends = np.fromiter(itertools.chain.from_iterable(dets), dtype=np.intp, count=2 * n_edges)
+        ends = dets.astype(np.intp)  # the end pairs of the edges, in order
         self.u, self.v = ends[0::2].copy(), ends[1::2].copy()
         # Each node's edges in index order, padded with the index n_edges, and
         # the node at the other end of each (the node itself for a pad).

@@ -23,7 +23,7 @@ import numpy as np
 
 from .codes import CssCode
 from .gf2 import gf2_dependencies, gf2_rank, gf2_solve
-from .spacetime import DetectorModel, NoiseModel, build_detector_model
+from .spacetime import KINDS, SECTORS, DetectorModel, NoiseModel, build_detector_model
 
 LN2 = math.log(2.0)
 
@@ -201,15 +201,16 @@ def exact_region_dist(
     if len(mechs) > cap:
         raise BruteForceCapExceeded(len(mechs), cap)
     pos = {d: j for j, d in enumerate(region)}
+    offsets, dets = model.footprints(mechs)
+    dets, offsets = dets.tolist(), offsets.tolist()
     masks = []
-    probs = []
-    for k in mechs:
+    for lo, hi in zip(offsets, offsets[1:]):
         mask = 0
-        for d in model.mechanisms[k].detectors:
+        for d in dets[lo:hi]:
             if d in pos:
                 mask |= 1 << pos[d]
         masks.append(mask)
-        probs.append(model.mechanisms[k].p)
+    probs = model.mechanism_probs()[mechs].tolist()
     width = len(region)
     if width <= 24:
         table = _xor_dp_table(masks, probs, width)
@@ -249,9 +250,8 @@ def rank_entropy_half(model: DetectorModel, region: Sequence[int]) -> float:
     The detector distribution is then uniform over the image of the region
     submatrix, so the entropy is its rank in bits.
     """
-    for mech in model.mechanisms:
-        if mech.p != 0.5:
-            raise ValueError("rank oracle requires every mechanism at p = 1/2")
+    if np.any(model.mechanism_probs() != 0.5):
+        raise ValueError("rank oracle requires every mechanism at p = 1/2")
     return float(gf2_rank(_detector_rows(model, region)))
 
 
@@ -278,6 +278,7 @@ def _syndrome_structure(
     """
     code = model.code
     T = model.rounds
+    mechs = model.mechanisms
     mech_masks: List[int] = []
     frame_masks: List[int] = []
     ucols: Dict[Tuple[int, int], int] = {}  # frame column of each (qubit, tick)
@@ -286,18 +287,15 @@ def _syndrome_structure(
         if not (0 <= c < n_checks and 1 <= r <= T + 1):
             raise ValueError(f"syndrome ({sector},{c},{r}) outside the run")
         sup = set(int(i) for i in code.check_support(sector, c))
-        mm = 0
-        for k, mech in enumerate(model.mechanisms):
-            if sector == "z":
-                hit = (
-                    mech.kind == "data_x" and mech.index in sup and mech.time < r
-                ) or (mech.kind == "readout" and mech.sector == "z" and mech.index == c and mech.time == r)
-            else:
-                hit = (
-                    mech.kind == "data_z" and mech.index in sup and mech.time <= r - 2
-                ) or (mech.kind == "readout" and mech.sector == "x" and mech.index == c and mech.time == r)
-            if hit:
-                mm |= 1 << k
+        # Data errors before the measurement on the check's support, and the
+        # check's own readout flip of round r.
+        data = mechs.kind == KINDS.index("data_x" if sector == "z" else "data_z")
+        before = mechs.time < (r if sector == "z" else r - 1)
+        readout = (mechs.kind == KINDS.index("readout")) & (mechs.sector == SECTORS.index(sector))
+        hit = (data & np.isin(mechs.index, list(sup)) & before) | (
+            readout & (mechs.index == c) & (mechs.time == r)
+        )
+        mm = sum(1 << k for k in np.flatnonzero(hit).tolist())
         fm = 0
         for i in sup:
             for t in range(r):
@@ -342,7 +340,7 @@ def entropy_decomposition_check(
     det_combos = [gf2_solve(det_rows, m) for m in sigma_masks]
     combos_ok = all(w is not None for w in det_combos)
 
-    probs = [m.p for m in model.mechanisms]
+    probs = model.mechanism_probs().tolist()
 
     def label_entropy(label_masks: List[int]) -> float:
         per_mech = []

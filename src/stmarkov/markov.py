@@ -35,7 +35,6 @@ yields the logical error rate of each (L, T, p) point in grid order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product as iproduct, starmap
@@ -264,15 +263,14 @@ def build_tripartition(
 def validate_tripartition(model: DetectorModel, tri: Tripartition) -> None:
     """Check the separation property: no mechanism touches both A and C.
 
-    Only the mechanisms incident to A can, and they are scanned in mechanism
-    order, so the first offender is the one a scan of every mechanism finds.
+    An offender is incident to a detector of A and one of C; the lowest
+    such mechanism is the one a scan of every mechanism finds first.
     """
     if tri.dist_ac >= 2:
-        c_set = set(tri.c)
-        for k in model.region_mechanisms(tri.a):
-            mech = model.mechanisms[k]
-            if not c_set.isdisjoint(mech.detectors):
-                raise ValueError(f"mechanism {mech} spans A and C")
+        in_a = {k for d in tri.a for k in model.incident_mechanisms(d)}
+        spans = {k for d in tri.c for k in model.incident_mechanisms(d) if k in in_a}
+        if spans:
+            raise ValueError(f"mechanism {model.mechanisms[min(spans)]} spans A and C")
 
 
 def _cmi_identity(tri: Tripartition, h):
@@ -458,7 +456,7 @@ def averaged_cmi_ladder(
     used = sorted({d for tris in rungs for tri in tris for d in tri.all_detectors})
     # The band is the ladder's stack from its anchor row t0, reaching down to
     # the lowest row read: a ring's B reaches wB rows below its anchor.
-    lo = min(model.detectors[d].t for d in used)
+    lo = int(model.detectors.t[used].min())
     top = rungs[0][0].descriptor["anchor"][-1] + wA + max(wB_list) + wC
     band = sorted(i for coords, i in model.sector_lattice("z").items() if lo <= coords[-1] < top)
     batch = sample_batch(model, used, n, seed, stream=stream, draw_region=band)
@@ -655,11 +653,31 @@ def sweep_cells(
         mode=mode, p_z=p_z, q=q, method=method, anchor_stride=anchor_stride,
         correction=correction,
     )
+    yield from _map_cells(cell, cells, jobs)
+
+
+def _map_cells(fn, cells: Sequence[Tuple[int, int, float]], jobs: int) -> Iterator:
+    """``fn(L, T, p)`` of each cell, in the order of ``cells``.
+
+    More than one job and more than one cell runs the cells in a process
+    pool. The pool module is imported here, so importing the package loads
+    no multiprocessing.
+    """
     if jobs > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            yield from pool.map(cell, *zip(*cells))
+            yield from pool.map(fn, *zip(*cells))
     else:
-        yield from starmap(cell, cells)
+        yield from starmap(fn, cells)
+
+
+def _rate_point(
+    L: int, T: int, p: float, *, family: str, shots: int, seed: int, p_z: float,
+    q: Optional[float],
+) -> RatePoint:
+    model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
+    return logical_error_rate(model, shots, seed)
 
 
 def rate_points(
@@ -670,12 +688,13 @@ def rate_points(
     seed: int,
     p_z: float = 0.0,
     q: Optional[float] = None,
+    jobs: int = 1,
 ) -> Iterator[RatePoint]:
     """Decoder logical error rate at each (L, T, p), size by size in the order of ``p_grid``.
 
     The one loop for decoder curves; each point's noise is ``cell_noise``.
+    More than one job runs the points in a process pool, as ``sweep_cells``
+    does; the points come back in the same order and do not depend on ``jobs``.
     """
-    for (L, T) in sizes:
-        for p in p_grid:
-            model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
-            yield logical_error_rate(model, shots, seed)
+    point = partial(_rate_point, family=family, shots=shots, seed=seed, p_z=p_z, q=q)
+    yield from _map_cells(point, [(L, T, p) for (L, T) in sizes for p in p_grid], jobs)

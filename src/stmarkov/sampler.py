@@ -179,20 +179,28 @@ def sample_batch(
     draw_region = region if draw_region is None else tuple(draw_region)
     if not set(region) <= set(draw_region):
         raise ValueError("region must lie inside the draw region")
-    pos = {d: j for j, d in enumerate(region)}
+    pos = np.full(model.n_detectors, -1, dtype=np.intp)
+    pos[list(region)] = np.arange(len(region))
+    mechs = np.array(model.region_mechanisms(draw_region), dtype=np.intp)
+    offsets, dets = model.footprints(mechs)
+    row = pos[dets]
+    on_region = row >= 0
+    # Position in ``mechs`` of the mechanism of each footprint entry on the
+    # region; entries stay in mechanism order, then footprint order.
+    owner = np.repeat(np.arange(mechs.size), np.diff(offsets))[on_region]
+    drawn = np.flatnonzero(np.bincount(owner, minlength=mechs.size))
+    rows = row[on_region].tolist()
+    firsts = [*np.searchsorted(owner, drawn).tolist(), len(rows)]
     # (p, rows, skipped): the region rows a drawn mechanism flips, and how
     # many mechanisms of the draw region that touch no row precede it. Those
     # after the last drawn mechanism need no skip.
-    draws: List[Tuple[float, List[int], int]] = []
-    skipped = 0
-    for k in model.region_mechanisms(draw_region):
-        mech = model.mechanisms[k]
-        rows = [pos[d] for d in mech.detectors if d in pos]
-        if rows:
-            draws.append((mech.p, rows, skipped))
-            skipped = 0
-        else:
-            skipped += 1
+    draws: List[Tuple[float, List[int], int]] = [
+        (p, rows[lo:hi], skipped)
+        for p, lo, hi, skipped in zip(
+            model.mechanism_probs()[mechs[drawn]].tolist(), firsts, firsts[1:],
+            (np.diff(drawn, prepend=-1) - 1).tolist(),
+        )
+    ]
     # A list: its uint64 scalars are made once, not again in every chunk.
     thresholds = list(_word_threshold([p for p, _, _ in draws]))
     key = stream_key(seed, stream)

@@ -9,12 +9,18 @@ Timing convention (fixed by the foliated picture): Z-checks of round r are
 measured at layer r, X-checks of round r at layer r - 1/2. Hence a data X
 error on the interface between rounds t and t+1 flips Z-sector detectors at
 time t, while a data Z error flips X-sector detectors at time t+1.
+
+A model holds its mechanisms and detectors as index arrays
+(``MechanismTable``, ``DetectorTable``), filled by index arithmetic rather
+than one object per (qubit, round); its lookup tables are read off them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -67,6 +73,85 @@ class Mechanism:
     logical_flips: Tuple[int, ...]  # protected logical bits this flips
 
 
+# The arrays of a table hold each kind and sector as its position here.
+KINDS = ("data_x", "data_z", "readout")
+SECTORS = ("", "z", "x")
+_INDEX = np.int32  # dtype of stored detector, mechanism, qubit and check indices
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """CSR offsets of rows with the given lengths."""
+    ptr = np.zeros(lengths.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr
+
+
+def _csr_rows(ptr: np.ndarray, cols: np.ndarray, rows) -> Tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) of the given rows of a CSR (ptr, cols), in their order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    offsets = _offsets(lengths)
+    return offsets, cols[np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)]
+
+
+@dataclass(frozen=True, eq=False)
+class MechanismTable:
+    """Error mechanisms as index arrays; item k is an equal ``Mechanism``, built on access.
+
+    Mechanism k has kind ``KINDS[kind[k]]``, sector ``SECTORS[sector[k]]``,
+    ``index[k]``, ``time[k]`` and ``p[k]``. It flips the detectors
+    ``det_cols[det_ptr[k]:det_ptr[k + 1]]`` and the logical bits
+    ``flip_cols[flip_ptr[k]:flip_ptr[k + 1]]``.
+    """
+
+    p: np.ndarray
+    kind: np.ndarray
+    sector: np.ndarray
+    index: np.ndarray
+    time: np.ndarray
+    det_ptr: np.ndarray
+    det_cols: np.ndarray
+    flip_ptr: np.ndarray
+    flip_cols: np.ndarray
+
+    def __len__(self) -> int:
+        return self.p.size
+
+    def __getitem__(self, k: int) -> Mechanism:
+        k = range(len(self))[k]  # a list's negative indices, and its IndexError that ends a loop
+        dets = self.det_cols[self.det_ptr[k] : self.det_ptr[k + 1]]
+        flips = self.flip_cols[self.flip_ptr[k] : self.flip_ptr[k + 1]]
+        return Mechanism(
+            KINDS[self.kind[k]], SECTORS[self.sector[k]], int(self.index[k]),
+            int(self.time[k]), float(self.p[k]), tuple(dets.tolist()), tuple(flips.tolist()),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class DetectorTable:
+    """Detectors as index arrays; item i is an equal ``Detector``, built on access.
+
+    Detector i has sector ``SECTORS[sector[i]]``, ``check[i]``, ``t[i]`` and
+    the coordinates ``coords[i]`` (the check's space coordinates, then t).
+    """
+
+    sector: np.ndarray
+    check: np.ndarray
+    t: np.ndarray
+    coords: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, i: int) -> Detector:
+        i = range(len(self))[i]
+        return Detector(
+            SECTORS[self.sector[i]], int(self.check[i]), int(self.t[i]),
+            tuple(self.coords[i].tolist()),
+        )
+
+
 def chebyshev_distance(
     coords_a: Sequence[int], coords_b: Sequence[int], space_shape: Sequence[int]
 ) -> int:
@@ -79,15 +164,19 @@ def chebyshev_distance(
 
 
 class DetectorModel:
-    """Error mechanisms, their probabilities, and detector incidence."""
+    """Error mechanisms, their probabilities, and detector incidence.
+
+    ``mechanisms`` and ``detectors`` are index-array tables; readers take
+    mechanism footprints through ``footprints``.
+    """
 
     def __init__(
         self,
         code: CssCode,
         rounds: int,
         noise: NoiseModel,
-        detectors: List[Detector],
-        mechanisms: List[Mechanism],
+        detectors: DetectorTable,
+        mechanisms: MechanismTable,
         logicals: List[Tuple[str, int]],
     ):
         self.code = code
@@ -96,11 +185,9 @@ class DetectorModel:
         self.detectors = detectors
         self.mechanisms = mechanisms
         self.logicals = logicals
-        self.det_index: Dict[DetKey, int] = {
-            (d.sector, d.check, d.t): i for i, d in enumerate(detectors)
-        }
         self._incidence: Optional[np.ndarray] = None
-        self._incident_mechs: Optional[List[List[int]]] = None
+        # Each detector's mechanisms, ascending, as CSR (offsets, mechanisms).
+        self._incident: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._sector_lattices: Dict[str, Dict[Tuple[int, ...], int]] = {}
 
     @property
@@ -111,128 +198,192 @@ class DetectorModel:
     def n_mechanisms(self) -> int:
         return len(self.mechanisms)
 
+    @cached_property
+    def det_index(self) -> Dict[DetKey, int]:
+        d = self.detectors
+        sectors = [SECTORS[s] for s in d.sector.tolist()]
+        return {key: i for i, key in enumerate(zip(sectors, d.check.tolist(), d.t.tolist()))}
+
+    def footprints(self, mechs: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """Detectors flipped by ``mechs`` (default: every mechanism), as CSR.
+
+        Returns (offsets, detectors): the j-th mechanism flips
+        ``detectors[offsets[j]:offsets[j + 1]]``.
+        """
+        m = self.mechanisms
+        if mechs is None:
+            return m.det_ptr, m.det_cols
+        return _csr_rows(m.det_ptr, m.det_cols, mechs)
+
     def incidence(self) -> np.ndarray:
         """Dense incidence matrix M (detectors x mechanisms) over GF(2)."""
         if self._incidence is None:
+            ptr, dets = self.footprints()
             m = np.zeros((self.n_detectors, self.n_mechanisms), dtype=np.uint8)
-            for k, mech in enumerate(self.mechanisms):
-                for d in mech.detectors:
-                    m[d, k] = 1
+            m[dets, np.repeat(np.arange(self.n_mechanisms), np.diff(ptr))] = 1
             self._incidence = m
         return self._incidence
 
+    def _incident_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._incident is None:
+            ptr, dets = self.footprints()
+            mech_of = np.repeat(np.arange(self.n_mechanisms, dtype=_INDEX), np.diff(ptr))
+            # A stable sort keeps each detector's mechanisms ascending.
+            order = np.argsort(dets, kind="stable")
+            counts = np.bincount(dets, minlength=self.n_detectors)
+            self._incident = (_offsets(counts), mech_of[order])
+        return self._incident
+
     def incident_mechanisms(self, detector: int) -> List[int]:
-        if self._incident_mechs is None:
-            table: List[List[int]] = [[] for _ in range(self.n_detectors)]
-            for k, mech in enumerate(self.mechanisms):
-                for d in mech.detectors:
-                    table[d].append(k)
-            self._incident_mechs = table
-        return self._incident_mechs[detector]
+        ptr, mechs = self._incident_table()
+        detector = range(self.n_detectors)[detector]
+        return mechs[ptr[detector] : ptr[detector + 1]].tolist()
 
     def sector_lattice(self, sector: str) -> Mapping[Tuple[int, ...], int]:
         """Read-only {coords: detector index} of the detectors of one sector."""
         if sector not in self._sector_lattices:
-            self._sector_lattices[sector] = {
-                d.coords: i for i, d in enumerate(self.detectors) if d.sector == sector
-            }
+            d = self.detectors
+            code = SECTORS.index(sector) if sector in SECTORS[1:] else -1
+            ids = np.flatnonzero(d.sector == code)
+            coords = map(tuple, d.coords[ids].tolist())
+            self._sector_lattices[sector] = dict(zip(coords, ids.tolist()))
         return MappingProxyType(self._sector_lattices[sector])
 
     def region_mechanisms(self, region: Sequence[int]) -> List[int]:
         """Mechanisms incident to any detector in the region, sorted."""
-        seen = set()
-        for d in region:
-            seen.update(self.incident_mechanisms(d))
-        return sorted(seen)
+        ptr, mechs = self._incident_table()
+        hit = np.zeros(self.n_mechanisms, dtype=bool)
+        hit[_csr_rows(ptr, mechs, region)[1]] = True
+        return np.flatnonzero(hit).tolist()
 
     def mechanism_probs(self) -> np.ndarray:
-        return np.array([m.p for m in self.mechanisms], dtype=np.float64)
+        return self.mechanisms.p.copy()
 
     def logical_action(self) -> np.ndarray:
         """Binary matrix: rows = protected logical bits, columns = mechanisms."""
+        m = self.mechanisms
         act = np.zeros((len(self.logicals), self.n_mechanisms), dtype=np.uint8)
-        for k, mech in enumerate(self.mechanisms):
-            for l in mech.logical_flips:
-                act[l, k] = 1
+        act[m.flip_cols, np.repeat(np.arange(self.n_mechanisms), np.diff(m.flip_ptr))] = 1
         return act
 
     def to_text(self) -> str:
+        m = self.mechanisms
+        p_text = {p: f"{p:.12g}" for p in set(m.p.tolist())}
+        dets = [f"D{d}" for d in m.det_cols.tolist()]
+        logs = [f"L{l}" for l in m.flip_cols.tolist()]
+        dptr, fptr = m.det_ptr.tolist(), m.flip_ptr.tolist()
+        readout = KINDS.index("readout")
         lines = []
-        for mech in self.mechanisms:
-            loc = f"{mech.sector}{mech.index}" if mech.kind == "readout" else f"q{mech.index}"
-            dets = " ".join(f"D{d}" for d in mech.detectors)
-            logs = " ".join(f"L{l}" for l in mech.logical_flips)
-            lines.append(f"{mech.p:.12g} {mech.kind} {loc} t{mech.time} {dets} {logs}".rstrip())
+        for k, (p, kind, sector, index, time) in enumerate(
+            zip(m.p.tolist(), m.kind.tolist(), m.sector.tolist(), m.index.tolist(), m.time.tolist())
+        ):
+            loc = f"{SECTORS[sector]}{index}" if kind == readout else f"q{index}"
+            d = " ".join(dets[dptr[k] : dptr[k + 1]])
+            l = " ".join(logs[fptr[k] : fptr[k + 1]])
+            lines.append(f"{p_text[p]} {KINDS[kind]} {loc} t{time} {d} {l}".rstrip())
         return "\n".join(lines) + "\n"
 
     def model_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
+def _per_interface(mat: np.ndarray, shifts: np.ndarray, scale: int = 1):
+    """Row lengths and values of a CSR over qubits, once per interface, interface-major.
+
+    Qubit i's row lists the rows r of ``mat`` with ``mat[r, i]`` set, ascending,
+    each as ``r * scale``; the copy for interface t adds ``shifts[t]``.
+    """
+    qubit, row = np.nonzero(mat.T)
+    lengths = np.bincount(qubit, minlength=mat.shape[1])
+    return np.tile(lengths, shifts.size), (row * scale + shifts[:, None]).ravel()
+
+
 def build_detector_model(code: CssCode, rounds: int, noise: NoiseModel) -> DetectorModel:
     """Build the detector error model of a T-round extraction circuit.
 
     Mechanisms with zero probability are omitted; the appended perfect round
-    carries no mechanisms of any kind.
+    carries no mechanisms of any kind. Detector (sector, c, t) has index
+    base(sector) + c (T+1) + t, Z sector first. Mechanisms come data X
+    (interface by interface, qubit by qubit), then data Z, then readout
+    (Z sector then X, round by round, check by check).
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     T = rounds
+    per_check = T + 1
+    nz, nx, n = code.n_z_checks, code.n_x_checks, code.n_qubits
+    x_base = nz * per_check
 
-    detectors: List[Detector] = []
-    for sector, n_checks, coords in (
-        ("z", code.n_z_checks, code.z_check_coords),
-        ("x", code.n_x_checks, code.x_check_coords),
-    ):
-        for c in range(n_checks):
-            for t in range(T + 1):
-                detectors.append(Detector(sector, c, t, (*coords[c], t)))
-    det_index = {(d.sector, d.check, d.t): i for i, d in enumerate(detectors)}
+    space = np.array([*code.z_check_coords, *code.x_check_coords], dtype=_INDEX)
+    t = np.tile(np.arange(per_check, dtype=_INDEX), nz + nx)
+    detectors = DetectorTable(
+        sector=np.repeat(np.array([SECTORS.index("z"), SECTORS.index("x")], dtype=np.int8),
+                         [nz * per_check, nx * per_check]),
+        check=np.repeat(np.r_[np.arange(nz), np.arange(nx)].astype(_INDEX), per_check),
+        t=t,
+        coords=np.column_stack([
+            np.repeat(space.reshape(nz + nx, len(code.space_shape)), per_check, axis=0), t
+        ]),
+    )
 
     # Protected logical bits: Z-logicals always; X-logicals only when Z errors
     # are detectable at all (the code has X-checks).
-    logicals: List[Tuple[str, int]] = [("z", j) for j in range(code.z_logicals.shape[0])]
-    if code.n_x_checks > 0:
+    n_zl = code.z_logicals.shape[0]
+    logicals: List[Tuple[str, int]] = [("z", j) for j in range(n_zl)]
+    if nx > 0:
         logicals += [("x", j) for j in range(code.x_logicals.shape[0])]
-    logical_pos = {lab: i for i, lab in enumerate(logicals)}
 
-    z_of_qubit: List[List[int]] = [[] for _ in range(code.n_qubits)]
-    for c in range(code.n_z_checks):
-        for i in code.check_support("z", c):
-            z_of_qubit[i].append(c)
-    x_of_qubit: List[List[int]] = [[] for _ in range(code.n_qubits)]
-    for b in range(code.n_x_checks):
-        for i in code.check_support("x", b):
-            x_of_qubit[i].append(b)
+    # The mechanisms come in blocks, one per kind (and per sector for
+    # readout); footprints and logical flips as (row lengths, values).
+    blocks: List[Dict[str, np.ndarray]] = []
 
-    mechanisms: List[Mechanism] = []
+    def add(kind, sector, p, index, time, dets, flips):
+        size = index.size
+        blocks.append({
+            "p": np.full(size, p), "kind": np.full(size, KINDS.index(kind), dtype=np.int8),
+            "sector": np.full(size, SECTORS.index(sector), dtype=np.int8),
+            "index": index.astype(_INDEX), "time": time.astype(_INDEX),
+            "det_len": dets[0], "det": dets[1].astype(_INDEX), "flip_len": flips[0],
+            "flip": flips[1].astype(_INDEX),
+        })
+
+    interfaces = np.arange(T)
+    qubits, times = np.tile(np.arange(n), T), np.repeat(interfaces, n)
     if noise.p_x > 0:
-        for t in range(T):
-            for i in range(code.n_qubits):
-                dets = tuple(det_index[("z", c, t)] for c in z_of_qubit[i])
-                flips = tuple(
-                    logical_pos[("z", j)]
-                    for j in range(code.z_logicals.shape[0])
-                    if code.z_logicals[j, i]
-                )
-                mechanisms.append(Mechanism("data_x", "", i, t, noise.p_x, dets, flips))
+        # Qubit i at interface t flips detector (z, c, t) of each of its Z-checks c.
+        dets = _per_interface(code.z_checks, interfaces, scale=per_check)
+        flips = _per_interface(code.z_logicals, 0 * interfaces)
+        add("data_x", "", noise.p_x, qubits, times, dets, flips)
     if noise.p_z > 0:
-        for t in range(T):
-            for i in range(code.n_qubits):
-                dets = tuple(det_index[("x", b, t + 1)] for b in x_of_qubit[i])
-                flips = tuple(
-                    logical_pos[("x", j)]
-                    for j in range(code.x_logicals.shape[0])
-                    if ("x", j) in logical_pos and code.x_logicals[j, i]
-                )
-                mechanisms.append(Mechanism("data_z", "", i, t, noise.p_z, dets, flips))
+        # ... and a Z error flips (x, b, t + 1) of each of its X-checks b.
+        dets = _per_interface(code.x_checks, x_base + 1 + interfaces, scale=per_check)
+        x_logicals = code.x_logicals if nx > 0 else code.x_logicals[:0]
+        flips = _per_interface(x_logicals, n_zl + 0 * interfaces)
+        add("data_z", "", noise.p_z, qubits, times, dets, flips)
     if noise.q > 0:
-        for sector, n_checks in (("z", code.n_z_checks), ("x", code.n_x_checks)):
-            for r in range(1, T + 1):
-                for c in range(n_checks):
-                    dets = (det_index[(sector, c, r - 1)], det_index[(sector, c, r)])
-                    mechanisms.append(Mechanism("readout", sector, c, r, noise.q, dets, ()))
+        for sector, base, nc in (("z", 0, nz), ("x", x_base, nx)):
+            # Round r flips (c, r - 1) and (c, r) of each check c.
+            first = base + np.arange(nc) * per_check + interfaces[:, None]
+            dets = (np.full(T * nc, 2), np.stack([first, first + 1], axis=-1).ravel())
+            flips = (np.zeros(T * nc, dtype=np.intp), interfaces[:0])
+            add("readout", sector, noise.q, np.tile(np.arange(nc), T),
+                np.repeat(interfaces + 1, nc), dets, flips)
 
+    def column(name, dtype=_INDEX):
+        parts = [b.pop(name) for b in blocks]  # each block's part is freed once joined
+        return np.concatenate([np.zeros(0, dtype), *parts]).astype(dtype, copy=False)
+
+    mechanisms = MechanismTable(
+        p=column("p", np.float64),
+        kind=column("kind", np.int8),
+        sector=column("sector", np.int8),
+        index=column("index"),
+        time=column("time"),
+        det_ptr=_offsets(column("det_len", np.intp)),
+        det_cols=column("det"),
+        flip_ptr=_offsets(column("flip_len", np.intp)),
+        flip_cols=column("flip"),
+    )
     return DetectorModel(code, T, noise, detectors, mechanisms, logicals)
 
 
@@ -243,10 +394,8 @@ def detector_flip_probability(model: DetectorModel, detector: int) -> float:
     """
     if not (0 <= detector < model.n_detectors):
         raise ValueError(f"detector index {detector} out of range")
-    prod = 1.0
-    for k in model.incident_mechanisms(detector):
-        prod *= 1.0 - 2.0 * model.mechanisms[k].p
-    return (1.0 - prod) / 2.0
+    p = model.mechanism_probs()[model.incident_mechanisms(detector)]
+    return (1.0 - math.prod((1.0 - 2.0 * p).tolist())) / 2.0
 
 
 def detectors_from_errors(model: DetectorModel, error_bits: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ detector model can be checked against a second, unrelated construction.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -22,7 +23,7 @@ from stmarkov.sampler import (
     chunk_bounds,
     stream_key,
 )
-from stmarkov.spacetime import DetectorModel
+from stmarkov.spacetime import DetectorModel, Detector, Mechanism, NoiseModel
 from stmarkov.tableau import Tableau
 
 
@@ -58,6 +59,131 @@ def history_from_errors(
             flip = 1 if r <= T and ("x", b, r) in readout else 0
             hist[code.n_z_checks + b, r - 1] = acc ^ flip
     return hist
+
+
+class LoopDetectorModel:
+    """The detector model as lists of ``Mechanism`` and ``Detector`` objects.
+
+    The reference for the package's index-array ``DetectorModel``: every
+    table is built by a loop over the objects.
+    """
+
+    def __init__(self, code, rounds, noise, detectors, mechanisms, logicals):
+        self.code = code
+        self.rounds = rounds
+        self.noise = noise
+        self.detectors = detectors
+        self.mechanisms = mechanisms
+        self.logicals = logicals
+        self.det_index = {(d.sector, d.check, d.t): i for i, d in enumerate(detectors)}
+
+    @property
+    def n_detectors(self) -> int:
+        return len(self.detectors)
+
+    @property
+    def n_mechanisms(self) -> int:
+        return len(self.mechanisms)
+
+    def incidence(self) -> np.ndarray:
+        m = np.zeros((self.n_detectors, self.n_mechanisms), dtype=np.uint8)
+        for k, mech in enumerate(self.mechanisms):
+            for d in mech.detectors:
+                m[d, k] = 1
+        return m
+
+    def incident_mechanisms(self, detector: int) -> List[int]:
+        return [k for k, mech in enumerate(self.mechanisms) if detector in mech.detectors]
+
+    def region_mechanisms(self, region: Sequence[int]) -> List[int]:
+        region = set(region)
+        return [k for k, mech in enumerate(self.mechanisms) if region & set(mech.detectors)]
+
+    def sector_lattice(self, sector: str) -> Dict[Tuple[int, ...], int]:
+        return {d.coords: i for i, d in enumerate(self.detectors) if d.sector == sector}
+
+    def mechanism_probs(self) -> np.ndarray:
+        return np.array([m.p for m in self.mechanisms], dtype=np.float64)
+
+    def logical_action(self) -> np.ndarray:
+        act = np.zeros((len(self.logicals), self.n_mechanisms), dtype=np.uint8)
+        for k, mech in enumerate(self.mechanisms):
+            for l in mech.logical_flips:
+                act[l, k] = 1
+        return act
+
+    def to_text(self) -> str:
+        lines = []
+        for mech in self.mechanisms:
+            loc = f"{mech.sector}{mech.index}" if mech.kind == "readout" else f"q{mech.index}"
+            dets = " ".join(f"D{d}" for d in mech.detectors)
+            logs = " ".join(f"L{l}" for l in mech.logical_flips)
+            lines.append(f"{mech.p:.12g} {mech.kind} {loc} t{mech.time} {dets} {logs}".rstrip())
+        return "\n".join(lines) + "\n"
+
+    def model_hash(self) -> str:
+        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+
+
+def loop_build_detector_model(code: CssCode, rounds: int, noise: NoiseModel) -> LoopDetectorModel:
+    """The detector model built one (qubit, round) and one (check, round) at a time.
+
+    Same layout as ``build_detector_model``: detectors sector by sector,
+    check by check, t = 0..T; mechanisms data X, data Z, then readout.
+    """
+    T = rounds
+    detectors: List[Detector] = []
+    for sector, n_checks, coords in (
+        ("z", code.n_z_checks, code.z_check_coords),
+        ("x", code.n_x_checks, code.x_check_coords),
+    ):
+        for c in range(n_checks):
+            for t in range(T + 1):
+                detectors.append(Detector(sector, c, t, (*coords[c], t)))
+    det_index = {(d.sector, d.check, d.t): i for i, d in enumerate(detectors)}
+
+    logicals: List[Tuple[str, int]] = [("z", j) for j in range(code.z_logicals.shape[0])]
+    if code.n_x_checks > 0:
+        logicals += [("x", j) for j in range(code.x_logicals.shape[0])]
+    logical_pos = {lab: i for i, lab in enumerate(logicals)}
+
+    z_of_qubit: List[List[int]] = [[] for _ in range(code.n_qubits)]
+    for c in range(code.n_z_checks):
+        for i in code.check_support("z", c):
+            z_of_qubit[i].append(c)
+    x_of_qubit: List[List[int]] = [[] for _ in range(code.n_qubits)]
+    for b in range(code.n_x_checks):
+        for i in code.check_support("x", b):
+            x_of_qubit[i].append(b)
+
+    mechanisms: List[Mechanism] = []
+    if noise.p_x > 0:
+        for t in range(T):
+            for i in range(code.n_qubits):
+                dets = tuple(det_index[("z", c, t)] for c in z_of_qubit[i])
+                flips = tuple(
+                    logical_pos[("z", j)]
+                    for j in range(code.z_logicals.shape[0])
+                    if code.z_logicals[j, i]
+                )
+                mechanisms.append(Mechanism("data_x", "", i, t, noise.p_x, dets, flips))
+    if noise.p_z > 0:
+        for t in range(T):
+            for i in range(code.n_qubits):
+                dets = tuple(det_index[("x", b, t + 1)] for b in x_of_qubit[i])
+                flips = tuple(
+                    logical_pos[("x", j)]
+                    for j in range(code.x_logicals.shape[0])
+                    if ("x", j) in logical_pos and code.x_logicals[j, i]
+                )
+                mechanisms.append(Mechanism("data_z", "", i, t, noise.p_z, dets, flips))
+    if noise.q > 0:
+        for sector, n_checks in (("z", code.n_z_checks), ("x", code.n_x_checks)):
+            for r in range(1, T + 1):
+                for c in range(n_checks):
+                    dets = (det_index[(sector, c, r - 1)], det_index[(sector, c, r)])
+                    mechanisms.append(Mechanism("readout", sector, c, r, noise.q, dets, ()))
+    return LoopDetectorModel(code, T, noise, detectors, mechanisms, logicals)
 
 
 def detectors_from_history(model: DetectorModel, hist: np.ndarray) -> np.ndarray:

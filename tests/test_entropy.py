@@ -35,9 +35,11 @@ from stmarkov.foliation import foliate
 from stmarkov.markov import _region_table
 from stmarkov.sampler import SampleBatch, chunk_bounds, sample_batch
 from stmarkov.spacetime import (
-    Detector,
+    KINDS,
+    SECTORS,
     DetectorModel,
-    Mechanism,
+    DetectorTable,
+    MechanismTable,
     NoiseModel,
     build_detector_model,
 )
@@ -51,14 +53,32 @@ def binary_entropy(p):
 
 
 def toy_model(mech_specs):
-    """Hand-built DetectorModel: mech_specs = [(p, (detector indices...))]."""
+    """Hand-built DetectorModel: mech_specs = [(p, (detector indices...))].
+
+    Detector i is ("z", i, 0) at (i, 0); mechanism k is a data X error on
+    qubit k at interface 0 that flips its listed detectors.
+    """
     n_det = 1 + max((d for _, dets in mech_specs for d in dets), default=0)
+    n_mech = len(mech_specs)
     code = repetition_code(3)  # carrier only; geometry unused here
-    detectors = [Detector("z", i, 0, (i, 0)) for i in range(n_det)]
-    mechanisms = [
-        Mechanism("data_x", "", i, 0, p, tuple(dets), ())
-        for i, (p, dets) in enumerate(mech_specs)
-    ]
+    ids = np.arange(n_det)
+    detectors = DetectorTable(
+        sector=np.full(n_det, SECTORS.index("z"), dtype=np.int8),
+        check=ids,
+        t=np.zeros(n_det, dtype=int),
+        coords=np.column_stack([ids, np.zeros(n_det, dtype=int)]),
+    )
+    mechanisms = MechanismTable(
+        p=np.array([p for p, _ in mech_specs], dtype=np.float64),
+        kind=np.full(n_mech, KINDS.index("data_x"), dtype=np.int8),
+        sector=np.full(n_mech, SECTORS.index(""), dtype=np.int8),
+        index=np.arange(n_mech),
+        time=np.zeros(n_mech, dtype=int),
+        det_ptr=np.cumsum([0] + [len(dets) for _, dets in mech_specs]),
+        det_cols=np.array([d for _, dets in mech_specs for d in dets], dtype=int),
+        flip_ptr=np.zeros(n_mech + 1, dtype=int),
+        flip_cols=np.zeros(0, dtype=int),
+    )
     return DetectorModel(code, 1, NoiseModel(0.1, 0.0, 0.1), detectors, mechanisms, [])
 
 

@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -24,6 +27,7 @@ from stmarkov.markov import (
     interpolate_peak,
     ladder_band_t0,
     markov_length,
+    rate_points,
     sweep_cells,
     validate_tripartition,
 )
@@ -723,3 +727,25 @@ def test_cross_module_calls_go_through_module_globals(monkeypatch):
         "build_tripartition": 2 * n_anchors, "subset_patterns": n_anchors * n_chunks,
         "sample_batch": 1,
     }
+
+
+def test_import_loads_no_multiprocessing():
+    """The process pool module is imported where a pool is made, so a plain
+    import of the package loads no multiprocessing."""
+    import stmarkov
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stmarkov.__file__)))
+    script = "import sys, stmarkov; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_rate_points_jobs_change_no_point():
+    args = ("repetition", [(6, 4), (8, 6)], [0.05, 0.12], 300, 2)
+    serial = list(rate_points(*args))
+    assert [(rp.L, rp.T, rp.p) for rp in serial] == [
+        (6, 4, 0.05), (6, 4, 0.12), (8, 6, 0.05), (8, 6, 0.12)
+    ]
+    assert list(rate_points(*args, jobs=2)) == serial

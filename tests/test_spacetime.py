@@ -1,11 +1,22 @@
+import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import history_from_errors, detectors_from_history, oracle_detectors
+from oracles import (
+    detectors_from_history,
+    history_from_errors,
+    loop_build_detector_model,
+    oracle_detectors,
+)
 
+from stmarkov import spacetime
 from stmarkov.codes import repetition_code, toric_code
+from stmarkov.decoder import decode, logical_error_rate
+from stmarkov.markov import averaged_cmi_ladder
 from stmarkov.spacetime import (
     NoiseModel,
     Tripartition,
@@ -212,3 +223,89 @@ def test_model_text_and_hash_stable():
     assert "data_x" in text and "readout" in text
     again = build_detector_model(repetition_code(3), 1, NoiseModel.phenomenological(0.25))
     assert model.model_hash() == again.model_hash()
+
+
+def _typed_fields(record):
+    """(name, type, value) of each field of a Mechanism or Detector; tuples element-wise."""
+    out = []
+    for f in dataclasses.fields(record):
+        v = getattr(record, f.name)
+        out.append((f.name, type(v), tuple(map(type, v)) if isinstance(v, tuple) else None, v))
+    return out
+
+
+_rate = st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["repetition", "toric"]),
+    L=st.integers(3, 5),
+    T=st.integers(1, 4),
+    p_x=_rate,
+    p_z=_rate,
+    q=_rate,
+)
+def test_array_build_matches_loop_build(family, L, T, p_x, p_z, q):
+    """The index-array model equals the per-(qubit, round) loop build: every
+    record field by field with its type, and every table read off it."""
+    code = (repetition_code if family == "repetition" else toric_code)(L)
+    noise = NoiseModel(p_x, p_z, q)
+    model = build_detector_model(code, T, noise)
+    ref = loop_build_detector_model(code, T, noise)
+    for ours, theirs in ((model.mechanisms, ref.mechanisms), (model.detectors, ref.detectors)):
+        assert len(ours) == len(theirs)
+        assert [_typed_fields(r) for r in ours] == [_typed_fields(r) for r in theirs]
+    assert model.logicals == ref.logicals
+    assert list(model.det_index.items()) == list(ref.det_index.items())
+    assert np.array_equal(model.incidence(), ref.incidence())
+    for d in range(model.n_detectors):
+        assert model.incident_mechanisms(d) == ref.incident_mechanisms(d)
+    assert np.array_equal(model.logical_action(), ref.logical_action())
+    probs = model.mechanism_probs()
+    assert probs.dtype == np.float64 and np.array_equal(probs, ref.mechanism_probs())
+    for sector in ("z", "x"):
+        lattice = model.sector_lattice(sector)
+        assert list(lattice.items()) == list(ref.sector_lattice(sector).items())
+    region = list(range(0, model.n_detectors, 3))
+    assert model.region_mechanisms(region) == ref.region_mechanisms(region)
+    assert model.model_hash() == ref.model_hash()
+
+
+def test_hot_path_builds_no_records(monkeypatch):
+    """The benchmark's set-up calls, a toric CMI ladder and a decoder rate
+    read the index arrays alone: no Mechanism or Detector is built."""
+
+    def refuse(*args):
+        raise AssertionError("a Mechanism or Detector was built")
+
+    monkeypatch.setattr(spacetime, "Mechanism", refuse)
+    monkeypatch.setattr(spacetime, "Detector", refuse)
+    toric = build_detector_model(toric_code(4), 6, NoiseModel.phenomenological(0.03))
+    toric.incident_mechanisms(0)
+    rep = build_detector_model(repetition_code(8), 8, NoiseModel.phenomenological(0.1))
+    rep.incidence()
+    decode(rep, np.zeros(rep.n_detectors, dtype=np.uint8))
+    points = averaged_cmi_ladder(toric, (1, 2, 3), 3000, 1, wA=1, wC=1)
+    assert len(points) == 3
+    assert logical_error_rate(rep, 200, 1).shots == 200
+    with pytest.raises(AssertionError, match="was built"):
+        toric.mechanisms[0]
+    with pytest.raises(AssertionError, match="was built"):
+        toric.detectors[0]
+
+
+def test_toric_32_model_is_small_and_hashes_as_before():
+    """At L = T = 32 the model and its incident table peak under 16 MB (the
+    objects of a per-(qubit, round) build held 64 MB), and the model text
+    hashes as it did when built that way."""
+    code = toric_code(32)
+    tracemalloc.start()
+    try:
+        model = build_detector_model(code, 32, NoiseModel.phenomenological(0.03))
+        model.incident_mechanisms(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert model.model_hash() == "b2e1d90bc9af73a7"
