@@ -56,9 +56,16 @@ class CssCode:
     def n_x_checks(self) -> int:
         return self.x_checks.shape[0]
 
+    def checks(self, sector: str) -> np.ndarray:
+        """The parity checks of a sector, ``"z"`` or ``"x"``."""
+        return self.z_checks if sector == "z" else self.x_checks
+
+    def logicals(self, sector: str) -> np.ndarray:
+        """The logical representatives of a sector, ``"z"`` or ``"x"``."""
+        return self.z_logicals if sector == "z" else self.x_logicals
+
     def check_support(self, sector: str, c: int) -> np.ndarray:
-        mat = self.z_checks if sector == "z" else self.x_checks
-        return np.flatnonzero(mat[c])
+        return np.flatnonzero(self.checks(sector)[c])
 
     def to_json(self) -> str:
         payload = {
@@ -184,47 +191,29 @@ def validate_code(code: CssCode) -> ValidationReport:
     """
     failures: List[Tuple[str, str]] = []
 
-    def overlap(a: np.ndarray, b: np.ndarray) -> int:
-        return int(np.dot(a.astype(np.int64), b.astype(np.int64)) % 2)
+    def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Overlap parity of each row of a with each row of b."""
+        return (a.astype(np.int64) @ b.T.astype(np.int64)) % 2
 
-    done = False
-    for i in range(code.n_z_checks):
-        for j in range(code.n_x_checks):
-            if overlap(code.z_checks[i], code.x_checks[j]):
-                failures.append(("css_commutation", f"z_check {i} vs x_check {j}"))
-                done = True
-                break
-        if done:
-            break
+    css = np.argwhere(overlaps(code.z_checks, code.x_checks))
+    if css.size:
+        failures.append(("css_commutation", "z_check {} vs x_check {}".format(*css[0])))
+    for sector, other in (("z", "x"), ("x", "z")):
+        for j, row in enumerate(overlaps(code.logicals(sector), code.checks(other))):
+            if row.any():
+                failures.append((f"{sector}_logical_commutes_{other}_checks",
+                                 f"{sector}_logical {j} vs {other}_check {row.argmax()}"))
 
-    for j, zl in enumerate(code.z_logicals):
-        for i, xc in enumerate(code.x_checks):
-            if overlap(zl, xc):
-                failures.append(("z_logical_commutes_x_checks", f"z_logical {j} vs x_check {i}"))
-                break
-    for j, xl in enumerate(code.x_logicals):
-        for i, zc in enumerate(code.z_checks):
-            if overlap(xl, zc):
-                failures.append(("x_logical_commutes_z_checks", f"x_logical {j} vs z_check {i}"))
-                break
+    pairing = overlaps(code.z_logicals, code.x_logicals)
+    for a, b in np.ndindex(pairing.shape):
+        if pairing[a, b] != (a == b):
+            kind = "paired_logicals_anticommute" if a == b else "unpaired_logicals_commute"
+            failures.append((kind, f"z_logical {a} vs x_logical {b}"))
 
-    k = min(code.z_logicals.shape[0], code.x_logicals.shape[0])
-    for a in range(code.z_logicals.shape[0]):
-        for b in range(code.x_logicals.shape[0]):
-            want = 1 if (a == b and a < k) else 0
-            got = overlap(code.z_logicals[a], code.x_logicals[b])
-            if got != want:
-                kind = "paired_logicals_anticommute" if want else "unpaired_logicals_commute"
-                failures.append((kind, f"z_logical {a} vs x_logical {b}"))
-
-    for name, logs, checks in (
-        ("z_logical_not_in_z_rowspan", code.z_logicals, code.z_checks),
-        ("x_logical_not_in_x_rowspan", code.x_logicals, code.x_checks),
-    ):
-        rows = matrix_to_rows(checks)
-        for j in range(logs.shape[0]):
-            vec = matrix_to_rows(logs[j : j + 1])[0]
+    for sector in ("z", "x"):
+        rows = matrix_to_rows(code.checks(sector))
+        for j, vec in enumerate(matrix_to_rows(code.logicals(sector))):
             if vec == 0 or gf2_in_rowspan(vec, rows):
-                failures.append((name, f"logical {j}"))
+                failures.append((f"{sector}_logical_not_in_{sector}_rowspan", f"logical {j}"))
 
     return ValidationReport(ok=not failures, failures=failures)

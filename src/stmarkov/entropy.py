@@ -23,7 +23,7 @@ import numpy as np
 
 from .codes import CssCode
 from .gf2 import gf2_dependencies, gf2_rank, gf2_solve
-from .spacetime import KINDS, SECTORS, DetectorModel, NoiseModel, build_detector_model
+from .spacetime import KINDS, SECTOR_SHIFT, SECTORS, DetectorModel, NoiseModel, build_detector_model
 
 LN2 = math.log(2.0)
 
@@ -194,9 +194,7 @@ def exact_region_dist(
     little-endian in the given order. Refused above ``cap`` incident
     mechanisms.
     """
-    region = list(region)
-    if not region:
-        raise ValueError("region must be nonempty")
+    region = model.checked_region(region)
     mechs = model.region_mechanisms(region)
     if len(mechs) > cap:
         raise BruteForceCapExceeded(len(mechs), cap)
@@ -273,8 +271,9 @@ def _syndrome_structure(
     """Mechanism masks and teleportation-frame masks per region syndrome bit.
 
     Frame columns are the X-measurement outcomes of code-qubit copies whose
-    byproducts enter each measured syndrome: half-integer layers below a
-    Z-check instance, integer layers (from 0) below an X-check instance.
+    byproducts enter each measured syndrome: for round r of a check, the
+    copies of its support at ticks 2t + 1 - shift, t = 0..r-1, with shift
+    its sector's ``SECTOR_SHIFT``.
     """
     code = model.code
     T = model.rounds
@@ -283,14 +282,14 @@ def _syndrome_structure(
     frame_masks: List[int] = []
     ucols: Dict[Tuple[int, int], int] = {}  # frame column of each (qubit, tick)
     for sector, c, r in region:
-        n_checks = code.n_z_checks if sector == "z" else code.n_x_checks
-        if not (0 <= c < n_checks and 1 <= r <= T + 1):
+        if not (sector in SECTOR_SHIFT and 0 <= c < len(code.checks(sector)) and 1 <= r <= T + 1):
             raise ValueError(f"syndrome ({sector},{c},{r}) outside the run")
+        shift = SECTOR_SHIFT[sector]
         sup = set(int(i) for i in code.check_support(sector, c))
-        # Data errors before the measurement on the check's support, and the
-        # check's own readout flip of round r.
+        # Data errors on the check's support at interfaces before its round-r
+        # measurement, and the check's own readout flip of round r.
         data = mechs.kind == KINDS.index("data_x" if sector == "z" else "data_z")
-        before = mechs.time < (r if sector == "z" else r - 1)
+        before = mechs.time < r - shift
         readout = (mechs.kind == KINDS.index("readout")) & (mechs.sector == SECTORS.index(sector))
         hit = (data & np.isin(mechs.index, list(sup)) & before) | (
             readout & (mechs.index == c) & (mechs.time == r)
@@ -299,8 +298,7 @@ def _syndrome_structure(
         fm = 0
         for i in sup:
             for t in range(r):
-                tick = 2 * t + 1 if sector == "z" else 2 * t
-                fm |= 1 << ucols.setdefault((i, tick), len(ucols))
+                fm |= 1 << ucols.setdefault((i, 2 * t + 1 - shift), len(ucols))
         mech_masks.append(mm)
         frame_masks.append(fm)
     return mech_masks, frame_masks
@@ -381,9 +379,9 @@ def entropy_decomposition_check(
 
 def full_syndrome_region(model: DetectorModel) -> List[Tuple[str, int, int]]:
     """All (sector, check, round) syndrome coordinates including the perfect round."""
-    out = []
-    for sector, n_checks in (("z", model.code.n_z_checks), ("x", model.code.n_x_checks)):
-        for c in range(n_checks):
-            for r in range(1, model.rounds + 2):
-                out.append((sector, c, r))
-    return out
+    return [
+        (sector, c, r)
+        for sector in SECTOR_SHIFT
+        for c in range(len(model.code.checks(sector)))
+        for r in range(1, model.rounds + 2)
+    ]

@@ -3,10 +3,10 @@
 A circuit with T noisy rounds plus the appended perfect round maps to a
 resource state with m_f = T + 1 integer layers above the input layer. Layers
 are labeled 0, 1/2, 1, ..., m_f and stored as integer ticks (tick = 2 x layer).
-Every layer holds a copy of the code qubits; Z-check syndrome qubits sit in
-integer layers 1..m_f and X-check syndrome qubits in half-integer layers
-1/2..m_f - 1/2. There is no layer m_f + 1/2, and layer 0 has no syndrome
-qubits (the input code state is perfect).
+Every layer holds a copy of the code qubits. A sector's syndrome qubits of
+round r = 1..m_f sit at tick 2r - ``spacetime.SECTOR_SHIFT[sector]``: Z-checks
+in integer layers, X-checks half a layer lower. There is no layer m_f + 1/2,
+and layer 0 has no syndrome qubits (the input code state is perfect).
 
 Detector cells and the logical-linking stabilizers are emitted as sparse
 Pauli operators over sites; cells are in bijection with the circuit's
@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Tuple
 import numpy as np
 
 from .codes import CssCode
-from .spacetime import DetKey, Mechanism
+from .spacetime import SECTOR_SHIFT, DetKey, Mechanism
 
 Site = Tuple[str, int, int]  # ("d", qubit, tick) | ("sz"/"sx", check, tick)
 
@@ -76,27 +76,24 @@ class ResourceState:
         self.m_f = m_f
         self.sites: List[Site] = []
         self.site_index: Dict[Site, int] = {}
+        # A sector's syndrome qubits of round r sit at tick 2r - shift, r = 1..m_f.
+        ticks = {s: range(2 - shift, 2 * m_f + 1 - shift, 2) for s, shift in SECTOR_SHIFT.items()}
         for tick in range(2 * m_f + 1):
             for i in range(code.n_qubits):
                 self._add(("d", i, tick))
-            if tick % 2 == 0 and tick >= 2:
-                for c in range(code.n_z_checks):
-                    self._add(("sz", c, tick))
-            if tick % 2 == 1 and tick <= 2 * m_f - 1:
-                for b in range(code.n_x_checks):
-                    self._add(("sx", b, tick))
+            for sector in SECTOR_SHIFT:
+                if tick in ticks[sector]:
+                    for c in range(len(code.checks(sector))):
+                        self._add(("s" + sector, c, tick))
         self.cz_edges: List[Tuple[int, int]] = []
         for i in range(code.n_qubits):
             for tick in range(2 * m_f):
                 self._edge(("d", i, tick), ("d", i, tick + 1))
-        for tick in range(2, 2 * m_f + 1, 2):
-            for c in range(code.n_z_checks):
-                for i in code.check_support("z", c):
-                    self._edge(("sz", c, tick), ("d", int(i), tick))
-        for tick in range(1, 2 * m_f, 2):
-            for b in range(code.n_x_checks):
-                for i in code.check_support("x", b):
-                    self._edge(("sx", b, tick), ("d", int(i), tick))
+        for sector in SECTOR_SHIFT:
+            for tick in ticks[sector]:
+                for c in range(len(code.checks(sector))):
+                    for i in code.check_support(sector, c):
+                        self._edge(("s" + sector, c, tick), ("d", int(i), tick))
         self._adj: List[List[int]] = [[] for _ in self.sites]
         for u, v in self.cz_edges:
             self._adj[u].append(v)
@@ -132,43 +129,31 @@ class ResourceState:
 
     def _build_cells(self) -> None:
         code, m_f = self.code, self.m_f
-        for c in range(code.n_z_checks):
-            sup = [int(i) for i in code.check_support("z", c)]
-            for t in range(m_f):
-                sites = [self.site_index[("d", i, 2 * t + 1)] for i in sup]
-                sites.append(self.site_index[("sz", c, 2 * t + 2)])
-                if t >= 1:
-                    sites.append(self.site_index[("sz", c, 2 * t)])
-                self.detector_keys.append(("z", c, t))
-                self.cells.append(tuple(sorted(sites)))
-        for b in range(code.n_x_checks):
-            sup = [int(i) for i in code.check_support("x", b)]
-            for t in range(m_f):
-                sites = [self.site_index[("d", i, 2 * t)] for i in sup]
-                sites.append(self.site_index[("sx", b, 2 * t + 1)])
-                if t >= 1:
-                    sites.append(self.site_index[("sx", b, 2 * t - 1)])
-                self.detector_keys.append(("x", b, t))
-                self.cells.append(tuple(sorted(sites)))
+        for sector, shift in SECTOR_SHIFT.items():
+            for c in range(len(code.checks(sector))):
+                sup = [int(i) for i in code.check_support(sector, c)]
+                for t in range(m_f):
+                    # The data copies between the syndromes of rounds t and t + 1
+                    # (round 0, the perfect input, has no syndrome qubit).
+                    sites = [self.site_index[("d", i, 2 * t + 1 - shift)] for i in sup]
+                    sites.append(self.site_index[("s" + sector, c, 2 * t + 2 - shift)])
+                    if t >= 1:
+                        sites.append(self.site_index[("s" + sector, c, 2 * t - shift)])
+                    self.detector_keys.append((sector, c, t))
+                    self.cells.append(tuple(sorted(sites)))
 
     def _build_lbl(self) -> None:
         code, m_f = self.code, self.m_f
-        for j in range(code.z_logicals.shape[0]):
-            sup = [int(i) for i in np.flatnonzero(code.z_logicals[j])]
-            l0 = tuple(self.site_index[("d", i, 0)] for i in sup)
-            lm = tuple(self.site_index[("d", i, 2 * m_f)] for i in sup)
-            bulk = tuple(
-                self.site_index[("d", i, 2 * k + 1)] for k in range(m_f) for i in sup
-            )
-            self.lbl.append(LblStabilizer("z", j, l0, bulk, lm))
-        for j in range(code.x_logicals.shape[0]):
-            sup = [int(i) for i in np.flatnonzero(code.x_logicals[j])]
-            l0 = tuple(self.site_index[("d", i, 0)] for i in sup)
-            lm = tuple(self.site_index[("d", i, 2 * m_f)] for i in sup)
-            bulk = tuple(
-                self.site_index[("d", i, 2 * k)] for k in range(1, m_f) for i in sup
-            )
-            self.lbl.append(LblStabilizer("x", j, l0, bulk, lm))
+        for sector, shift in SECTOR_SHIFT.items():
+            for j, row in enumerate(code.logicals(sector)):
+                sup = [int(i) for i in np.flatnonzero(row)]
+                l0 = tuple(self.site_index[("d", i, 0)] for i in sup)
+                lm = tuple(self.site_index[("d", i, 2 * m_f)] for i in sup)
+                bulk = tuple(
+                    self.site_index[("d", i, 2 * k + 1 - shift)]
+                    for k in range(shift, m_f) for i in sup
+                )
+                self.lbl.append(LblStabilizer(sector, j, l0, bulk, lm))
 
     def graph_generators(self) -> List[PauliOp]:
         """Stabilizer generators of the noiseless resource state.
@@ -211,18 +196,15 @@ class ResourceState:
         if kind in ("data_x", "data_z"):
             if not (0 <= time < T and 0 <= index < self.code.n_qubits):
                 raise ValueError(f"{kind} event ({index},{time}) outside circuit extent")
-            tick = 2 * time + 1 if kind == "data_x" else 2 * time + 2
-            return [self.site_index[("d", index, tick)]]
-        if kind == "readout" and mech.sector in ("z", "x"):
-            z = mech.sector == "z"
-            n_checks = self.code.n_z_checks if z else self.code.n_x_checks
-            if not (1 <= time <= T and 0 <= index < n_checks):
+            sector = "z" if kind == "data_x" else "x"  # the checks that see the error
+            return [self.site_index[("d", index, 2 * time + 1 + SECTOR_SHIFT[sector])]]
+        if kind == "readout" and mech.sector in SECTOR_SHIFT:
+            if not (1 <= time <= T and 0 <= index < len(self.code.checks(mech.sector))):
                 raise ValueError(
                     f"{kind} {mech.sector} event ({index},{time}) outside circuit extent"
                 )
-            if z:
-                return [self.site_index[("sz", index, 2 * time)]]
-            return [self.site_index[("sx", index, 2 * time - 1)]]
+            tick = 2 * time - SECTOR_SHIFT[mech.sector]
+            return [self.site_index[("s" + mech.sector, index, tick)]]
         raise ValueError(f"unknown event kind {kind!r} (sector {mech.sector!r})")
 
 

@@ -102,17 +102,12 @@ def _wrap_block(start: int, width: int, size: int, periodic: bool) -> List[int]:
     return list(range(start, start + width))
 
 
-def ladder_t0(rounds: int, extent: int, t_lo: int = 1) -> int:
-    """First time row of an ``extent``-deep stack centred in the run, at least t_lo."""
-    return max(t_lo, (rounds + 1 - extent) // 2)
-
-
 def ladder_band_t0(rounds: int, extent: int) -> int:
-    """First time row of a ladder's ``extent``-deep band in the time bulk 1..rounds-1.
+    """First time row of a ladder's ``extent``-deep band, centred in the time bulk 1..rounds-1.
 
     Raises ValueError when the band does not fit the bulk.
     """
-    t0 = ladder_t0(rounds, extent)
+    t0 = max(1, (rounds + 1 - extent) // 2)
     if t0 + extent - 1 > rounds - 1:
         raise ValueError(f"ladder extent {extent} does not fit the time bulk 1..{rounds - 1}")
     return t0
@@ -144,7 +139,8 @@ def lattice_tripartition(
     wA: int = 2,
     wB: int = 1,
     wC: int = 2,
-    anchor: Optional[Tuple[int, ...]] = None,
+    *,
+    anchor: Tuple[int, ...],
     mode: str = "ring",
     sector: str = "z",
     cap: int = 24,
@@ -152,8 +148,9 @@ def lattice_tripartition(
 ) -> Tripartition:
     """Build an (A, B, C) tripartition over a coordinate lattice {(*space, t): index}.
 
-    Space (of shape ``space``) wraps and time runs over 0..rounds, open;
-    dist(A, C) must come out as w_B + 1. Regions stay ``bulk_margin`` rows
+    Space (of shape ``space``) wraps and time runs over 0..rounds, open; A's
+    first cell is ``anchor`` (space, then t), and dist(A, C) must come out
+    as w_B + 1. Regions stay ``bulk_margin`` rows
     away from the temporal boundaries (0 admits the boundary rows themselves,
     for oracle-scale checks). Refuses layouts whose total width exceeds the
     histogram cap (shrink w_C, or w_B for ring mode).
@@ -180,13 +177,9 @@ def lattice_tripartition(
             )
         return [(*pos, t) for pos in iproduct(*axes) for t in times]
 
-    if anchor is None:
-        a_sp = tuple((space[d] - wA) // 2 for d in range(D))
-        t0 = ladder_t0(T, wA + wB + wC if mode == "strip" else wA, t_lo)
-    elif len(anchor) != D + 1:
+    if len(anchor) != D + 1:
         raise ValueError(f"anchor {tuple(anchor)} needs {D + 1} coordinates: space, then t")
-    else:
-        a_sp, t0 = tuple(anchor[:-1]), anchor[-1]
+    a_sp, t0 = tuple(anchor[:-1]), anchor[-1]
     a = cells(a_sp, [wA] * D, t0, wA)
     if mode == "strip":
         b = cells(a_sp, [wA] * D, t0 + wA, wB) if wB else []
@@ -238,7 +231,8 @@ def build_tripartition(
     wA: int = 2,
     wB: int = 1,
     wC: int = 2,
-    anchor: Optional[Tuple[int, ...]] = None,
+    *,
+    anchor: Tuple[int, ...],
     mode: str = "ring",
     sector: str = "z",
     cap: int = 24,

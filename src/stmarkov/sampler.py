@@ -171,14 +171,13 @@ def sample_batch(
     stream positions of the others are skipped. Mechanism probabilities
     must lie in [0, 1).
     """
-    region = tuple(region)
-    if not region:
-        raise ValueError("region must be nonempty")
+    region = model.checked_region(region)
     if n < 1:
         raise ValueError("need at least one sample")
     draw_region = region if draw_region is None else tuple(draw_region)
     if not set(region) <= set(draw_region):
         raise ValueError("region must lie inside the draw region")
+    model.checked_region(draw_region)
     pos = np.full(model.n_detectors, -1, dtype=np.intp)
     pos[list(region)] = np.arange(len(region))
     mechs = np.array(model.region_mechanisms(draw_region), dtype=np.intp)

@@ -30,6 +30,12 @@ from .codes import CssCode
 
 DetKey = Tuple[str, int, int]  # (sector, check index, detector time)
 
+# Ticks (half layers) by which a sector's checks of round r sit below the
+# Z-checks of round r: the timing convention above. Every detector time,
+# resource-state site, detector cell, linking stabilizer and frame column
+# that depends on the sector reads it from here.
+SECTOR_SHIFT = {"z": 0, "x": 1}
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -249,6 +255,20 @@ class DetectorModel:
             self._sector_lattices[sector] = dict(zip(coords, ids.tolist()))
         return MappingProxyType(self._sector_lattices[sector])
 
+    def checked_region(self, region: Sequence[int]) -> Tuple[int, ...]:
+        """``region`` as a tuple of detector indices, each of the model and none repeated."""
+        region = tuple(region)
+        if not region:
+            raise ValueError("region must be nonempty")
+        seen = set()
+        for d in region:
+            if not 0 <= d < self.n_detectors:
+                raise ValueError(f"region detector {d} outside 0..{self.n_detectors - 1}")
+            if d in seen:
+                raise ValueError(f"region repeats detector {d}")
+            seen.add(d)
+        return region
+
     def region_mechanisms(self, region: Sequence[int]) -> List[int]:
         """Mechanisms incident to any detector in the region, sorted."""
         ptr, mechs = self._incident_table()
@@ -312,7 +332,7 @@ def build_detector_model(code: CssCode, rounds: int, noise: NoiseModel) -> Detec
     T = rounds
     per_check = T + 1
     nz, nx, n = code.n_z_checks, code.n_x_checks, code.n_qubits
-    x_base = nz * per_check
+    det_base = {"z": 0, "x": nz * per_check}
 
     space = np.array([*code.z_check_coords, *code.x_check_coords], dtype=_INDEX)
     t = np.tile(np.arange(per_check, dtype=_INDEX), nz + nx)
@@ -328,10 +348,9 @@ def build_detector_model(code: CssCode, rounds: int, noise: NoiseModel) -> Detec
 
     # Protected logical bits: Z-logicals always; X-logicals only when Z errors
     # are detectable at all (the code has X-checks).
-    n_zl = code.z_logicals.shape[0]
-    logicals: List[Tuple[str, int]] = [("z", j) for j in range(n_zl)]
-    if nx > 0:
-        logicals += [("x", j) for j in range(code.x_logicals.shape[0])]
+    protected = {"z": code.z_logicals, "x": code.x_logicals if nx > 0 else code.x_logicals[:0]}
+    logicals = [(sector, j) for sector, logs in protected.items() for j in range(len(logs))]
+    bit_base = {"z": 0, "x": len(protected["z"])}
 
     # The mechanisms come in blocks, one per kind (and per sector for
     # readout); footprints and logical flips as (row lengths, values).
@@ -349,20 +368,18 @@ def build_detector_model(code: CssCode, rounds: int, noise: NoiseModel) -> Detec
 
     interfaces = np.arange(T)
     qubits, times = np.tile(np.arange(n), T), np.repeat(interfaces, n)
-    if noise.p_x > 0:
-        # Qubit i at interface t flips detector (z, c, t) of each of its Z-checks c.
-        dets = _per_interface(code.z_checks, interfaces, scale=per_check)
-        flips = _per_interface(code.z_logicals, 0 * interfaces)
-        add("data_x", "", noise.p_x, qubits, times, dets, flips)
-    if noise.p_z > 0:
-        # ... and a Z error flips (x, b, t + 1) of each of its X-checks b.
-        dets = _per_interface(code.x_checks, x_base + 1 + interfaces, scale=per_check)
-        x_logicals = code.x_logicals if nx > 0 else code.x_logicals[:0]
-        flips = _per_interface(x_logicals, n_zl + 0 * interfaces)
-        add("data_z", "", noise.p_z, qubits, times, dets, flips)
+    for sector, kind, p in (("z", "data_x", noise.p_x), ("x", "data_z", noise.p_z)):
+        if p > 0:
+            # Qubit i at interface t flips detector (sector, c, t + shift) of each
+            # of the sector's checks c on it, and the sector's logical bits on it.
+            shifts = det_base[sector] + SECTOR_SHIFT[sector] + interfaces
+            dets = _per_interface(code.checks(sector), shifts, scale=per_check)
+            flips = _per_interface(protected[sector], bit_base[sector] + 0 * interfaces)
+            add(kind, "", p, qubits, times, dets, flips)
     if noise.q > 0:
-        for sector, base, nc in (("z", 0, nz), ("x", x_base, nx)):
+        for sector, base in det_base.items():
             # Round r flips (c, r - 1) and (c, r) of each check c.
+            nc = len(code.checks(sector))
             first = base + np.arange(nc) * per_check + interfaces[:, None]
             dets = (np.full(T * nc, 2), np.stack([first, first + 1], axis=-1).ravel())
             flips = (np.zeros(T * nc, dtype=np.intp), interfaces[:0])

@@ -202,24 +202,26 @@ class Tableau:
             self.x[p] = px
             self.z[p] = pz
             return outcome
-        # Deterministic: the operator is a +/- product of stabilizer rows,
-        # selected by which destabilizers anticommute with it.
-        xs, zs, sign = self._product_sign(rows + n)
-        if not (np.array_equal(xs, px) and np.array_equal(zs, pz)):
-            raise AssertionError("deterministic measurement product mismatch")
-        return sign
+        return self._stabilized_sign(rows, px, pz)
 
     def expectation(self, op: PauliOp) -> int:
         """+1/-1 for stabilized operators, 0 if the outcome would be random."""
         px, pz = self._masks(op)
-        anti = self._commutation(px, pz)
-        n = self.n
-        if np.any(anti[n:]):
+        rows = np.flatnonzero(self._commutation(px, pz))
+        if rows.size and rows[-1] >= self.n:
             return 0
-        xs, zs, sign = self._product_sign(n + np.flatnonzero(anti[:n]))
+        return 1 - 2 * self._stabilized_sign(rows, px, pz)
+
+    def _stabilized_sign(self, rows: np.ndarray, px: np.ndarray, pz: np.ndarray) -> int:
+        """Sign bit of a stabilized Pauli (px, pz) whose anticommuting destabilizers are ``rows``.
+
+        The operator is a +/- product of the stabilizers those destabilizers
+        pair with.
+        """
+        xs, zs, sign = self._product_sign(rows + self.n)
         if not (np.array_equal(xs, px) and np.array_equal(zs, pz)):
-            raise AssertionError("expectation product mismatch")
-        return 1 if sign == 0 else -1
+            raise AssertionError("deterministic measurement product mismatch")
+        return sign
 
 
 def init_graph_state(rs: ResourceState, frame: str = "x") -> Tableau:
@@ -235,23 +237,17 @@ def init_graph_state(rs: ResourceState, frame: str = "x") -> Tableau:
     tab = Tableau(rs.n_sites)
     code = rs.code
     layer0 = [rs.site_index[("d", i, 0)] for i in range(code.n_qubits)]
-    if frame == "x":
-        for q in range(rs.n_sites):
+    # The input layer starts in the frame's basis (|+> or |0>), every other
+    # site in |+>; the other sector's checks are then projected in.
+    in_z = set(layer0) if frame == "z" else set()
+    for q in range(rs.n_sites):
+        if q not in in_z:
             tab.h(q)
-        for c in range(code.n_z_checks):
-            sup = [layer0[int(i)] for i in code.check_support("z", c)]
-            out = tab.measure_pauli(PauliOp.z(sup), force=0)
-            if out != 0:
-                raise AssertionError("inconsistent forced Z-check preparation")
-    else:
-        for q in range(rs.n_sites):
-            if q not in set(layer0):
-                tab.h(q)
-        for b in range(code.n_x_checks):
-            sup = [layer0[int(i)] for i in code.check_support("x", b)]
-            out = tab.measure_pauli(PauliOp.x(sup), force=0)
-            if out != 0:
-                raise AssertionError("inconsistent forced X-check preparation")
+    other = "z" if frame == "x" else "x"
+    for c in range(len(code.checks(other))):
+        sup = [layer0[int(i)] for i in code.check_support(other, c)]
+        if tab.measure_pauli(getattr(PauliOp, other)(sup), force=0) != 0:
+            raise AssertionError(f"inconsistent forced {other.upper()}-check preparation")
     for u, v in rs.cz_edges:
         tab.cz(u, v)
     return tab

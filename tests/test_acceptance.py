@@ -236,7 +236,7 @@ def test_criterion_5_rank_oracle():
 def test_criterion_6_trivial_limits():
     t0 = time.monotonic()
     quiet = build_detector_model(repetition_code(8), 8, NoiseModel(0.0, 0.0, 0.0))
-    tri = build_tripartition(quiet, wA=2, wB=1, wC=1, mode="strip")
+    tri = build_tripartition(quiet, wA=2, wB=1, wC=1, anchor=(3, 2), mode="strip")
     assert cmi(quiet, tri, method="exact").cmi == 0.0
     assert cmi(quiet, tri, n=10_000, seed=SEED).cmi == 0.0
 
@@ -393,7 +393,8 @@ def test_criterion_8_subthreshold_decay():
     )
     points = []
     for wB in (1, 2, 3, 4, 5):
-        tri = build_tripartition(model, wA=2, wB=wB, wC=2, mode="strip")
+        tri = build_tripartition(model, wA=2, wB=wB, wC=2, anchor=(11, (21 - wB) // 2),
+                                 mode="strip")
         points.append(cmi(model, tri, method="exact", exact_cap=10**9))
     fit = markov_length(points)
     dt = time.monotonic() - t0

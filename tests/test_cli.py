@@ -489,6 +489,21 @@ def test_verify_skips_decomposition_beyond_cap(capsys):
             in capsys.readouterr().out)
 
 
+VERIFY_OUTPUT = 2 * (
+    "PASS    foliation_correspondence: 116 error configurations bit-exact\n"
+    "PASS    stabilizer_audit: cells and linking stabilizers commute, expectation +1\n"
+    "PASS    entropy_decomposition: residual 0.0e+00\n"
+    "PASS    sampler_vs_oracle: flip rates and CMI within tolerance of oracles\n"
+    "PASS    rank_oracle: rank-formula CMI vanishes across separating tripartitions\n"
+)
+
+
+def test_verify_output_pinned(capsys):
+    assert run_cli(["verify"]) == 0
+    assert run_cli(["verify", "--L", "5", "--rounds", "1"]) == 0
+    assert capsys.readouterr().out == VERIFY_OUTPUT
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -18,7 +20,7 @@ from oracles import (
 
 from stmarkov import entropy
 from stmarkov.cli import main
-from stmarkov.codes import repetition_code, toric_code
+from stmarkov.codes import repetition_code, toric_code, validate_code
 from stmarkov.entropy import (
     BruteForceCapExceeded,
     _chunk_table,
@@ -622,6 +624,55 @@ def test_decomposition_cap():
         entropy_decomposition_check(
             repetition_code(5), 4, NoiseModel.phenomenological(0.1), [("z", 0, 1)], cap=10
         )
+
+
+def decomposition_digest() -> str:
+    """sha256 over decomposition reports (or cap refusals) and code validation reports.
+
+    Repetition L = 3..6 and toric(2), T = 1..3 (toric 1..2), four noise
+    models; each on the full syndrome region and on three random halves of
+    it. Validation covers each code and broken variants of it.
+    """
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(28)
+    noises = [NoiseModel.phenomenological(0.1), NoiseModel(p_x=0.1, p_z=0.1, q=0.0),
+              NoiseModel(p_x=0.0, p_z=0.1, q=0.1), NoiseModel(p_x=0.08, p_z=0.05, q=0.12)]
+    cases = [(repetition_code(L), T) for L in range(3, 7) for T in (1, 2, 3)]
+    cases += [(toric_code(2), T) for T in (1, 2)]
+    for code, T in cases:
+        for noise in noises:
+            full = full_syndrome_region(build_detector_model(code, T, noise))
+            regions = [full] + [
+                [full[j] for j in sorted(rng.choice(len(full), len(full) // 2, replace=False))]
+                for _ in range(3)
+            ]
+            for region in regions:
+                try:
+                    report = entropy_decomposition_check(code, T, noise, region)
+                except BruteForceCapExceeded as exc:
+                    report = exc
+                digest.update(f"{code.name} {T} {noise} {region} {report!r}\n".encode())
+    for code in (repetition_code(4), toric_code(2), toric_code(3)):
+        z_check_as_logical = code.z_logicals.copy()
+        z_check_as_logical[0] = code.z_checks[0]
+        x_check_as_logical = code.x_logicals.copy()
+        x_check_as_logical[0] = code.x_checks[0] if code.n_x_checks else 0
+        lone = np.zeros_like(code.x_logicals)
+        lone[:, 0] = 1
+        for variant in (code, dataclasses.replace(code, x_logicals=code.x_logicals[::-1]),
+                        dataclasses.replace(code, z_logicals=z_check_as_logical),
+                        dataclasses.replace(code, x_logicals=x_check_as_logical),
+                        dataclasses.replace(code, x_logicals=lone),
+                        dataclasses.replace(code, x_checks=code.z_checks[:1], x_check_coords=[])):
+            digest.update(f"{variant.name} {validate_code(variant)!r}\n".encode())
+    return digest.hexdigest()
+
+
+def test_decomposition_digest_pinned():
+    """Every decomposition report, cap refusal and validation report, bit for bit."""
+    assert decomposition_digest() == (
+        "f338dcdda3c31f5ccf77184b4ed733d359ece0e1933710ac1cdd5a5ad67e2b58"
+    )
 
 
 # -- frame model against the tableau pipeline ---------------------------------

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from stmarkov.codes import CssCode, repetition_code, toric_code
 from stmarkov.foliation import PauliOp, detector_cells, foliate, lbl_stabilizers
 from stmarkov.spacetime import Mechanism, NoiseModel, build_detector_model
+from stmarkov.tableau import init_graph_state
 
 
 def single_qubit_code():
@@ -188,3 +191,39 @@ def test_wire_code_foliates():
     assert rs.n_sites == 3
     assert len(rs.cells) == 0
     assert len(rs.lbl) == 2
+
+
+def resource_state_digest() -> str:
+    """sha256 over the layout, fault map and input tableaux of small resource states.
+
+    Covers sites, CZ edges, cells, detector keys, linking stabilizers, graph
+    generators, the site of every mechanism (and the refusal of faults
+    outside the run), and the x/z/r bytes of the tableau in both frames.
+    """
+    digest = hashlib.sha256()
+    noise = NoiseModel(p_x=0.1, p_z=0.1, q=0.1)
+    for code in [*map(repetition_code, range(3, 7)), toric_code(2), toric_code(3)]:
+        for m_f in range(1, 5):
+            rs = foliate(code, m_f)
+            gens = [(sorted(g.x_sites), sorted(g.z_sites)) for g in rs.graph_generators()]
+            parts = [rs.sites, rs.cz_edges, rs.cells, rs.detector_keys, rs.lbl, gens]
+            mechs = build_detector_model(code, m_f - 1, noise).mechanisms if m_f > 1 else []
+            parts.append([rs.map_mechanism(mech) for mech in mechs])
+            for fault in (_fault("data_x", 0, m_f - 1), _fault("data_z", code.n_qubits, 0),
+                          _fault("readout", 0, 0, "z"), _fault("readout", 0, m_f, "x"),
+                          _fault("readout", code.n_x_checks, 1, "x"), _fault("leak", 0, 0)):
+                with pytest.raises(ValueError) as refusal:
+                    rs.map_mechanism(fault)
+                parts.append(str(refusal.value))
+            for frame in ("x", "z"):
+                tab = init_graph_state(rs, frame)
+                parts.append([tab.x.tobytes(), tab.z.tobytes(), tab.r.tobytes()])
+            digest.update(repr(parts).encode())
+    return digest.hexdigest()
+
+
+def test_resource_state_digest_pinned():
+    """Every site, edge, cell, key, linking stabilizer, fault site and input tableau, in order."""
+    assert resource_state_digest() == (
+        "88657954af245f03dd81bbbba0fc5222a8fb94784d2107d9c7c949499c5aae26"
+    )

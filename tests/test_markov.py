@@ -45,7 +45,7 @@ def model_for(L, T, p, q=None, half=False):
 
 def test_ring_tripartition_counts():
     model = model_for(16, 16, 0.1)
-    tri = build_tripartition(model, wA=2, wB=1, wC=2, mode="ring")
+    tri = build_tripartition(model, wA=2, wB=1, wC=2, anchor=(7, 7), mode="ring")
     assert len(tri.a) == 4
     assert len(tri.b) == 12
     assert len(tri.c) == 4
@@ -55,14 +55,14 @@ def test_ring_tripartition_counts():
 
 def test_ring_wb_zero_adjacent():
     model = model_for(12, 12, 0.1)
-    tri = build_tripartition(model, wA=2, wB=0, wC=2, mode="ring")
+    tri = build_tripartition(model, wA=2, wB=0, wC=2, anchor=(5, 5), mode="ring")
     assert tri.dist_ac == 1
     assert len(tri.b) == 0
 
 
 def test_strip_tripartition_counts():
     model = model_for(16, 16, 0.1)
-    tri = build_tripartition(model, wA=2, wB=5, wC=2, mode="strip")
+    tri = build_tripartition(model, wA=2, wB=5, wC=2, anchor=(7, 4), mode="strip")
     assert len(tri.a) == 4
     assert len(tri.b) == 10
     assert len(tri.c) == 4
@@ -139,7 +139,7 @@ def tripartition_requests(draw, wide):
         L, T = draw(st.integers(2, 4)), draw(st.integers(1, 5))
         model = small_model("toric", L, T, draw(rates), draw(rates), draw(rates))
     D = len(model.code.space_shape)
-    anchors = [st.none(), st.tuples(*[st.integers(-1, L)] * D, st.integers(-1, T + 1))]
+    anchors = [st.tuples(*[st.integers(-1, L)] * D, st.integers(-1, T + 1))]
     if wide:
         anchors.append(st.lists(st.integers(-1, L), max_size=D + 2).map(tuple))
     lo = -1 if wide else 0
@@ -178,7 +178,7 @@ def test_anchor_of_wrong_length_refused():
 def test_tripartition_cap_refused():
     model = model_for(16, 16, 0.1)
     with pytest.raises(PatternWidthExceeded):
-        build_tripartition(model, wA=2, wB=2, wC=2, mode="ring", cap=24)
+        build_tripartition(model, wA=2, wB=2, wC=2, anchor=(7, 7), mode="ring", cap=24)
 
 
 def test_tripartition_respects_time_bulk():
@@ -190,7 +190,7 @@ def test_tripartition_respects_time_bulk():
 def test_cmi_zero_at_p_zero():
     model = model_for(8, 8, 0.0, q=0.0)
     assert model.n_mechanisms == 0
-    tri = build_tripartition(model, wA=1, wB=1, wC=1, mode="strip")
+    tri = build_tripartition(model, wA=1, wB=1, wC=1, anchor=(3, 3), mode="strip")
     point = cmi(model, tri, method="exact")
     assert point.cmi == 0.0
     sampled = cmi(model, tri, n=2000, seed=1)
@@ -199,7 +199,7 @@ def test_cmi_zero_at_p_zero():
 
 def test_cmi_symmetry():
     model = model_for(6, 5, 0.1)
-    tri = build_tripartition(model, wA=1, wB=1, wC=1, mode="strip")
+    tri = build_tripartition(model, wA=1, wB=1, wC=1, anchor=(2, 1), mode="strip")
     swapped = Tripartition(tri.c, tri.b, tri.a, tri.dist_ac)
     a = cmi(model, tri, method="exact")
     b = cmi(model, swapped, method="exact")
@@ -250,7 +250,8 @@ def test_exact_cmi_nonnegative_and_decaying():
     model = model_for(8, 8, 0.12)
     vals = []
     for wB in (1, 2, 3):
-        tri = build_tripartition(model, wA=1, wB=wB, wC=1, mode="strip")
+        tri = build_tripartition(model, wA=1, wB=wB, wC=1, anchor=(3, (7 - wB) // 2),
+                                 mode="strip")
         vals.append(cmi(model, tri, method="exact", exact_cap=24).cmi)
     assert all(v >= -1e-12 for v in vals)
     assert vals[0] > vals[1] > vals[2]
@@ -345,8 +346,8 @@ def test_cmi_monotone_trend_guard():
     """Empirical regression guard: bulk CMI grows from p=0.02 to p=0.10."""
     model_lo = model_for(16, 16, 0.02)
     model_hi = model_for(16, 16, 0.10)
-    tri_lo = build_tripartition(model_lo, wA=2, wB=1, wC=2, mode="ring")
-    tri_hi = build_tripartition(model_hi, wA=2, wB=1, wC=2, mode="ring")
+    tri_lo = build_tripartition(model_lo, wA=2, wB=1, wC=2, anchor=(7, 7), mode="ring")
+    tri_hi = build_tripartition(model_hi, wA=2, wB=1, wC=2, anchor=(7, 7), mode="ring")
     lo = cmi(model_lo, tri_lo, n=300_000, seed=21)
     hi = cmi(model_hi, tri_hi, n=300_000, seed=22)
     sigma = math.hypot(lo.std_error, hi.std_error)
@@ -392,7 +393,7 @@ def test_sweep_p_zero_row_is_gap():
 @pytest.mark.parametrize("wB", [0, 1, 2])
 def test_histogram_kernel_matches_four_histograms(n, wB):
     model = model_for(8, 8, 0.1)
-    tri = build_tripartition(model, wA=2, wB=wB, wC=1, mode="strip")
+    tri = build_tripartition(model, wA=2, wB=wB, wC=1, anchor=(3, (6 - wB) // 2), mode="strip")
     # 2^width * 32 chunks against n decides which table the kernel builds.
     dense = (1 << len(tri.all_detectors)) * 32 <= n
     assert dense == (n == 20_000 and wB < 2)

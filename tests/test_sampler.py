@@ -155,6 +155,26 @@ def test_empty_region_and_bad_n():
         sample_batch(model, [0], 0, seed=0)
 
 
+BAD_REGIONS = [
+    ([5, 5, 6], "region repeats detector 5"),
+    ([-1], r"region detector -1 outside 0\.\.15"),
+    ([3, 99], r"region detector 99 outside 0\.\.15"),
+]
+
+
+@pytest.mark.parametrize("region, message", BAD_REGIONS, ids=["repeated", "negative", "past-end"])
+def test_bad_region_refused_by_sampler_and_oracle(region, message):
+    # A repeated detector used to leave its first row all zero; -1 and 99
+    # reached numpy's own errors.
+    model = build_detector_model(repetition_code(4), 3, NoiseModel.phenomenological(0.3))
+    with pytest.raises(ValueError, match=message):
+        sample_batch(model, region, 4000, seed=1)
+    with pytest.raises(ValueError, match=message):
+        sample_batch(model, [6], 4000, seed=1, draw_region=[6] + region)
+    with pytest.raises(ValueError, match=message):
+        exact_region_dist(model, region)
+
+
 def test_packed_rows_consistent_with_patterns():
     model = small_model()
     region = [0, 5, 9]
