@@ -501,10 +501,8 @@ def _verify_audit() -> Tuple[str, str]:
 
 
 def _verify_decomposition(L: int = 3, T: int = 2) -> Tuple[str, str]:
-    code = repetition_code(L)
-    noise = NoiseModel.phenomenological(0.1)
-    model = build_detector_model(code, T, noise)
-    report = entropy_decomposition_check(code, T, noise, full_syndrome_region(model))
+    model = build_detector_model(repetition_code(L), T, NoiseModel.phenomenological(0.1))
+    report = entropy_decomposition_check(model, full_syndrome_region(model))
     if not report.deterministic_are_detector_combos:
         return "FAIL", "deterministic components are not detector combinations"
     if abs(report.residual) > 1e-10:

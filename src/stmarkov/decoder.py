@@ -350,10 +350,8 @@ def logical_error_rate(model: DetectorModel, shots: int, seed: int) -> RatePoint
             np.less(bit_gen.random_raw((rows.shape[0], probs.size)), thresholds,
                     out=rows[:, :-1])
             dets, truth = graph.syndromes(rows)
-            flips = 0  # a slice with no fired detector predicts no flip
-            if dets.any():
-                shot, edge = _correction_edges(graph, dets, start + k)
-                flips = _logical_flips(graph, shot, edge, rows.shape[0])
+            shot, edge = _correction_edges(graph, dets, start + k)
+            flips = _logical_flips(graph, shot, edge, rows.shape[0])
             failures += int(np.count_nonzero((flips != truth).any(axis=1)))
     rate = failures / shots
     lo, hi = wilson_interval(failures, shots)

@@ -11,6 +11,8 @@ one chunk's patterns at a time, into one (pattern x chunk) table,
 ``_marginal_table`` sums it onto a sub-region, ``_table_entropies`` gives its
 full-sample and leave-one-chunk-out plug-in entropies and ``_jackknife_std``
 the one delete-one-chunk error. The sampled CMI of ``markov`` reads them.
+Listed patterns, a compacted count table's or an exact distribution's, are
+summed onto a bit subset by one helper, ``_marginal_sum``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .codes import CssCode
 from .gf2 import gf2_dependencies, gf2_rank, gf2_solve
-from .spacetime import KINDS, SECTOR_SHIFT, SECTORS, DetectorModel, NoiseModel, build_detector_model
+from .sampler import PatternWidthExceeded
+from .spacetime import DATA_SECTOR, KINDS, SECTOR_SHIFT, SECTORS, DetectorModel
 
 LN2 = math.log(2.0)
 
@@ -84,6 +86,17 @@ def _chunk_table(
     return table, values
 
 
+def _marginal_sum(values: np.ndarray, weights: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """``weights`` rows summed by the packed ``positions`` bits of their (repeatable) ``values``.
+
+    Result rows come in ascending packed order, in ``weights``' dtype.
+    """
+    uniq, inverse = np.unique(repack_bits(values, positions), return_inverse=True)
+    out = np.zeros((uniq.size,) + weights.shape[1:], dtype=weights.dtype)
+    np.add.at(out, inverse, weights)
+    return out
+
+
 def _marginal_table(
     table: np.ndarray, values: Optional[np.ndarray], width: int, keep: List[int]
 ) -> np.ndarray:
@@ -102,10 +115,7 @@ def _marginal_table(
         cube = table.reshape((2,) * width + (n_chunks,))
         drop = tuple(width - 1 - i for i in range(width) if i not in keep)
         return cube.sum(axis=drop).reshape(-1, n_chunks)
-    uniq, inverse = np.unique(repack_bits(values, keep), return_inverse=True)
-    out = np.zeros((uniq.size, n_chunks), dtype=np.int64)
-    np.add.at(out, inverse, table)
-    return out
+    return _marginal_sum(values, table, keep)
 
 
 def _table_entropies(table: np.ndarray, width: int, correction: bool) -> np.ndarray:
@@ -191,10 +201,12 @@ def exact_region_dist(
     """Exact joint distribution of detector bits on a region.
 
     Returns (patterns, probabilities); patterns pack region bits
-    little-endian in the given order. Refused above ``cap`` incident
-    mechanisms.
+    little-endian in the given order. Refused wider than a 64-bit pattern
+    and above ``cap`` incident mechanisms.
     """
     region = model.checked_region(region)
+    if len(region) > 64:
+        raise PatternWidthExceeded(len(region), 64)
     mechs = model.region_mechanisms(region)
     if len(mechs) > cap:
         raise BruteForceCapExceeded(len(mechs), cap)
@@ -219,10 +231,7 @@ def exact_region_dist(
 
 def marginal_entropy(values: np.ndarray, probs: np.ndarray, positions: Sequence[int]) -> float:
     """Entropy of a bit-subset marginal of an exact pattern distribution."""
-    agg_vals, inverse = np.unique(repack_bits(values, positions), return_inverse=True)
-    agg = np.zeros(agg_vals.size, dtype=np.float64)
-    np.add.at(agg, inverse, probs)
-    return _entropy_bits(agg)
+    return _entropy_bits(_marginal_sum(values, probs, positions))
 
 
 def exact_entropy(model: DetectorModel, region: Sequence[int], cap: int = 22) -> float:
@@ -288,7 +297,7 @@ def _syndrome_structure(
         sup = set(int(i) for i in code.check_support(sector, c))
         # Data errors on the check's support at interfaces before its round-r
         # measurement, and the check's own readout flip of round r.
-        data = mechs.kind == KINDS.index("data_x" if sector == "z" else "data_z")
+        data = np.array([DATA_SECTOR.get(k) == sector for k in KINDS])[mechs.kind]
         before = mechs.time < r - shift
         readout = (mechs.kind == KINDS.index("readout")) & (mechs.sector == SECTORS.index(sector))
         hit = (data & np.isin(mechs.index, list(sup)) & before) | (
@@ -305,11 +314,7 @@ def _syndrome_structure(
 
 
 def entropy_decomposition_check(
-    code: CssCode,
-    rounds: int,
-    noise: NoiseModel,
-    region: Sequence[Tuple[str, int, int]],
-    cap: int = 24,
+    model: DetectorModel, region: Sequence[Tuple[str, int, int]], cap: int = 24
 ) -> DecompositionReport:
     """Verify H(s) = H(d) + |s| - |d| on a region of raw syndrome bits.
 
@@ -318,9 +323,10 @@ def entropy_decomposition_check(
     deterministic; these must be combinations of detectors. H(s) is computed
     from the frame structure plus the exact distribution of the deterministic
     combinations over the mechanisms, H(d) independently from the exact
-    distribution of the detectors those combinations read.
+    distribution of the detectors those combinations read. If a deterministic
+    combination is not a sum of detector rows, ``h_d`` and ``residual`` are
+    NaN. Refused above ``cap`` mechanisms in the model.
     """
-    model = build_detector_model(code, rounds, noise)
     if model.n_mechanisms > cap:
         raise BruteForceCapExceeded(model.n_mechanisms, cap)
     region = list(region)
@@ -338,23 +344,15 @@ def entropy_decomposition_check(
     det_combos = [gf2_solve(det_rows, m) for m in sigma_masks]
     combos_ok = all(w is not None for w in det_combos)
 
+    # Each mechanism's label: bit j set when it enters combination j.
+    mech_labels = [sum(((m >> k) & 1) << j for j, m in enumerate(sigma_masks))
+                   for k in range(model.n_mechanisms)]
     probs = model.mechanism_probs().tolist()
-
-    def label_entropy(label_masks: List[int]) -> float:
-        per_mech = []
-        for k in range(model.n_mechanisms):
-            lab = 0
-            for j, m in enumerate(label_masks):
-                if (m >> k) & 1:
-                    lab |= 1 << j
-            per_mech.append(lab)
-        table = _xor_dp_table(per_mech, probs, len(label_masks))
-        return _entropy_bits(table)
-
-    h_labels_sigma = label_entropy(sigma_masks) if n_d else 0.0
+    h_s = (n_s - n_d) + _entropy_bits(_xor_dp_table(mech_labels, probs, n_d))
     h_d = 0.0 if combos_ok else float("nan")
-    read = sorted({d for w in det_combos for d in range(model.n_detectors) if (w >> d) & 1})
-    if combos_ok and read:
+    read = sorted({d for w in det_combos for d in range(model.n_detectors) if (w >> d) & 1}
+                  if combos_ok else ())
+    if read:
         # The detector route: the exact distribution of the detectors the
         # combinations read, each pattern mapped to its combination bits.
         values, dist = exact_region_dist(model, read, cap=cap)
@@ -365,14 +363,12 @@ def entropy_decomposition_check(
                     labels ^= ((values >> np.uint64(i)) & np.uint64(1)) << np.uint64(j)
         h_d = marginal_entropy(labels, dist, range(n_d))
 
-    h_s = (n_s - n_d) + h_labels_sigma
-    residual = h_s - (h_d + n_s - n_d) if combos_ok else float("nan")
     return DecompositionReport(
         h_s=h_s,
         h_d=h_d,
         n_syndromes=n_s,
         n_deterministic=n_d,
-        residual=residual,
+        residual=h_s - (h_d + n_s - n_d),
         deterministic_are_detector_combos=combos_ok,
     )
 

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Tuple
 import numpy as np
 
 from .codes import CssCode
-from .spacetime import SECTOR_SHIFT, DetKey, Mechanism
+from .spacetime import DATA_SECTOR, SECTOR_SHIFT, DetKey, Mechanism
 
 Site = Tuple[str, int, int]  # ("d", qubit, tick) | ("sz"/"sx", check, tick)
 
@@ -193,11 +193,11 @@ class ResourceState:
         """
         T = self.m_f - 1
         kind, index, time = mech.kind, mech.index, mech.time
-        if kind in ("data_x", "data_z"):
+        if kind in DATA_SECTOR:
             if not (0 <= time < T and 0 <= index < self.code.n_qubits):
                 raise ValueError(f"{kind} event ({index},{time}) outside circuit extent")
-            sector = "z" if kind == "data_x" else "x"  # the checks that see the error
-            return [self.site_index[("d", index, 2 * time + 1 + SECTOR_SHIFT[sector])]]
+            shift = SECTOR_SHIFT[DATA_SECTOR[kind]]  # of the checks that see the error
+            return [self.site_index[("d", index, 2 * time + 1 + shift)]]
         if kind == "readout" and mech.sector in SECTOR_SHIFT:
             if not (1 <= time <= T and 0 <= index < len(self.code.checks(mech.sector))):
                 raise ValueError(

@@ -82,6 +82,7 @@ class Mechanism:
 # The arrays of a table hold each kind and sector as its position here.
 KINDS = ("data_x", "data_z", "readout")
 SECTORS = ("", "z", "x")
+DATA_SECTOR = {"data_x": "z", "data_z": "x"}  # the sector whose checks see each data error
 _INDEX = np.int32  # dtype of stored detector, mechanism, qubit and check indices
 
 
@@ -368,7 +369,8 @@ def build_detector_model(code: CssCode, rounds: int, noise: NoiseModel) -> Detec
 
     interfaces = np.arange(T)
     qubits, times = np.tile(np.arange(n), T), np.repeat(interfaces, n)
-    for sector, kind, p in (("z", "data_x", noise.p_x), ("x", "data_z", noise.p_z)):
+    for kind, sector in DATA_SECTOR.items():
+        p = {"data_x": noise.p_x, "data_z": noise.p_z}[kind]
         if p > 0:
             # Qubit i at interface t flips detector (sector, c, t + shift) of each
             # of the sector's checks c on it, and the sector's logical bits on it.

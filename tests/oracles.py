@@ -16,6 +16,7 @@ import numpy as np
 
 from stmarkov.codes import CssCode
 from stmarkov.decoder import DecodeResult, InfeasibleSyndrome
+from stmarkov.entropy import repack_bits
 from stmarkov.foliation import PauliOp, ResourceState
 from stmarkov.sampler import (
     SampleBatch,
@@ -260,6 +261,38 @@ def enumerate_region_distribution(
 def entropy_of_dist(dist: Dict[int, float]) -> float:
     ps = np.array([p for p in dist.values() if p > 0.0])
     return float(-(ps * np.log2(ps)).sum())
+
+
+def reference_marginal_entropy(
+    values: np.ndarray, probs: np.ndarray, positions: Sequence[int]
+) -> float:
+    """``stmarkov.entropy.marginal_entropy`` with its own compacted sum, kept as written.
+
+    ``values`` may list a pattern more than once; its probabilities add.
+    """
+    agg_vals, inverse = np.unique(repack_bits(values, positions), return_inverse=True)
+    agg = np.zeros(agg_vals.size, dtype=np.float64)
+    np.add.at(agg, inverse, probs)
+    p = agg[agg > 0.0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def reference_marginal_sum(
+    values: np.ndarray, weights: np.ndarray, positions: Sequence[int]
+) -> np.ndarray:
+    """Rows of ``weights`` added one listed pattern at a time, in listing order.
+
+    Each pattern's ``positions`` bits, packed bit j = positions[j], name its
+    row of the result; rows come in ascending packed order, in ``weights``'
+    dtype. Adding in listing order gives the same floating-point sums as one
+    unbuffered ``np.add.at``.
+    """
+    sums: Dict[int, np.ndarray] = {}
+    for v, w in zip(values.tolist(), weights):
+        key = sum(((v >> p) & 1) << j for j, p in enumerate(positions))
+        sums[key] = sums[key] + w if key in sums else w + np.zeros_like(w)
+    rows = [sums[k] for k in sorted(sums)]
+    return np.array(rows, dtype=weights.dtype).reshape((len(rows),) + weights.shape[1:])
 
 
 def _plugin_entropy_bits(counts: np.ndarray, n: int, width: int, correction: bool) -> float:

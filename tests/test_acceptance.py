@@ -135,9 +135,7 @@ def test_criterion_3_entropy_decomposition():
             code = repetition_code(L)
             noise = NoiseModel.phenomenological(p)
             model = build_detector_model(code, T, noise)
-            rep = entropy_decomposition_check(
-                code, T, noise, full_syndrome_region(model), cap=24
-            )
+            rep = entropy_decomposition_check(model, full_syndrome_region(model), cap=24)
             assert rep.deterministic_are_detector_combos
             worst = max(worst, abs(rep.residual))
             cases += 1

@@ -38,6 +38,7 @@ from stmarkov.markov import (
 from stmarkov.sampler import sample_batch
 from stmarkov.spacetime import NoiseModel, build_detector_model
 from stmarkov.codes import repetition_code, toric_code
+from test_entropy import frame_free_non_detector_combo
 
 
 def run_cli(args):
@@ -481,6 +482,13 @@ def test_verify_passes_and_fault_hook_fails(monkeypatch, capsys):
     capsys.readouterr()
     assert run_cli(["verify"]) == 1
     assert "FAIL    foliation_correspondence" in capsys.readouterr().out
+
+
+def test_verify_fails_on_non_detector_combination(monkeypatch, capsys):
+    frame_free_non_detector_combo(monkeypatch)
+    assert run_cli(["verify"]) == 1
+    assert ("FAIL    entropy_decomposition: deterministic components are not detector "
+            "combinations\n" in capsys.readouterr().out)
 
 
 def test_verify_skips_decomposition_beyond_cap(capsys):

@@ -264,6 +264,14 @@ def test_rate_points_pinned():
     assert got == PINNED_SMALL_RATE_POINTS
 
 
+def test_rate_failures_pinned_where_slices_are_quiet():
+    """About 46% of the 64-shot slices fire no detector here; the kernel
+    predicts no flip for them, so only the fired slices can fail."""
+    model = build_detector_model(repetition_code(3), 2, NoiseModel.phenomenological(0.001))
+    got = [logical_error_rate(model, 20_000, seed).logical_errors for seed in (1, 2, 3)]
+    assert got == [0, 1, 1]
+
+
 def _rate_draws(model, shots, seed):
     """The error draws of ``logical_error_rate(model, shots, seed)``: one
     Philox stream per 4,096-shot chunk, drawn as doubles below p where the

@@ -14,6 +14,8 @@ from oracles import (
     entropy_of_dist,
     history_from_errors,
     per_bit_subset_patterns,
+    reference_marginal_entropy,
+    reference_marginal_sum,
     reference_table_entropies,
     repeat_chunk_table,
 )
@@ -25,6 +27,8 @@ from stmarkov.entropy import (
     BruteForceCapExceeded,
     _chunk_table,
     _jackknife_std,
+    _marginal_sum,
+    _marginal_table,
     _table_entropies,
     entropy_decomposition_check,
     exact_entropy,
@@ -35,7 +39,7 @@ from stmarkov.entropy import (
 )
 from stmarkov.foliation import foliate
 from stmarkov.markov import _region_table
-from stmarkov.sampler import SampleBatch, chunk_bounds, sample_batch
+from stmarkov.sampler import PatternWidthExceeded, SampleBatch, chunk_bounds, sample_batch
 from stmarkov.spacetime import (
     KINDS,
     SECTORS,
@@ -409,6 +413,66 @@ def test_exact_cap_refusal_reports_count():
     assert err.value.count == model.n_mechanisms
 
 
+def test_exact_refuses_region_wider_than_a_pattern():
+    # 70 detectors with 31 incident mechanisms: within the cap, beyond a 64-bit pattern.
+    model = build_detector_model(repetition_code(40), 1, NoiseModel(p_x=0.1, p_z=0.0, q=0.0))
+    region = [model.det_index[("z", c, 1)] for c in range(40)]
+    region += [model.det_index[("z", c, 0)] for c in range(30)]
+    assert len(model.region_mechanisms(region)) == 31
+    for oracle in (exact_region_dist, exact_entropy):
+        with pytest.raises(PatternWidthExceeded, match="pattern width 70 exceeds cap 64 bits"):
+            oracle(model, region, cap=40)
+    # 64 detectors still fit: 62 silent perfect-round ones, then two round-0 ones.
+    model = build_detector_model(repetition_code(64), 1, NoiseModel(p_x=0.1, p_z=0.0, q=0.0))
+    region = [model.det_index[("z", c, t)] for t, cs in ((1, range(62)), (0, (0, 1))) for c in cs]
+    values, _ = exact_region_dist(model, region)
+    assert values.tolist() == [0, 1 << 62, 1 << 63, 3 << 62]
+
+
+@st.composite
+def listed_distributions(draw):
+    """(values, probs, counts, positions): patterns listed with repeats, as the
+    decomposition's relabelled patterns are, their float64 probabilities, an
+    int64 (pattern x chunk) count table and a random bit subset in random order."""
+    width = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, 2**63, draw(st.integers(1, 40)), dtype=np.uint64) << np.uint64(1)
+    pool |= rng.integers(0, 2, pool.size, dtype=np.uint64)
+    pool &= np.uint64((1 << width) - 1)
+    values = pool[rng.integers(0, pool.size, draw(st.integers(0, 80)))]
+    probs = rng.random(values.size)
+    probs /= max(probs.sum(), 1.0)
+    if draw(st.booleans()):
+        probs[rng.random(values.size) < 0.3] = 0.0
+    n_chunks = draw(st.integers(1, 6))
+    counts = rng.poisson(draw(st.sampled_from([0.5, 30.0])), (values.size, n_chunks))
+    positions = rng.permutation(width)[: draw(st.integers(0, width))].tolist()
+    return values, probs, counts.astype(np.int64), positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_distributions())
+def test_marginal_sum_matches_kept_route_bitwise(case):
+    """The one compacted sum gives the removed exact route's entropy and an
+    in-order recount's sums bit for bit, for probabilities and counts alike."""
+    values, probs, counts, positions = case
+    assert marginal_entropy(values, probs, positions) == reference_marginal_entropy(
+        values, probs, positions
+    )
+    for weights in (probs, counts):
+        got = _marginal_sum(values, weights, positions)
+        ref = reference_marginal_sum(values, weights, positions)
+        assert got.dtype == weights.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    # A compacted count table lists each pattern once, in ascending order.
+    uniq = np.unique(values)
+    table = counts[: uniq.size]
+    width = max(int(uniq.max()).bit_length(), 1) if uniq.size else 1
+    keep = sorted(p for p in positions if p < width)
+    ref = reference_marginal_sum(uniq, table, keep)
+    assert _marginal_table(table, uniq, width, keep).tobytes() == ref.tobytes()
+
+
 def test_marginal_entropy_consistency():
     model = build_detector_model(repetition_code(3), 2, NoiseModel.phenomenological(0.1))
     region = [model.det_index[("z", c, 1)] for c in range(3)]
@@ -541,7 +605,7 @@ def test_decomposition_against_honest_enumeration():
     L, T, p = 3, 1, 0.15
     region = [("z", c, r) for c in range(L) for r in (1, 2)]
     report = entropy_decomposition_check(
-        repetition_code(L), T, NoiseModel.phenomenological(p), region
+        build_detector_model(repetition_code(L), T, NoiseModel.phenomenological(p)), region
     )
     dist = honest_syndrome_distribution(L, T, p, region)
     h_direct = entropy_of_dist(dist)
@@ -561,7 +625,7 @@ def test_decomposition_full_system_residual_zero():
     for code, T, noise in cases:
         model = build_detector_model(code, T, noise)
         region = full_syndrome_region(model)
-        report = entropy_decomposition_check(code, T, noise, region, cap=24)
+        report = entropy_decomposition_check(model, region, cap=24)
         assert abs(report.residual) < 1e-10
         assert report.deterministic_are_detector_combos
 
@@ -578,12 +642,34 @@ def test_decomposition_residual_reads_the_detector_distribution(monkeypatch):
         return values, probs
 
     monkeypatch.setattr(entropy, "exact_region_dist", bent)
-    code, noise = repetition_code(3), NoiseModel.phenomenological(0.1)
-    region = full_syndrome_region(build_detector_model(code, 2, noise))
-    report = entropy_decomposition_check(code, 2, noise, region)
+    model = build_detector_model(repetition_code(3), 2, NoiseModel.phenomenological(0.1))
+    report = entropy_decomposition_check(model, full_syndrome_region(model))
     assert report.deterministic_are_detector_combos
     assert abs(report.residual) > 1e-4
     assert main(["verify"]) == 1
+
+
+def frame_free_non_detector_combo(monkeypatch):
+    """Bend the syndrome structure so a frame-free combination is no detector combination:
+    the first syndrome's mechanism mask also holds mechanism 0."""
+    structure = entropy._syndrome_structure
+
+    def bent(model, region):
+        mech_masks, frame_masks = structure(model, region)
+        mech_masks[0] ^= 1
+        return mech_masks, frame_masks
+
+    monkeypatch.setattr(entropy, "_syndrome_structure", bent)
+
+
+def test_decomposition_reports_non_detector_combination(monkeypatch):
+    frame_free_non_detector_combo(monkeypatch)
+    model = build_detector_model(repetition_code(3), 2, NoiseModel.phenomenological(0.1))
+    report = entropy_decomposition_check(model, full_syndrome_region(model))
+    assert not report.deterministic_are_detector_combos
+    assert (report.n_syndromes, report.n_deterministic) == (9, 3)
+    assert report.h_s == 7.676973131298925
+    assert math.isnan(report.h_d) and math.isnan(report.residual)
 
 
 def test_decomposition_p_zero_uniform_frames():
@@ -591,18 +677,17 @@ def test_decomposition_p_zero_uniform_frames():
     noise = NoiseModel(p_x=0.0, p_z=0.0, q=0.0)
     model = build_detector_model(code, 2, noise)
     region = full_syndrome_region(model)
-    report = entropy_decomposition_check(code, 2, noise, region, cap=24)
+    report = entropy_decomposition_check(model, region, cap=24)
     assert report.h_d == pytest.approx(0.0, abs=1e-12)
     assert report.h_s == pytest.approx(report.n_syndromes - report.n_deterministic)
 
 
 def test_decomposition_no_detector_region_fully_random():
-    code = repetition_code(3)
-    noise = NoiseModel.phenomenological(0.1)
-    report = entropy_decomposition_check(code, 2, noise, [("z", 0, 2)])
+    model = build_detector_model(repetition_code(3), 2, NoiseModel.phenomenological(0.1))
+    report = entropy_decomposition_check(model, [("z", 0, 2)])
     assert report.n_deterministic == 0
     assert report.h_s == pytest.approx(1.0)
-    report2 = entropy_decomposition_check(code, 2, noise, [("z", 0, 1), ("z", 0, 2)])
+    report2 = entropy_decomposition_check(model, [("z", 0, 1), ("z", 0, 2)])
     assert report2.n_deterministic == 0
     assert report2.h_s == pytest.approx(2.0)
 
@@ -613,16 +698,17 @@ def test_decomposition_no_detector_region_fully_random():
 )
 def test_decomposition_refuses_syndrome_outside_the_run(syndrome):
     # Repetition(3) over 2 rounds measures z checks 0..2 in rounds 1..3 and has no x checks.
-    noise = NoiseModel.phenomenological(0.1)
+    model = build_detector_model(repetition_code(3), 2, NoiseModel.phenomenological(0.1))
     sector, c, r = syndrome
     with pytest.raises(ValueError, match=rf"syndrome \({sector},{c},{r}\) outside the run"):
-        entropy_decomposition_check(repetition_code(3), 2, noise, [("z", 0, 1), syndrome])
+        entropy_decomposition_check(model, [("z", 0, 1), syndrome])
 
 
 def test_decomposition_cap():
     with pytest.raises(BruteForceCapExceeded):
         entropy_decomposition_check(
-            repetition_code(5), 4, NoiseModel.phenomenological(0.1), [("z", 0, 1)], cap=10
+            build_detector_model(repetition_code(5), 4, NoiseModel.phenomenological(0.1)),
+            [("z", 0, 1)], cap=10,
         )
 
 
@@ -641,14 +727,15 @@ def decomposition_digest() -> str:
     cases += [(toric_code(2), T) for T in (1, 2)]
     for code, T in cases:
         for noise in noises:
-            full = full_syndrome_region(build_detector_model(code, T, noise))
+            model = build_detector_model(code, T, noise)
+            full = full_syndrome_region(model)
             regions = [full] + [
                 [full[j] for j in sorted(rng.choice(len(full), len(full) // 2, replace=False))]
                 for _ in range(3)
             ]
             for region in regions:
                 try:
-                    report = entropy_decomposition_check(code, T, noise, region)
+                    report = entropy_decomposition_check(model, region)
                 except BruteForceCapExceeded as exc:
                     report = exc
                 digest.update(f"{code.name} {T} {noise} {region} {report!r}\n".encode())
@@ -719,7 +806,7 @@ def test_tableau_syndrome_entropy_matches_decomposition():
     rs = foliate(code, T + 1)
     sites = syndrome_sites(rs)
     order = [("z", c, r) for c in range(L) for r in (1, 2)]
-    report = entropy_decomposition_check(code, T, noise, order)
+    report = entropy_decomposition_check(model, order)
     rng = np.random.default_rng(123)
     probs = model.mechanism_probs()
     base = init_graph_state(rs)
