@@ -36,7 +36,6 @@ from .markov import (
     MarkovFit,
     SweepCell,
     build_tripartition,
-    cell_noise,
     cmi,
     cmi_rank_half,
     interpolate_peak,
@@ -316,20 +315,22 @@ def _compute_cells(cfg: ExperimentConfig, grid: Sequence[Tuple[int, int, float]]
     )
 
 
-def _write_cmi_csv(path: str, cfg: ExperimentConfig, cells: List[Dict]) -> None:
-    """One CSV row per CMI point of each cell record."""
+def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Write a CSV file of one header row, then ``rows``."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(
-            ["code", "L", "T", "p", "q", "wA", "wB", "dist", "cmi_bits", "cmi_stderr"]
-        )
-        for c in cells:
-            q = cell_noise(c["p"], cfg.p_z, cfg.q).q
-            for pt in c["points"]:
-                writer.writerow(
-                    (cfg.code, c["L"], c["T"], c["p"], q, cfg.wA, pt["wB"], pt["dist"],
-                     repr(pt["cmi_bits"]), repr(pt["cmi_stderr"]))
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_cmi_csv(path: str, cfg: ExperimentConfig, cells: List[Dict]) -> None:
+    """One CSV row per CMI point of each cell record."""
+    _write_csv(
+        path, ["code", "L", "T", "p", "q", "wA", "wB", "dist", "cmi_bits", "cmi_stderr"],
+        ((cfg.code, c["L"], c["T"], c["p"], NoiseModel.phenomenological(c["p"], cfg.p_z, cfg.q).q,
+          cfg.wA, pt["wB"], pt["dist"], repr(pt["cmi_bits"]), repr(pt["cmi_stderr"]))
+         for c in cells for pt in c["points"]),
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -357,7 +358,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # Each cell is a run's config at its (L, T, p), and its ladder fits its model.
         try:
             dataclasses.replace(cfg, L=L, rounds=T, p=p).validate()
-            model = build_detector_model(make_code(cfg.code, L), T, cell_noise(p, cfg.p_z, cfg.q))
+            noise = NoiseModel.phenomenological(p, cfg.p_z, cfg.q)
+            model = build_detector_model(make_code(cfg.code, L), T, noise)
             ladder_rungs(partial(build_tripartition, model, mode=cfg.mode), model.code.space_shape,
                          T, range(1, cfg.wB_max + 1), cfg.wA, cfg.wC, [(L - cfg.wA) // 2])
         except ValueError as exc:
@@ -424,16 +426,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             payload["decoder_crossing"] = {"p_cross": est.p_cross, "spread": est.spread}
         except NoCrossingError as exc:
             payload["decoder_crossing"] = {"error": str(exc)}
-        with open(out + ".decoder.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["L", "T", "p", "q", "shots", "logical_errors", "rate", "ci_low", "ci_high"]
-            )
-            for rp in points:
-                writer.writerow(
-                    (rp.L, rp.T, rp.p, rp.q, rp.shots, rp.logical_errors,
-                     repr(rp.rate), repr(rp.ci_low), repr(rp.ci_high))
-                )
+        _write_csv(
+            out + ".decoder.csv",
+            ["L", "T", "p", "q", "shots", "logical_errors", "rate", "ci_low", "ci_high"],
+            ((rp.L, rp.T, rp.p, rp.q, rp.shots, rp.logical_errors,
+              repr(rp.rate), repr(rp.ci_low), repr(rp.ci_high)) for rp in points),
+        )
 
     _emit_json(out, payload)
     if cfg.csv:

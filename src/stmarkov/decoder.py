@@ -296,9 +296,7 @@ def decode(
 
 
 def wilson_interval(k: int, n: int) -> Tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    if n <= 0:
-        return (0.0, 1.0)
+    """95% Wilson score interval for k successes in n >= 1 trials."""
     p = k / n
     z = 1.96  # two-sided 95% normal quantile
     z2 = z * z
@@ -400,8 +398,6 @@ def threshold_estimate(curves: Dict[Size, List[Tuple[float, float]]]) -> Thresho
             a = dict(curves[l1])
             b = dict(curves[l2])
             ps = sorted(set(a) & set(b))
-            if len(ps) < 2:
-                continue
             diffs = [a[p] - b[p] for p in ps]
             # A crossing is a sign change between consecutive nonzero rate
             # differences: inside their segment when they are adjacent, else
@@ -409,7 +405,8 @@ def threshold_estimate(curves: Dict[Size, List[Tuple[float, float]]]) -> Thresho
             # either end of the grid, or one both neighbours leave on the same
             # side, is none). Rate differences vanish deep below threshold and
             # at saturation, so noise can fabricate shallow sign changes
-            # there; the genuine crossing is the steepest one.
+            # there; the genuine crossing is the steepest one. A pair sharing
+            # fewer than two rates has no segment, so no crossing.
             nonzero = [k for k, d in enumerate(diffs) if d != 0]
             best = None
             for k, m in zip(nonzero, nonzero[1:]):

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import gf2_dependencies, gf2_rank, gf2_solve
+from .gf2 import bitset, gf2_dependencies, gf2_rank, gf2_solve
 from .sampler import PatternWidthExceeded
 from .spacetime import DATA_SECTOR, KINDS, SECTOR_SHIFT, SECTORS, DetectorModel
 
@@ -213,13 +213,9 @@ def exact_region_dist(
     pos = {d: j for j, d in enumerate(region)}
     offsets, dets = model.footprints(mechs)
     dets, offsets = dets.tolist(), offsets.tolist()
-    masks = []
-    for lo, hi in zip(offsets, offsets[1:]):
-        mask = 0
-        for d in dets[lo:hi]:
-            if d in pos:
-                mask |= 1 << pos[d]
-        masks.append(mask)
+    masks = [
+        bitset(pos[d] for d in dets[lo:hi] if d in pos) for lo, hi in zip(offsets, offsets[1:])
+    ]
     probs = model.mechanism_probs()[mechs].tolist()
     width = len(region)
     if width <= 24:
@@ -242,13 +238,7 @@ def exact_entropy(model: DetectorModel, region: Sequence[int], cap: int = 22) ->
 
 def _detector_rows(model: DetectorModel, detectors: Iterable[int]) -> List[int]:
     """Each detector's row of the incidence matrix as an int bitset (bit k = mechanism k)."""
-    rows = []
-    for d in detectors:
-        row = 0
-        for k in model.incident_mechanisms(d):
-            row |= 1 << k
-        rows.append(row)
-    return rows
+    return [bitset(model.incident_mechanisms(d)) for d in detectors]
 
 
 def rank_entropy_half(model: DetectorModel, region: Sequence[int]) -> float:
@@ -303,13 +293,10 @@ def _syndrome_structure(
         hit = (data & np.isin(mechs.index, list(sup)) & before) | (
             readout & (mechs.index == c) & (mechs.time == r)
         )
-        mm = sum(1 << k for k in np.flatnonzero(hit).tolist())
-        fm = 0
-        for i in sup:
-            for t in range(r):
-                fm |= 1 << ucols.setdefault((i, 2 * t + 1 - shift), len(ucols))
-        mech_masks.append(mm)
-        frame_masks.append(fm)
+        mech_masks.append(bitset(np.flatnonzero(hit)))
+        # Frame columns are numbered as first seen: qubit by qubit, then by t.
+        cols = (ucols.setdefault((i, 2 * t + 1 - shift), len(ucols)) for i in sup for t in range(r))
+        frame_masks.append(bitset(cols))
     return mech_masks, frame_masks
 
 

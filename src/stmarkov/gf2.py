@@ -11,13 +11,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 
-def pack_row(bits: Sequence[int] | np.ndarray) -> int:
-    """Pack a 0/1 vector into an int bitset (bit j = entry j)."""
-    value = 0
-    for j, b in enumerate(bits):
-        if b & 1:
-            value |= 1 << j
-    return value
+def bitset(indices: Iterable[int]) -> int:
+    """The int bitset with bit j set for each of the distinct ``indices``."""
+    return sum(1 << int(j) for j in indices)
 
 
 def _eliminate(
@@ -81,4 +77,4 @@ def gf2_dependencies(rows: Sequence[int], tags: Optional[Sequence[int]] = None) 
 
 def matrix_to_rows(mat: np.ndarray) -> List[int]:
     """Pack a 2D 0/1 array into a list of int bitset rows."""
-    return [pack_row(mat[i]) for i in range(mat.shape[0])]
+    return [bitset(np.flatnonzero(row)) for row in mat]

@@ -583,18 +583,13 @@ def make_code(family: str, L: int):
     raise ValueError(f"unknown code family {family!r}")
 
 
-def cell_noise(p: float, p_z: float, q: Optional[float]) -> NoiseModel:
-    """Noise of a sweep cell at data error rate p; the readout rate is q, or p when q is None."""
-    return NoiseModel(p_x=p, p_z=p_z, q=p if q is None else q)
-
-
 def _sweep_cell(
     L: int, T: int, p: float, *, family: str, ladder: Sequence[int], n: int, seed: int,
     wA: int, wC: int, mode: str, p_z: float, q: Optional[float], method: str,
     anchor_stride: Optional[int], correction: bool,
 ) -> SweepCell:
     """The (L, T, p) cell of a sweep: its ladder's points and their fit (or the gap)."""
-    model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
+    model = build_detector_model(make_code(family, L), T, NoiseModel.phenomenological(p, p_z, q))
     if model.n_mechanisms == 0:
         points = []
     elif method == "exact":  # one anchor, the centred x, at the sampled ladder's row
@@ -670,7 +665,7 @@ def _rate_point(
     L: int, T: int, p: float, *, family: str, shots: int, seed: int, p_z: float,
     q: Optional[float],
 ) -> RatePoint:
-    model = build_detector_model(make_code(family, L), T, cell_noise(p, p_z, q))
+    model = build_detector_model(make_code(family, L), T, NoiseModel.phenomenological(p, p_z, q))
     return logical_error_rate(model, shots, seed)
 
 
@@ -686,7 +681,8 @@ def rate_points(
 ) -> Iterator[RatePoint]:
     """Decoder logical error rate at each (L, T, p), size by size in the order of ``p_grid``.
 
-    The one loop for decoder curves; each point's noise is ``cell_noise``.
+    The one loop for decoder curves; each point's noise is
+    ``NoiseModel.phenomenological(p, p_z, q)``.
     More than one job runs the points in a process pool, as ``sweep_cells``
     does; the points come back in the same order and do not depend on ``jobs``.
     """

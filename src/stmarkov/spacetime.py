@@ -42,7 +42,7 @@ class NoiseModel:
     """Per-round error rates: data X/Z flips and readout flips.
 
     All probabilities must lie in [0, 1/2]. The default experiment sets
-    p_x = q = p and p_z = 0.
+    p_x = q = p and p_z = 0 (``phenomenological``).
     """
 
     p_x: float
@@ -56,8 +56,9 @@ class NoiseModel:
                 raise ValueError(f"{name}={v} outside [0, 0.5]")
 
     @staticmethod
-    def phenomenological(p: float, p_z: float = 0.0) -> "NoiseModel":
-        return NoiseModel(p_x=p, p_z=p_z, q=p)
+    def phenomenological(p: float, p_z: float = 0.0, q: Optional[float] = None) -> "NoiseModel":
+        """Data X flips at rate p, Z flips at p_z; the readout rate is q, or p when q is None."""
+        return NoiseModel(p_x=p, p_z=p_z, q=p if q is None else q)
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,13 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     ptr = np.zeros(lengths.size + 1, dtype=np.intp)
     np.cumsum(lengths, out=ptr[1:])
     return ptr
+
+
+def _csr_dense(ptr: np.ndarray, cols: np.ndarray, n_values: int) -> np.ndarray:
+    """Dense (n_values x rows) 0/1 uint8 matrix: column i marks the values CSR row i lists."""
+    m = np.zeros((n_values, ptr.size - 1), dtype=np.uint8)
+    m[cols, np.repeat(np.arange(ptr.size - 1), np.diff(ptr))] = 1
+    return m
 
 
 def _csr_rows(ptr: np.ndarray, cols: np.ndarray, rows) -> Tuple[np.ndarray, np.ndarray]:
@@ -225,10 +233,7 @@ class DetectorModel:
     def incidence(self) -> np.ndarray:
         """Dense incidence matrix M (detectors x mechanisms) over GF(2)."""
         if self._incidence is None:
-            ptr, dets = self.footprints()
-            m = np.zeros((self.n_detectors, self.n_mechanisms), dtype=np.uint8)
-            m[dets, np.repeat(np.arange(self.n_mechanisms), np.diff(ptr))] = 1
-            self._incidence = m
+            self._incidence = _csr_dense(*self.footprints(), self.n_detectors)
         return self._incidence
 
     def _incident_table(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -283,9 +288,7 @@ class DetectorModel:
     def logical_action(self) -> np.ndarray:
         """Binary matrix: rows = protected logical bits, columns = mechanisms."""
         m = self.mechanisms
-        act = np.zeros((len(self.logicals), self.n_mechanisms), dtype=np.uint8)
-        act[m.flip_cols, np.repeat(np.arange(self.n_mechanisms), np.diff(m.flip_ptr))] = 1
-        return act
+        return _csr_dense(m.flip_ptr, m.flip_cols, len(self.logicals))
 
     def to_text(self) -> str:
         m = self.mechanisms

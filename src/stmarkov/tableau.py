@@ -6,14 +6,16 @@ generator. This is a verifier for graph-state preparation, Z errors, and
 X-basis readout, not a production sampler; instances are expected to stay
 below a couple thousand qubits.
 
-One X readout (``Tableau.measure_x``) reads column q of ``z`` for the k
-generators that anticommute with X_q. A random outcome folds the k - 1
-others into the first such stabilizer row (one rowsum over a k x n block)
-and writes X_q there; a deterministic one is the product of the k selected
-stabilizer rows, formed by one prefix XOR over them. Every product's phase
-is computed from the bits (``_log_i``, Stim's rule, arXiv:2103.02202), with
-no lookup table. ``tests/oracles.ReferenceTableau``, the table-lookup
-version with a per-row product loop, is the test oracle.
+A Pauli anticommutes with the generators flagged by the XOR of the ``z``
+columns at its X sites and the ``x`` columns at its Z sites; one X readout
+(``Tableau.measure_x``) reads the k such generators off column q of ``z``.
+A random outcome folds the k - 1 others into the first such stabilizer row
+(one rowsum over a k x n block) and writes X_q there; a deterministic one
+is the product of the k selected stabilizer rows, formed by one prefix XOR
+over them. Every product's phase is computed from the bits (``_log_i``,
+Stim's rule, arXiv:2103.02202), with no lookup table. The test oracle is
+``tests/oracles.ReferenceTableau``, the table-lookup version with a per-row
+product loop.
 """
 
 from __future__ import annotations
@@ -124,9 +126,14 @@ class Tableau:
             raise AssertionError("generator product left a residual factor of i")
         return xs[-1], zs[-1], phase % 4 // 2
 
-    def _commutation(self, px: np.ndarray, pz: np.ndarray) -> np.ndarray:
-        anti = (self.x @ pz.astype(np.int64) + self.z @ px.astype(np.int64)) % 2
-        return anti.astype(np.uint8)
+    def _anticommuting(self, op: PauliOp) -> np.ndarray:
+        """Generators anticommuting with ``op``, by the column rule above."""
+        anti = np.zeros(2 * self.n, dtype=np.uint8)
+        for q in op.x_sites:
+            anti ^= self.z[:, q]
+        for q in op.z_sites:
+            anti ^= self.x[:, q]
+        return np.flatnonzero(anti)
 
     def _masks(self, op: PauliOp) -> Tuple[np.ndarray, np.ndarray]:
         px = np.zeros(self.n, dtype=np.uint8)
@@ -194,7 +201,7 @@ class Tableau:
         """
         n = self.n
         px, pz = self._masks(op)
-        rows = np.flatnonzero(self._commutation(px, pz))
+        rows = self._anticommuting(op)
         k = int(rows.searchsorted(n))
         if k < len(rows):
             outcome = _outcome(rng, force)
@@ -206,10 +213,10 @@ class Tableau:
 
     def expectation(self, op: PauliOp) -> int:
         """+1/-1 for stabilized operators, 0 if the outcome would be random."""
-        px, pz = self._masks(op)
-        rows = np.flatnonzero(self._commutation(px, pz))
+        rows = self._anticommuting(op)
         if rows.size and rows[-1] >= self.n:
             return 0
+        px, pz = self._masks(op)
         return 1 - 2 * self._stabilized_sign(rows, px, pz)
 
     def _stabilized_sign(self, rows: np.ndarray, px: np.ndarray, pz: np.ndarray) -> int:

@@ -705,7 +705,9 @@ class ReferenceTableau(Tableau):
     CZ is the composition H(b) CNOT(a, b) H(b). Product phases come from a
     16-entry lookup table of the exponent of i per qubit (``_g``),
     deterministic outcomes from a Python loop over the selected stabilizer
-    rows, and every measurement builds its operator's x/z masks.
+    rows, and every measurement builds its operator's x/z masks and, beyond
+    one-site operators, reads anticommutation off their dense symplectic
+    product with the generators (``_commutation``).
     """
 
     def cnot(self, a: int, b: int) -> None:
@@ -754,6 +756,11 @@ class ReferenceTableau(Tableau):
         if phase % 2 != 0:
             raise AssertionError("generator product left a residual factor of i")
         return xs, zs, phase // 2
+
+    def _commutation(self, px: np.ndarray, pz: np.ndarray) -> np.ndarray:
+        """Symplectic products of every generator with (px, pz), mod 2."""
+        anti = (self.x @ pz.astype(np.int64) + self.z @ px.astype(np.int64)) % 2
+        return anti.astype(np.uint8)
 
     def measure_pauli(self, op: PauliOp, rng=None, force=None) -> int:
         n = self.n

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmarkov import foliation
+from stmarkov import cli, foliation
 from stmarkov.cli import (
     ConfigError,
     ExperimentConfig,
@@ -489,6 +489,28 @@ def test_verify_fails_on_non_detector_combination(monkeypatch, capsys):
     assert run_cli(["verify"]) == 1
     assert ("FAIL    entropy_decomposition: deterministic components are not detector "
             "combinations\n" in capsys.readouterr().out)
+
+
+def _raise_runtime_error(model, tri):
+    raise RuntimeError("rank oracle broke")
+
+
+@pytest.mark.parametrize(
+    "fake, line",
+    [
+        (lambda model, tri: 1.0,
+         "FAIL    rank_oracle: rank CMI nonzero at p=1/2 for anchor (1, 1)\n"),
+        (_raise_runtime_error, "FAIL    rank_oracle: RuntimeError: rank oracle broke\n"),
+    ],
+    ids=["returns-fail", "raises"],
+)
+def test_verify_reports_failing_check_and_exits_1(monkeypatch, capsys, fake, line):
+    monkeypatch.setattr(cli, "cmi_rank_half", fake)
+    assert run_cli(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith(line)
+    # The other checks still ran and passed.
+    assert out.count("PASS    ") == 4
 
 
 def test_verify_skips_decomposition_beyond_cap(capsys):
@@ -1005,6 +1027,20 @@ def test_ingest_refuses_settings_it_cannot_honour(tmp_path, capsys, flags, confi
     assert message in capsys.readouterr().err
     assert not os.path.exists(out)
     assert not os.path.exists(tmp_path / "x.csv")
+
+
+def test_ingest_refuses_header_without_a_ladder_detector(tmp_path, capsys):
+    # Every z detector of repetition(8), T = 8, but (3, 3): the centred A cell at wA = 1.
+    model = build_detector_model(repetition_code(8), 8, NoiseModel.phenomenological(0.1))
+    region = [i for i, d in enumerate(model.detectors) if d.coords != (3, 3)]
+    path = str(tmp_path / "samples.txt")
+    export_interchange(sample_batch(model, region, 50, seed=5), model, path)
+    out = str(tmp_path / "o.json")
+    flags = ["--wA", "1", "--wC", "1", "--wB-max", "1", "--out", out]
+    assert run_cli(["ingest", path] + flags) == 2
+    assert ("configuration error: region cells outside the detector lattice: [(3, 3)]\n"
+            == capsys.readouterr().err)
+    assert not os.path.exists(out)
 
 
 def test_ingest_with_no_rung_exits_2(tmp_path, capsys):

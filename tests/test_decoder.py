@@ -164,6 +164,21 @@ def test_threshold_requires_bracketing():
         threshold_estimate(curves)
 
 
+def test_threshold_skips_size_pairs_sharing_fewer_than_two_rates():
+    curves = {
+        8: [(0.05, 0.01), (0.10, 0.20), (0.15, 0.45)],
+        12: [(0.05, 0.005), (0.10, 0.25), (0.15, 0.48)],
+        16: [(0.20, 0.49)],
+    }
+    est = threshold_estimate(curves)
+    assert est.crossings == [(8, 12, pytest.approx(0.05 + 0.005 / 0.055 * 0.05, abs=1e-12))]
+    assert est.p_cross == est.crossings[0][2]
+    assert est.spread == 0.0
+    # One shared rate is no segment to cross in.
+    with pytest.raises(NoCrossingError):
+        threshold_estimate({8: [(0.05, 0.1), (0.10, 0.3)], 16: [(0.10, 0.2), (0.15, 0.5)]})
+
+
 def test_threshold_tie_at_zero_is_no_crossing():
     # Both curves read 0 at the lowest p, then L = 24 stays above L = 16.
     ps = (0.05, 0.11, 0.15)

@@ -1,8 +1,16 @@
 from functools import reduce
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stmarkov.gf2 import gf2_dependencies, gf2_in_rowspan, gf2_rank, gf2_solve
+from stmarkov.gf2 import (
+    bitset,
+    gf2_dependencies,
+    gf2_in_rowspan,
+    gf2_rank,
+    gf2_solve,
+    matrix_to_rows,
+)
 
 
 @st.composite
@@ -39,3 +47,17 @@ def test_gf2_routines_match_enumeration(matrix, tags):
     # Arbitrary tags: the XOR of the tags over the same combinations.
     tags = tags[:len(rows)]
     assert gf2_dependencies(rows, tags) == [combination(tags, mask) for mask in deps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 200), max_size=40), st.randoms(use_true_random=False))
+def test_bitset_equals_or_of_bits(indices, rnd):
+    order = sorted(indices)
+    rnd.shuffle(order)
+    expected = reduce(lambda acc, j: acc | 1 << j, order, 0)
+    assert bitset(order) == expected
+    # numpy integer indices shift as Python ints, past 64 bits too.
+    assert bitset(np.array(order, dtype=np.int64)) == expected
+    dense = np.zeros((1, 201), dtype=np.uint8)
+    dense[0, order] = 1
+    assert matrix_to_rows(dense) == [expected]

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,9 +15,10 @@ from oracles import (
 )
 
 from stmarkov import spacetime
-from stmarkov.codes import repetition_code, toric_code
+from stmarkov.codes import CssCode, repetition_code, toric_code
 from stmarkov.decoder import decode, logical_error_rate
-from stmarkov.markov import averaged_cmi_ladder
+from stmarkov.foliation import foliate
+from stmarkov.markov import averaged_cmi_ladder, cmi, make_code, sweep_cells
 from stmarkov.spacetime import (
     NoiseModel,
     Tripartition,
@@ -26,6 +28,7 @@ from stmarkov.spacetime import (
     detectors_from_errors,
     build_detector_model as build,
 )
+from stmarkov.tableau import Tableau, init_graph_state
 
 
 def test_noise_model_validation():
@@ -34,6 +37,49 @@ def test_noise_model_validation():
         NoiseModel(p_x=0.6, p_z=0.0, q=0.1)
     with pytest.raises(ValueError):
         NoiseModel(p_x=0.1, p_z=-0.01, q=0.1)
+
+
+def test_phenomenological_readout_rate_defaults_to_p():
+    assert NoiseModel.phenomenological(0.1) == NoiseModel(p_x=0.1, p_z=0.0, q=0.1)
+    assert NoiseModel.phenomenological(0.1, 0.02) == NoiseModel(p_x=0.1, p_z=0.02, q=0.1)
+    assert NoiseModel.phenomenological(0.1, 0.02, 0.0) == NoiseModel(p_x=0.1, p_z=0.02, q=0.0)
+
+
+def _rep_model():
+    return build_detector_model(repetition_code(3), 2, NoiseModel.phenomenological(0.1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CssCode("bad", 3, np.ones((1, 2)), np.zeros((0, 3)), np.zeros((0, 3)),
+                         np.zeros((0, 3)), [], [], [], (3,)),
+         "z_checks must be 2D with 3 columns"),
+        (lambda: detector_flip_probability(_rep_model(), -1), "detector index -1 out of range"),
+        (lambda: detectors_from_errors(_rep_model(), np.zeros(2, dtype=np.uint8)),
+         "error vector length mismatch"),
+        (lambda: Tripartition(a=(), b=(1,), c=(2,), dist_ac=2),
+         "regions A and C must be nonempty"),
+        (lambda: Tripartition(a=(0,), b=(1,), c=(), dist_ac=2),
+         "regions A and C must be nonempty"),
+        (lambda: Tableau(1).measure_x(0), "random measurement outcome requires rng or force"),
+        (lambda: init_graph_state(foliate(repetition_code(3), 1), frame="y"),
+         "frame must be 'x' or 'z', got 'y'"),
+        (lambda: cmi(_rep_model(), Tripartition(a=(0,), b=(1,), c=(2,), dist_ac=2),
+                     method="bogus"),
+         "unknown method 'bogus'"),
+        (lambda: make_code("surface", 8), "unknown code family 'surface'"),
+        (lambda: next(sweep_cells("repetition", [(3, 2, 0.1)], method="bogus")),
+         "unknown sweep method 'bogus'"),
+        (lambda: logical_error_rate(_rep_model(), 0, 1), "need at least one shot"),
+    ],
+    ids=["css-width", "flip-probability-range", "error-length", "tripartition-empty-a",
+         "tripartition-empty-c", "measure-x-no-rng", "graph-state-frame", "cmi-method",
+         "code-family", "sweep-method", "rate-no-shots"],
+)
+def test_library_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_rejects_zero_rounds():

@@ -342,6 +342,41 @@ def test_cz_rule_equals_h_cnot_h(n, seed):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_pauli_measurement_matches_dense_commutation(n, seed):
+    """The column rule reads the generators the oracle's dense product does.
+
+    Random H and CZ gates interleave with measurements of random Paulis with
+    both X and Z sites; outcomes and tableaux equal the oracle's, and each
+    expectation is 0 exactly where the dense product flags a stabilizer.
+    """
+    rng = np.random.default_rng(seed)
+    tab, ref = Tableau(n), ReferenceTableau(n)
+    for _ in range(4 * n):
+        a, b = rng.choice(n, size=2, replace=False).tolist()
+        gate = rng.integers(3)
+        if gate == 0:
+            tab.h(a)
+            ref.h(a)
+        elif gate == 1:
+            tab.cz(a, b)
+            ref.cz(a, b)
+        else:
+            sites = rng.permutation(n).tolist()
+            k = int(rng.integers(1, n + 1))
+            j = int(rng.integers(0, k + 1))
+            op = PauliOp(frozenset(sites[:j]), frozenset(sites[j:k]))
+            is_random = ref._commutation(*ref._masks(op))[n:].any()
+            expect = tab.expectation(op)
+            assert (expect == 0) == is_random
+            force = int(rng.integers(2))
+            outcome = tab.measure_pauli(op, force=force)
+            assert outcome == ref.measure_pauli(op, force=force)
+            assert is_random or 1 - 2 * outcome == expect
+        assert_same_tableau(tab, ref)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=8), st.integers(0, 2**32 - 1))
 def test_evaluate_detectors_matches_cell_loop(cells, seed):
     """One gather and one prefix XOR give the per-cell loop's bits and error."""
